@@ -18,6 +18,7 @@ under name prefixes like ``encoder/tok_emb``, ``task_head/w``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -52,30 +53,45 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         {"arrays": entries, "meta": meta or {}},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    # write beside the target, then rename: a reader never sees half a file
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    base = 16 + hlen
-    arrays = {}
-    for ent in header["arrays"]:
-        dtype = np.dtype(ent["dtype"])
-        shape = tuple(ent["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        start = base + ent["offset"]
-        arr = np.frombuffer(raw[start:start + nbytes], dtype=dtype).reshape(shape)
-        arrays[ent["name"]] = arr.copy()
-    return arrays, header.get("meta", {})
+    try:
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        base = 16 + hlen
+        arrays = {}
+        for ent in header["arrays"]:
+            dtype = np.dtype(ent["dtype"])
+            shape = tuple(ent["shape"])
+            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            start = base + ent["offset"]
+            if start + nbytes > len(raw):
+                raise ValueError(f"array {ent['name']!r} ends past the file end")
+            arr = np.frombuffer(raw[start:start + nbytes], dtype=dtype).reshape(shape)
+            arrays[ent["name"]] = arr.copy()
+        meta = header.get("meta", {})
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: truncated or malformed checkpoint: "
+                              f"{exc}") from exc
+    return arrays, meta
 
 
 def save_encoder(path, model) -> None:

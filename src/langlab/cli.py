@@ -10,7 +10,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
-import json
+import ctypes
 import sys
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from langlab.pipeline import (
     EXPORT_KINDS,
     ResultsBundle,
     StageError,
+    _write_json,
     compare_runs,
     export_plot_data,
     format_delta_table,
@@ -102,8 +103,7 @@ def _cmd_gen_corpus(args) -> int:
     settings = {"languages": args.languages, "per_language": args.per_language,
                 "concepts": args.concepts, "overlap": args.overlap,
                 "seed": args.seed, "files": written}
-    (out / "corpus-manifest.json").write_text(
-        json.dumps(settings, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "corpus-manifest.json", settings)
     print(f"wrote {', '.join(sorted(written.values()))} to {out}")
     return 0
 
@@ -123,8 +123,7 @@ def _cmd_pretrain(args) -> int:
         "mlm_final_loss": losses[-1] if losses else None,
         "checkpoint": path.name,
     }
-    (out / "pretrain-manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "pretrain-manifest.json", manifest)
     final = f"{losses[-1]:.4f}" if losses else "n/a"
     print(f"pretrained encoder -> {path} (final masked loss {final})")
     return 0
@@ -191,9 +190,7 @@ def _cmd_compare(args) -> int:
     bundles = [ResultsBundle.load(d) for d in args.runs]
     table = compare_runs(bundles)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(table, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        _write_json(Path(args.out), table)
     print(format_delta_table(table))
     return 0
 
@@ -255,7 +252,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters and the values main() gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 256 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _keep_heap() -> None:
+    """Keep freed arrays in the heap for reuse instead of returning them.
+
+    By default glibc serves arrays above its (dynamic) mmap threshold
+    with fresh mmaps and trims the heap once the gradient tape is freed,
+    so every training step page-faults its working set in again.  Both
+    thresholds are set: setting either alone freezes the mmap threshold
+    at its 128 KiB start.  A libc without mallopt leaves the defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

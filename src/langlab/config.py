@@ -14,13 +14,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from langlab.analysis.sampling import DEFAULT_QUOTAS as SAMPLE_QUOTAS
 from langlab.data.synthetic import DEFAULT_N_CONCEPTS, DEFAULT_OVERLAP
 from langlab.encoder import EncoderConfig
 from langlab.training.regimes import ExperimentConfig
 
-# per-cell sampling quotas by task data kind (cells are label-language
-# pairs on task data, languages on language-id data)
-SAMPLE_QUOTAS = {"token_tag": 10, "pair_inference": 50, "lid": 100}
+# least accepted value of each count field; checked at construction so a
+# bad config fails before pretraining instead of writing NaN or nothing
+_MINIMUMS = {"epochs": 1, "mlm_steps": 0, "quota_task": 1, "quota_lid": 1,
+             "kmeans_runs": 1, "tsne_iterations": 0}
 
 
 @dataclass
@@ -79,6 +81,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.quota_task is None and self.task in SAMPLE_QUOTAS:
             self.quota_task = SAMPLE_QUOTAS[self.task]
+        for name, least in _MINIMUMS.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -76,15 +76,3 @@ class CorpusSplit:
     def __iter__(self):
         return iter(self.parts)
 
-
-def languages_of(examples) -> list[str]:
-    """Sorted list of distinct language ids in a corpus."""
-    return sorted({ex.language for ex in examples})
-
-
-def task_label_set(examples) -> list[str]:
-    """Sorted list of distinct task labels in a corpus."""
-    labels = set()
-    for ex in examples:
-        labels.update(ex.task_labels)
-    return sorted(labels)

@@ -3,9 +3,10 @@
 Stands in for the pre-trained multilingual encoder: masked-token
 pretraining on the synthetic corpus gives it language clusters before any
 fine-tuning.  Pre-layer-norm residual blocks, learned position
-embeddings, exact erf-based GELU, additive key masking.  Everything runs
-in float64; forward passes record a GradientTape from which
-backward_batch produces exact analytical parameter gradients.
+embeddings, exact GELU x * Phi(x) with the normal CDF Phi computed once
+by ``scipy.special.ndtr`` and cached on the tape, additive key masking.
+Everything runs in float64; forward passes record a GradientTape from
+which backward_batch produces exact analytical parameter gradients.
 
 Parameter names: ``tok_emb``, ``pos_emb``, ``mlm_bias``,
 ``final_ln_{g,b}`` and per layer i ``L{i}_ln1_{g,b}``,
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
@@ -26,7 +27,6 @@ from langlab.vocab import MASK_ID, N_SPECIAL, PAD_ID
 
 LN_EPS = 1e-6
 KEY_MASK_BIAS = -1e30
-INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -104,7 +104,10 @@ class EncoderModel:
 
 @dataclass
 class GradientTape:
-    """Forward intermediates for one minibatch; consumed once by backward."""
+    """Forward intermediates for one minibatch; consumed once by backward.
+
+    ``layers[i]`` holds layer i's block caches under ``ln1``, ``att``,
+    ``ln2`` and ``ff``; ``final`` is the final layer norm's cache."""
 
     ids: np.ndarray
     lengths: np.ndarray
@@ -115,33 +118,31 @@ class GradientTape:
     used: bool = False
 
 
-def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def _layer_norm(x, p, prefix):
+    """Returns (g * xhat + b, cache); means are sums times 1/d."""
+    inv_d = 1.0 / x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) * inv_d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_d
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, xhat, inv
+    xhat *= inv
+    out = xhat * p[prefix + "g"]
+    out += p[prefix + "b"]
+    return out, {"xhat": xhat, "inv": inv}
 
 
-def _layer_norm_backward(dy, g, xhat, inv):
-    dxhat = dy * g
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
-
-
-def _gelu(x):
-    return x * 0.5 * (1.0 + erf(x * INV_SQRT_2))
-
-
-def _gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x * INV_SQRT_2))
-    pdf = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+def _layer_norm_backward(dy, p, prefix, cache, grads):
+    xhat, inv = cache["xhat"], cache["inv"]
+    inv_d = 1.0 / xhat.shape[-1]
+    tmp = dy * xhat
+    grads[prefix + "g"] = tmp.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    grads[prefix + "b"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    dx = dy * p[prefix + "g"]
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.sum(axis=-1, keepdims=True) * inv_d
+    dx -= dx.sum(axis=-1, keepdims=True) * inv_d
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
+    return dx
 
 
 def _dropout_mask(shape, rate, rng):
@@ -156,6 +157,83 @@ def _split_heads(x, n_heads):
 def _merge_heads(x):
     b, h, t, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _attention(h, p, L, key_bias, n_heads, mask):
+    """Self-attention over the normed input h; returns (output, cache)."""
+    q = _split_heads(h @ p[L + "wq"] + p[L + "bq"], n_heads)
+    k = _split_heads(h @ p[L + "wk"] + p[L + "bk"], n_heads)
+    v = _split_heads(h @ p[L + "wv"] + p[L + "bv"], n_heads)
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= 1.0 / np.sqrt(q.shape[-1])
+    attn += key_bias
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(attn @ v)
+    out = ctx @ p[L + "wo"] + p[L + "bo"]
+    if mask is not None:
+        out *= mask
+    return out, {"h": h, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
+                 "mask": mask}
+
+
+def _attention_backward(dy, p, L, c, grads):
+    dy = dy if c["mask"] is None else dy * c["mask"]
+    B, T, d = dy.shape
+    dy2d = dy.reshape(-1, d)
+    grads[L + "wo"] = c["ctx"].reshape(-1, d).T @ dy2d
+    grads[L + "bo"] = dy2d.sum(axis=0)
+    attn, q, k, v = c["attn"], c["q"], c["k"], c["v"]
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    d_ctx = _split_heads(dy @ p[L + "wo"].T, q.shape[1])
+    d_scores = d_ctx @ v.swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ d_ctx
+    d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+    d_scores *= attn
+    d_q = d_scores @ k * scale
+    d_k = d_scores.swapaxes(-1, -2) @ q * scale
+    h2d = c["h"].reshape(-1, d)
+    dh = None
+    for nm, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
+        d_proj = _merge_heads(d_proj).reshape(-1, d)
+        grads[L + "w" + nm] = h2d.T @ d_proj
+        grads[L + "b" + nm] = d_proj.sum(axis=0)
+        part = d_proj @ p[L + "w" + nm].T
+        dh = part if dh is None else dh + part
+    return dh.reshape(B, T, d)
+
+
+def _feed_forward(h, p, L, mask):
+    """GELU feed-forward; the cache keeps Phi(pre), not the activation."""
+    pre = h @ p[L + "w1"] + p[L + "b1"]
+    cdf = ndtr(pre)
+    out = (pre * cdf) @ p[L + "w2"] + p[L + "b2"]
+    if mask is not None:
+        out *= mask
+    return out, {"h": h, "pre": pre, "cdf": cdf, "mask": mask}
+
+
+def _feed_forward_backward(dy, p, L, c, grads):
+    dy = dy if c["mask"] is None else dy * c["mask"]
+    pre, cdf = c["pre"], c["cdf"]
+    d, d_ff = p[L + "w1"].shape
+    dy2d = dy.reshape(-1, d)
+    grads[L + "w2"] = (pre * cdf).reshape(-1, d_ff).T @ dy2d
+    grads[L + "b2"] = dy2d.sum(axis=0)
+    # GELU'(x) = Phi(x) + x * phi(x), built in place
+    slope = np.multiply(pre, pre)
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= INV_SQRT_2PI
+    slope *= pre
+    slope += cdf
+    d_pre = dy @ p[L + "w2"].T
+    d_pre *= slope
+    dpre2d = d_pre.reshape(-1, d_ff)
+    grads[L + "w1"] = c["h"].reshape(-1, d).T @ dpre2d
+    grads[L + "b1"] = dpre2d.sum(axis=0)
+    return d_pre @ p[L + "w1"].T
 
 
 def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
@@ -178,62 +256,35 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
     if drop and rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
 
+    def mask():
+        return _dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if drop else None
+
     # additive bias over keys: 0 for real positions, -1e30 for padding
     cols = np.arange(T)
     key_bias = np.where(cols[None, :] < lengths[:, None], 0.0, KEY_MASK_BIAS)
     key_bias = key_bias[:, None, None, :]
 
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
-    emb_mask = None
-    if drop:
-        emb_mask = _dropout_mask(x.shape, cfg.dropout, rng)
-        x = x * emb_mask
+    emb_mask = mask()
+    if emb_mask is not None:
+        x *= emb_mask
 
     tape = GradientTape(ids=ids, lengths=lengths, key_bias=key_bias,
                         emb_drop_mask=emb_mask) if want_tape else None
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-
     for i in range(cfg.n_layers):
         L = f"L{i}_"
-        h1, xhat1, inv1 = _layer_norm(x, p[L + "ln1_g"], p[L + "ln1_b"])
-        q = _split_heads(h1 @ p[L + "wq"] + p[L + "bq"], cfg.n_heads)
-        k = _split_heads(h1 @ p[L + "wk"] + p[L + "bk"], cfg.n_heads)
-        v = _split_heads(h1 @ p[L + "wv"] + p[L + "bv"], cfg.n_heads)
-        scores = q @ k.swapaxes(-1, -2) * scale + key_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(attn @ v)
-        att_out = ctx @ p[L + "wo"] + p[L + "bo"]
-        att_mask = None
-        if drop:
-            att_mask = _dropout_mask(att_out.shape, cfg.dropout, rng)
-            att_out = att_out * att_mask
-        x_att = x + att_out
-
-        h2, xhat2, inv2 = _layer_norm(x_att, p[L + "ln2_g"], p[L + "ln2_b"])
-        ff_pre = h2 @ p[L + "w1"] + p[L + "b1"]
-        ff_act = _gelu(ff_pre)
-        ff_out = ff_act @ p[L + "w2"] + p[L + "b2"]
-        ff_mask = None
-        if drop:
-            ff_mask = _dropout_mask(ff_out.shape, cfg.dropout, rng)
-            ff_out = ff_out * ff_mask
-        x_new = x_att + ff_out
-
+        h, ln1 = _layer_norm(x, p, L + "ln1_")
+        x_att, att = _attention(h, p, L, key_bias, cfg.n_heads, mask())
+        x_att += x                                      # residual
+        h, ln2 = _layer_norm(x_att, p, L + "ln2_")
+        x, ff = _feed_forward(h, p, L, mask())
+        x += x_att                                      # residual
         if want_tape:
-            tape.layers.append({
-                "x": x, "xhat1": xhat1, "inv1": inv1, "h1": h1,
-                "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-                "att_mask": att_mask, "x_att": x_att,
-                "xhat2": xhat2, "inv2": inv2, "h2": h2,
-                "ff_pre": ff_pre, "ff_act": ff_act, "ff_mask": ff_mask,
-            })
-        x = x_new
+            tape.layers.append({"ln1": ln1, "att": att, "ln2": ln2, "ff": ff})
 
-    hidden, xhatf, invf = _layer_norm(x, p["final_ln_g"], p["final_ln_b"])
+    hidden, fin = _layer_norm(x, p, "final_ln_")
     if want_tape:
-        tape.final = {"x": x, "xhat": xhatf, "inv": invf}
+        tape.final = fin
     return hidden, tape
 
 
@@ -248,81 +299,28 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
 
-    cfg, p = model.config, model.params
-    B, T = tape.ids.shape
-    cols = np.arange(T)
-    real = (cols[None, :] < tape.lengths[:, None])[..., None]
-    d_hidden = d_hidden * real
-
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-
-    fin = tape.final
-    dx, dg, db = _layer_norm_backward(d_hidden, p["final_ln_g"],
-                                      fin["xhat"], fin["inv"])
-    grads["final_ln_g"] += dg
-    grads["final_ln_b"] += db
-
-    for i in reversed(range(cfg.n_layers)):
-        L = f"L{i}_"
-        t = tape.layers[i]
-        d = cfg.d_model
-
-        # feed-forward branch
-        d_ff_out = dx if t["ff_mask"] is None else dx * t["ff_mask"]
-        ff2d = t["ff_act"].reshape(-1, cfg.d_ff)
-        dff2d = d_ff_out.reshape(-1, d)
-        grads[L + "w2"] += ff2d.T @ dff2d
-        grads[L + "b2"] += dff2d.sum(axis=0)
-        d_ff_act = d_ff_out @ p[L + "w2"].T
-        d_ff_pre = d_ff_act * _gelu_grad(t["ff_pre"])
-        h22d = t["h2"].reshape(-1, d)
-        dpre2d = d_ff_pre.reshape(-1, cfg.d_ff)
-        grads[L + "w1"] += h22d.T @ dpre2d
-        grads[L + "b1"] += dpre2d.sum(axis=0)
-        d_h2 = d_ff_pre @ p[L + "w1"].T
-        d_x_att, dg2, db2 = _layer_norm_backward(d_h2, p[L + "ln2_g"],
-                                                 t["xhat2"], t["inv2"])
-        grads[L + "ln2_g"] += dg2
-        grads[L + "ln2_b"] += db2
-        d_x_att = d_x_att + dx  # residual
-
-        # attention branch
-        d_att_out = d_x_att if t["att_mask"] is None else d_x_att * t["att_mask"]
-        ctx2d = t["ctx"].reshape(-1, d)
-        datt2d = d_att_out.reshape(-1, d)
-        grads[L + "wo"] += ctx2d.T @ datt2d
-        grads[L + "bo"] += datt2d.sum(axis=0)
-        d_ctx = _split_heads(d_att_out @ p[L + "wo"].T, cfg.n_heads)
-        attn, q, k, v = t["attn"], t["q"], t["k"], t["v"]
-        d_attn = d_ctx @ v.swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_ctx
-        d_scores = (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * attn
-        d_q = d_scores @ k * scale
-        d_k = d_scores.swapaxes(-1, -2) @ q * scale
-        dq2d = _merge_heads(d_q).reshape(-1, d)
-        dk2d = _merge_heads(d_k).reshape(-1, d)
-        dv2d = _merge_heads(d_v).reshape(-1, d)
-        h12d = t["h1"].reshape(-1, d)
-        grads[L + "wq"] += h12d.T @ dq2d
-        grads[L + "bq"] += dq2d.sum(axis=0)
-        grads[L + "wk"] += h12d.T @ dk2d
-        grads[L + "bk"] += dk2d.sum(axis=0)
-        grads[L + "wv"] += h12d.T @ dv2d
-        grads[L + "bv"] += dv2d.sum(axis=0)
-        d_h1 = (dq2d @ p[L + "wq"].T + dk2d @ p[L + "wk"].T
-                + dv2d @ p[L + "wv"].T).reshape(B, T, d)
-        d_x, dg1, db1 = _layer_norm_backward(d_h1, p[L + "ln1_g"],
-                                             t["xhat1"], t["inv1"])
-        grads[L + "ln1_g"] += dg1
-        grads[L + "ln1_b"] += db1
-        dx = d_x + d_x_att  # residual
+    p = model.params
+    T = tape.ids.shape[1]
+    real = (np.arange(T)[None, :] < tape.lengths[:, None])[..., None]
+    grads: dict[str, np.ndarray] = {}
+    dx = _layer_norm_backward(d_hidden * real, p, "final_ln_", tape.final, grads)
+    for i in reversed(range(model.config.n_layers)):
+        L, t = f"L{i}_", tape.layers[i]
+        d_x_att = _feed_forward_backward(dx, p, L, t["ff"], grads)
+        d_x_att = _layer_norm_backward(d_x_att, p, L + "ln2_", t["ln2"], grads)
+        d_x_att += dx                                   # residual
+        dx = _attention_backward(d_x_att, p, L, t["att"], grads)
+        dx = _layer_norm_backward(dx, p, L + "ln1_", t["ln1"], grads)
+        dx += d_x_att                                   # residual
 
     if tape.emb_drop_mask is not None:
-        dx = dx * tape.emb_drop_mask
+        dx *= tape.emb_drop_mask
+    grads["tok_emb"] = np.zeros_like(p["tok_emb"])
     np.add.at(grads["tok_emb"], tape.ids, dx)
-    grads["pos_emb"][:T] += dx.sum(axis=0)
-    return grads
+    grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+    grads["pos_emb"][:T] = dx.sum(axis=0)
+    grads["mlm_bias"] = np.zeros_like(p["mlm_bias"])
+    return {name: grads[name] for name in p}
 
 
 # ----------------------------------------------------------------------------

@@ -45,8 +45,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - BETA1) * (g - m)
-        v += (1.0 - BETA2) * (g * g - v)
-        mhat = m / bias1
-        vhat = v / bias2
-        params[name] -= rate(name) * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # m += (1-b1)(g-m); v += (1-b2)(g*g-v);
+        # p -= lr * (m/bias1) / (sqrt(v/bias2) + eps)
+        # evaluated in this order, in place, in two scratch arrays
+        tmp = np.subtract(g, m)
+        tmp *= 1.0 - BETA1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= v
+        tmp *= 1.0 - BETA2
+        v += tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = np.divide(m, bias1)
+        step *= rate(name)
+        step /= tmp
+        params[name] -= step

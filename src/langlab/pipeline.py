@@ -72,8 +72,8 @@ def _stage(name: str):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 @dataclass

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from langlab.checkpoint import (
+    MAGIC,
     CheckpointError,
     checkpoint_digest,
     load_checkpoint,
@@ -416,6 +421,47 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [12, 20, -10])
+def test_checkpoint_truncated_names_path(tmp_path, keep):
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, {"w": np.arange(12.0).reshape(3, 4)}, meta={"k": 1})
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[1]",
+                                    b'{"arrays": [{"name": "w"}]}'])
+def test_checkpoint_garbled_header_names_path(tmp_path, header):
+    path = tmp_path / "garbled.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_write_replaces_target_whole(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0)})
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        # the new file is complete beside the target, which is untouched
+        assert Path(src).parent == path.parent and Path(dst) == path
+        assert load_checkpoint(src)[0]["a"].shape == (9,)
+        assert path.read_bytes() == before
+        raise OSError("disk full")
+
+    monkeypatch.setattr("langlab.checkpoint.os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"a": np.arange(9.0)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    save_checkpoint(path, {"a": np.arange(9.0)})
+    assert load_checkpoint(path)[0]["a"].shape == (9,)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_encoder_checkpoint_roundtrip(tmp_path, tiny_encoder):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import erf, ndtr
 
 from langlab.encoder import (
     EncoderConfig,
@@ -110,6 +111,30 @@ def test_forward_shapes_and_determinism():
     assert h1.shape == (2, 6, 8)
     assert np.array_equal(h1, h2)
     assert tape is not None and len(tape.layers) == 1
+
+
+def test_ndtr_gelu_matches_erf_form():
+    # absolute bounds, not ulps: the erf form cancels for x << 0
+    x = np.linspace(-40.0, 40.0, 400_001)
+    cdf_erf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    assert np.abs(ndtr(x) - cdf_erf).max() <= 2.3e-16
+    gelu_gap = np.abs(x * ndtr(x) - x * cdf_erf)
+    assert (gelu_gap <= 4e-16 * np.maximum(1.0, np.abs(x))).all()
+
+
+def test_tape_keeps_phi_in_place_of_the_activation():
+    model = small_model(n_layers=2, d_ff=16)
+    ids, lengths, _ = small_batch()
+    _, tape = forward_batch(model, ids, lengths, want_tape=True)
+    assert len(tape.layers) == 2
+    for cache in tape.layers:
+        assert set(cache) == {"ln1", "att", "ln2", "ff"}
+        ff = cache["ff"]
+        assert np.array_equal(ff["cdf"], ndtr(ff["pre"]))
+        # the pre-activation and Phi are the only (B, T, d_ff) arrays kept
+        wide = [a for block in cache.values() for a in block.values()
+                if isinstance(a, np.ndarray) and a.shape == (2, 6, 16)]
+        assert len(wide) == 2
 
 
 def test_forward_validation():

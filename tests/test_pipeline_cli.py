@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from langlab import cli
 from langlab.cli import main
 from langlab.config import (
     PRESETS,
@@ -31,6 +32,7 @@ from langlab.pipeline import (
     METRIC_PATHS,
     ResultsBundle,
     StageError,
+    _write_json,
     compare_runs,
     export_plot_data,
     format_delta_table,
@@ -102,6 +104,25 @@ def test_config_defaults_are_the_reference_protocol():
 def test_config_quota_follows_task():
     assert PipelineConfig(task="pair_inference").quota_task == 50
     assert PipelineConfig(task="token_tag", quota_task=7).quota_task == 7
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("kmeans_runs", 0), ("mlm_steps", -3), ("tsne_iterations", -1),
+    ("epochs", 0), ("quota_lid", 0), ("quota_task", 0)])
+def test_config_rejects_bad_counts_by_name(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        PipelineConfig(**{field: bad})
+
+
+def test_config_accepts_zero_pretraining_and_tsne_steps():
+    cfg = PipelineConfig(mlm_steps=0, tsne_iterations=0)
+    assert cfg.mlm_steps == 0 and cfg.tsne_iterations == 0
+
+
+def test_json_writer_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "bundle.json", {"v": float("nan")})
+    assert not (tmp_path / "bundle.json").exists()
 
 
 def test_config_sub_configs():
@@ -461,6 +482,43 @@ def test_cli_hpsearch(cli_cfg_path, capsys):
     out = capsys.readouterr().out
     assert "rank" in out and "dev F1" in out
     assert (Path(cfg.out_dir) / "hpsearch.json").exists()
+
+
+def test_cli_rejects_bad_config_before_any_stage(cli_cfg_path, capsys):
+    path, cfg = cli_cfg_path
+    path.write_text(json.dumps(cfg.to_dict() | {"kmeans_runs": 0}))
+    assert main(["train", "--config", str(path)]) == 2
+    assert "kmeans_runs must be >= 1" in capsys.readouterr().err
+    assert not Path(cfg.out_dir).exists()
+
+
+def test_keep_heap_sets_both_thresholds(monkeypatch):
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cli._keep_heap()
+    assert dict(calls) == {cli._M_MMAP_THRESHOLD: cli._MMAP_THRESHOLD_BYTES,
+                           cli._M_TRIM_THRESHOLD: cli._TRIM_THRESHOLD_BYTES}
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+def test_keep_heap_is_silent_without_mallopt(libc, monkeypatch, tmp_path,
+                                             capsys):
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_heap() is None
+    assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
+                 "--per-language", "4", "--concepts", "30"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_error_paths(tmp_path, capsys):
