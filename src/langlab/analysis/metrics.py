@@ -22,14 +22,22 @@ def macro_f1(predictions, golds, class_set) -> float:
     classes = list(class_set)
     if not classes:
         raise ValueError("empty class set")
+    # confusion counts over the distinct classes, plus one slot (index k)
+    # for labels outside class_set
+    index = {c: i for i, c in enumerate(dict.fromkeys(classes))}
+    k = len(index)
+    cells = [index.get(g, k) * (k + 1) + index.get(p, k)
+             for p, g in zip(predictions, golds)]
+    confusion = np.bincount(cells, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+    tp = confusion.diagonal().tolist()
+    predicted = confusion.sum(axis=0).tolist()
+    gold = confusion.sum(axis=1).tolist()
     total = 0.0
     for c in classes:
-        tp = sum(1 for p, g in zip(predictions, golds) if p == c and g == c)
-        fp = sum(1 for p, g in zip(predictions, golds) if p == c and g != c)
-        fn = sum(1 for p, g in zip(predictions, golds) if p != c and g == c)
-        if 2 * tp + fp + fn == 0:
+        i = index[c]
+        if predicted[i] + gold[i] == 0:    # = 2tp + fp + fn
             continue  # F1 = 0 for this class
-        total += 2 * tp / (2 * tp + fp + fn)
+        total += 2 * tp[i] / (predicted[i] + gold[i])
     return total / len(classes)
 
 

@@ -1,10 +1,10 @@
 """End-to-end experiment orchestration.
 
-run_experiment drives corpus -> pretrain -> regime training -> language
-probe -> evaluation -> analysis -> bundle, writing every artifact under
-the configured output directory.  Any stage failure raises StageError
-carrying the stage name; artifacts written before the failure stay on
-disk for inspection.
+run_experiment drives config -> corpus -> pretrain -> regime training ->
+language probe -> evaluation -> analysis -> bundle, writing every
+artifact under the configured output directory.  Any stage failure
+raises StageError carrying the stage name; artifacts written before the
+failure stay on disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from langlab.analysis.reports import (
@@ -35,7 +35,7 @@ from langlab.data.split import stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.encoder import EncoderModel, mlm_pretrain
 from langlab.heads import ClassifierHead
-from langlab.training.evaluate import evaluate_lid, evaluate_task
+from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
 from langlab.training.network import embed_examples
 from langlab.training.regimes import (
     corpus_languages,
@@ -158,21 +158,6 @@ def _cell(value: float, mid: str) -> dict:
     return {"value": float(value), "manifest": mid}
 
 
-def _sample_task_data(encoder, examples, task_spec, lang_to_id, languages):
-    emb = embed_examples(encoder, examples, task_spec.level, lang_to_id,
-                         task_spec.label_to_id)
-    labels = [task_spec.labels[int(y)] for y in emb.task_y]
-    langs = [languages[int(y)] for y in emb.lang_y]
-    return EmbeddingSample(vectors=emb.X, languages=langs, labels=labels)
-
-
-def _sample_lid_data(encoder, examples, lang_to_id, languages):
-    emb = embed_examples(encoder, examples, "text", lang_to_id)
-    langs = [languages[int(y)] for y in emb.lang_y]
-    # a paragraph's task label is its language
-    return EmbeddingSample(vectors=emb.X, languages=langs, labels=list(langs))
-
-
 def _tsne_settings(cfg: PipelineConfig, n_points: int) -> dict:
     # perplexity must stay below the sample size; small toy samples clamp
     perplexity = min(cfg.tsne_perplexity, max(1.0, (n_points - 1) / 3.0))
@@ -199,6 +184,8 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
 
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
+    with _stage("config"):
+        exp_cfg = cfg.experiment_config()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = cfg.to_dict()
@@ -215,7 +202,6 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
         save_encoder(out / "encoder-pretrained.ckpt", encoder)
 
     with _stage("train"):
-        exp_cfg = cfg.experiment_config()
         run = run_regime(encoder, task_split, lid_split, exp_cfg)
         save_encoder(out / "encoder-final.ckpt", run.encoder)
 
@@ -255,22 +241,31 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
 def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                          probe_head, task_split, lid_split, task_spec,
                          languages, lang_to_id, manifest) -> dict:
-    """Evaluation + analysis + bundle stages (shared by train and analyze)."""
+    """Evaluation + analysis + bundle stages (shared by train and analyze).
+
+    Each test split goes through the encoder once; F1 scores and plot
+    samples are all read off those embeddings.
+    """
     with _stage("evaluate"):
-        task_f1 = evaluate_task(encoder, task_head, task_split.test,
-                                task_spec, lang_to_id)
-        lid_task = evaluate_lid(encoder, probe_head, task_split.test,
-                                task_spec.level, lang_to_id)
-        lid_lid = evaluate_lid(encoder, probe_head, lid_split.test,
-                               "text", lang_to_id)
+        emb_task = embed_examples(encoder, task_split.test, task_spec.level,
+                                  lang_to_id, task_spec.label_to_id)
+        emb_lid = embed_examples(encoder, lid_split.test, "text", lang_to_id)
+        task_f1 = per_language_task_f1(task_head, emb_task,
+                                       task_spec.n_classes, languages)
+        lid_task = cached_lid_f1(probe_head, emb_task, len(languages))
+        lid_lid = cached_lid_f1(probe_head, emb_lid, len(languages))
 
     with _stage("analyze"):
-        full_task = _sample_task_data(encoder, task_split.test, task_spec,
-                                      lang_to_id, languages)
+        task_langs = [languages[int(y)] for y in emb_task.lang_y]
+        full_task = EmbeddingSample(
+            vectors=emb_task.X, languages=task_langs,
+            labels=[task_spec.labels[int(y)] for y in emb_task.task_y])
         sample_task = plot_sample(full_task, "label_language",
                                   cfg.quota_task, seed=cfg.seed)
-        full_lid = _sample_lid_data(encoder, lid_split.test, lang_to_id,
-                                    languages)
+        lid_langs = [languages[int(y)] for y in emb_lid.lang_y]
+        # a paragraph's task label is its language
+        full_lid = EmbeddingSample(vectors=emb_lid.X, languages=lid_langs,
+                                   labels=list(lid_langs))
         sample_lid = plot_sample(full_lid, "language", cfg.quota_lid,
                                  seed=cfg.seed)
         reports_task, proj_task = _analyze_dataset(cfg, sample_task, mid)
@@ -449,6 +444,8 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
     regime-level hyperparameters vary.  Only the task head's score ranks
     candidates.
     """
+    with _stage("config"):
+        exp_cfg = cfg.experiment_config()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("corpus"):
@@ -459,7 +456,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
         encoder, _ = pretrain_encoder(cfg, vocab, lid_split)
 
     def evaluate(sample: dict) -> float:
-        exp = cfg.replaced(**sample).experiment_config()
+        exp = replace(exp_cfg, **sample)
         run = run_regime(encoder, task_split, lid_split, exp)
         scores = evaluate_task(run.encoder, run.task_head, task_split.dev,
                                task_spec, lang_to_id)

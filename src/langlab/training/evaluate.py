@@ -72,38 +72,15 @@ def bag_of_tokens_lid_f1(lid_split, vocab_size: int, lang_to_id: dict, *,
     the test part. Measures how much language identity is recoverable from
     surface statistics alone, without any encoder.
     """
-    from langlab.heads import ce_loss_and_dlogits, head_backward
-    from langlab.optim import AdamState, adam_step
-    from langlab.rng import stream
-    from langlab.training.batching import epoch_batches
+    # imported here because regimes imports this module
+    from langlab.training.regimes import _train_head_on_cached
 
-    X = {p: token_count_features(part, vocab_size)
-         for p, part in zip(("train", "val", "test"),
-                            (lid_split.train, lid_split.val, lid_split.test))}
-    y = {p: np.array([lang_to_id[ex.language] for ex in part])
-         for p, part in zip(("train", "val", "test"),
-                            (lid_split.train, lid_split.val, lid_split.test))}
-
-    head = ClassifierHead.init(vocab_size, len(lang_to_id), init_std,
-                               seed=seed, tag="bag-of-tokens")
-    state = AdamState()
-    batch_rng = stream(seed, "bag-of-tokens", "batches")
-    snapshots, val_f1 = [], []
-    for _ in range(epochs):
-        for idx in epoch_batches(len(y["train"]), batch_size, batch_rng):
-            logits = head_logits(head, X["train"][idx])
-            _, d_logits = ce_loss_and_dlogits(logits, y["train"][idx])
-            dw, db, _ = head_backward(head, X["train"][idx], d_logits)
-            params = {"w": head.w, "b": head.b}
-            adam_step(params, {"w": dw, "b": db}, state, lambda name: head_lr)
-            head = ClassifierHead(w=params["w"], b=params["b"])
-        snapshots.append(head.copy())
-        val_f1.append(macro_f1_ids(head_predictions(head, X["val"]),
-                                   y["val"], len(lang_to_id)))
-    best = 0
-    for i, s in enumerate(val_f1):
-        if s > val_f1[best]:
-            best = i
-    chosen = snapshots[best]
-    return macro_f1_ids(head_predictions(chosen, X["test"]),
-                        y["test"], len(lang_to_id))
+    parts = (lid_split.train, lid_split.val, lid_split.test)
+    X = [token_count_features(part, vocab_size) for part in parts]
+    y = [np.array([lang_to_id[ex.language] for ex in part]) for part in parts]
+    probe = _train_head_on_cached(
+        X[0], y[0], X[1], y[1], len(lang_to_id), init_std=init_std,
+        head_lr=head_lr, batch_size=batch_size, epochs=epochs, seed=seed,
+        dropout=0.0, tag="bag-of-tokens")
+    return macro_f1_ids(head_predictions(probe.head, X[2]), y[2],
+                        len(lang_to_id))

@@ -5,6 +5,11 @@ RNG streams, so the reduction identities hold exactly: grad_reversal
 with lambda=0 and entropy_max with w=0 walk the encoder through the same
 parameter trajectory as plain fine-tuning under the same seed.
 
+A regime returns only what it trains: the encoder, the task head, and
+the language head that grad_reversal and entropy_max train against.
+The LID probe on the final encoder is retrain_language_probe's job, run
+once per experiment by the pipeline.
+
 Task-head training and task validation consume pivot-language examples
 only, in every regime (zero-shot contract); language-head training sees
 all languages.
@@ -13,8 +18,6 @@ all languages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from langlab.data.split import filter_language
 from langlab.encoder import EncoderModel
@@ -33,12 +36,7 @@ from langlab.training.batching import (
     make_batch,
     task_spec_for,
 )
-from langlab.training.evaluate import (
-    cached_lid_f1,
-    cached_task_f1,
-    head_predictions,
-    macro_f1_ids,
-)
+from langlab.training.evaluate import cached_task_f1, head_predictions, macro_f1_ids
 from langlab.training.network import composite_step, embed_examples
 
 REGIMES = ("frozen_probe", "finetune", "grad_reversal", "entropy_max")
@@ -98,8 +96,6 @@ class TrainingRun:
     task_losses: list[float] = field(default_factory=list)
     lang_losses: list[float] = field(default_factory=list)
     lang_terms: list[float] = field(default_factory=list)
-    lang_epoch_val_f1: list[float] = field(default_factory=list)
-    lang_selected_epoch: int | None = None
 
 
 def corpus_languages(lid_split) -> tuple[str, ...]:
@@ -134,40 +130,40 @@ def _select_best(scores: list[float]) -> int:
     return best
 
 
-def _train_head_on_cached(emb_train, emb_val, n_classes: int, target: str,
-                          cfg: ExperimentConfig, dropout: float,
+def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
+                          init_std: float, head_lr: float, batch_size: int,
+                          epochs: int, seed: int, dropout: float,
                           tag: str) -> ProbeRun:
-    """Best-epoch training of a fresh head over cached embeddings.
+    """Best-epoch training of a fresh head over fixed feature rows.
 
-    target is "task" or "lang"; minibatches are rows of the cache (tokens
-    for token-level tasks), with output dropout applied in training mode.
+    Minibatches are rows of X_train (tokens for token-level tasks), with
+    output dropout applied in training mode; the head with the best
+    macro F1 on (X_val, y_val) is kept.  tag names the head's RNG streams.
     """
-    y_train = emb_train.task_y if target == "task" else emb_train.lang_y
-    y_val = emb_val.task_y if target == "task" else emb_val.lang_y
-    if len(emb_train) == 0 or len(emb_val) == 0:
-        raise ValueError(f"empty {target} corpus for head training")
+    if len(y_train) == 0 or len(y_val) == 0:
+        raise ValueError(f"empty {tag} corpus for head training")
 
-    head = ClassifierHead.init(emb_train.X.shape[1], n_classes,
-                               cfg.init_std, seed=cfg.seed, tag=tag)
+    head = ClassifierHead.init(X_train.shape[1], n_classes, init_std,
+                               seed=seed, tag=tag)
     params = {"w": head.w, "b": head.b}
     state = AdamState()
-    batch_rng = stream(cfg.seed, tag, "batches")
-    drop_rng = stream(cfg.seed, tag, "dropout")
+    batch_rng = stream(seed, tag, "batches")
+    drop_rng = stream(seed, tag, "dropout")
 
     losses: list[float] = []
     scores: list[float] = []
     snapshots: list[ClassifierHead] = []
-    for _ in range(cfg.epochs):
-        for idx in epoch_batches(len(y_train), cfg.batch_size, batch_rng):
-            X = emb_train.X[idx]
+    for _ in range(epochs):
+        for idx in epoch_batches(len(y_train), batch_size, batch_rng):
+            X = X_train[idx]
             if dropout > 0.0:
                 X = X * ((drop_rng.random(X.shape) >= dropout) / (1.0 - dropout))
             loss, d_logits = ce_loss_and_dlogits(head_logits(head, X), y_train[idx])
             dw, db, _ = head_backward(head, X, d_logits)
-            adam_step(params, {"w": dw, "b": db}, state, cfg.head_lr)
+            adam_step(params, {"w": dw, "b": db}, state, head_lr)
             losses.append(loss)
-        scores.append(macro_f1_ids(head_predictions(head, emb_val.X),
-                                   y_val, n_classes))
+        scores.append(macro_f1_ids(head_predictions(head, X_val), y_val,
+                                   n_classes))
         snapshots.append(head.copy())
     best = _select_best(scores)
     return ProbeRun(head=snapshots[best], epoch_val_f1=scores,
@@ -181,37 +177,37 @@ def retrain_language_probe(encoder: EncoderModel, lid_split,
     lang_to_id = language_index(languages)
     emb_train = embed_examples(encoder, lid_split.train, "text", lang_to_id)
     emb_val = embed_examples(encoder, lid_split.val, "text", lang_to_id)
-    return _train_head_on_cached(emb_train, emb_val, len(languages), "lang",
-                                 cfg, encoder.config.dropout, tag="lid-probe")
+    return _train_head_on_cached(
+        emb_train.X, emb_train.lang_y, emb_val.X, emb_val.lang_y,
+        len(languages), init_std=cfg.init_std, head_lr=cfg.head_lr,
+        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
+        dropout=encoder.config.dropout, tag="lid-probe")
 
 
 def train_frozen_probe(encoder: EncoderModel, task_split, lid_split,
                        cfg: ExperimentConfig) -> TrainingRun:
-    """Both heads trained over the unchanged encoder."""
+    """A task head trained over the unchanged encoder."""
     task_spec = task_spec_from_split(cfg.task, task_split)
-    languages = corpus_languages(lid_split)
-    lang_to_id = language_index(languages)
+    lang_to_id = language_index(corpus_languages(lid_split))
     train, val = _pivot_train_val(task_split, cfg)
 
     emb_train = embed_examples(encoder, train, task_spec.level, lang_to_id,
                                task_spec.label_to_id)
     emb_val = embed_examples(encoder, val, task_spec.level, lang_to_id,
                              task_spec.label_to_id)
-    task_probe = _train_head_on_cached(emb_train, emb_val, task_spec.n_classes,
-                                       "task", cfg, encoder.config.dropout,
-                                       tag="task-probe")
-    lang_probe = retrain_language_probe(encoder, lid_split, cfg)
+    task_probe = _train_head_on_cached(
+        emb_train.X, emb_train.task_y, emb_val.X, emb_val.task_y,
+        task_spec.n_classes, init_std=cfg.init_std, head_lr=cfg.head_lr,
+        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
+        dropout=encoder.config.dropout, tag="task-probe")
     return TrainingRun(
         regime=cfg.regime,
         epoch_val_f1=task_probe.epoch_val_f1,
         selected_epoch=task_probe.selected_epoch,
         encoder=encoder,
         task_head=task_probe.head,
-        lang_head=lang_probe.head,
+        lang_head=None,
         task_losses=task_probe.losses,
-        lang_losses=lang_probe.losses,
-        lang_epoch_val_f1=lang_probe.epoch_val_f1,
-        lang_selected_epoch=lang_probe.selected_epoch,
     )
 
 
@@ -282,18 +278,14 @@ def _joint_phase(encoder, task_split, lid_split, cfg, *, reversal: bool):
 
 def train_finetune(encoder: EncoderModel, task_split, lid_split,
                    cfg: ExperimentConfig) -> TrainingRun:
-    """Joint encoder+task training, then a fresh language probe on the
-    frozen result."""
+    """Joint encoder+task training; no language head."""
     (enc, task_head, _, scores, best,
      task_losses, _) = _joint_phase(encoder, task_split, lid_split, cfg,
                                     reversal=False)
-    probe = retrain_language_probe(enc, lid_split, cfg)
     return TrainingRun(
         regime=cfg.regime, epoch_val_f1=scores, selected_epoch=best,
-        encoder=enc, task_head=task_head, lang_head=probe.head,
-        task_losses=task_losses, lang_losses=probe.losses,
-        lang_epoch_val_f1=probe.epoch_val_f1,
-        lang_selected_epoch=probe.selected_epoch,
+        encoder=enc, task_head=task_head, lang_head=None,
+        task_losses=task_losses,
     )
 
 

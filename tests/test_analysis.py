@@ -80,6 +80,8 @@ def blobs(n_per, centers, std=0.3, d=2, seed=0):
 def test_macro_f1_hand_case():
     score = macro_f1([0, 1, 1], [0, 1, 2], [0, 1, 2])
     assert score == pytest.approx((1.0 + 2.0 / 3.0 + 0.0) / 3.0, abs=1e-12)
+    # any hashable labels, in class_set order
+    assert macro_f1(["x", "y", "y"], ["x", "y", None], ["x", "y", None]) == score
 
 
 def test_macro_f1_absent_class_contributes_zero():

@@ -10,11 +10,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from langlab import cli
+from langlab.checkpoint import load_checkpoint
 from langlab.cli import main
 from langlab.config import (
     PRESETS,
@@ -41,6 +43,7 @@ from langlab.pipeline import (
     reanalyze,
     run_experiment,
 )
+from langlab.training import network, regimes
 from langlab.vocab import Vocabulary
 
 
@@ -311,6 +314,51 @@ def test_reanalyze_is_byte_identical(frozen_bundle):
         reanalyze(bundle.root / "nowhere")
 
 
+def _on_call(monkeypatch, module, name, hook):
+    """Run hook(*args) before every call of module.name, wherever a
+    langlab module holds the name."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        hook(*args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("langlab") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+@pytest.mark.parametrize("regime, weights", [
+    ("frozen_probe", {}), ("finetune", {}),
+    ("grad_reversal", {"grl_lambda": 0.5}), ("entropy_max", {"w": 0.5})],
+    ids=["frozen_probe", "finetune", "grad_reversal", "entropy_max"])
+def test_one_language_probe_and_one_pass_per_split(pipe_dir, monkeypatch,
+                                                   regime, weights):
+    embedded, probes = [], []
+
+    def on_embed(encoder, examples, *rest):
+        digest = hashlib.sha256()
+        for name in sorted(encoder.params):
+            digest.update(encoder.params[name].tobytes())
+        embedded.append((digest.hexdigest(), tuple(map(id, examples))))
+
+    _on_call(monkeypatch, network, "embed_examples", on_embed)
+    _on_call(monkeypatch, regimes, "retrain_language_probe",
+             lambda *args: probes.append(args))
+    cfg = tiny_pipeline_cfg(str(pipe_dir / f"once-{regime}"), regime=regime,
+                            mlm_steps=10, tsne_iterations=30, kmeans_runs=2,
+                            **weights)
+    bundle = run_experiment(cfg)
+    assert len(probes) == 1
+    if regime in ("frozen_probe", "finetune"):
+        # no (encoder parameters, examples) pair goes through the encoder twice
+        assert len(set(embedded)) == len(embedded)
+    arrays, _ = load_checkpoint(bundle.root / "heads.ckpt")
+    # only grad_reversal and entropy_max train a language head of their own
+    lang = {"lang/w", "lang/b"} if weights else set()
+    assert set(arrays) == {"task/w", "task/b", "probe/w", "probe/b"} | lang
+
+
 # ---------------------------------------------------------------------------
 # comparison and export
 
@@ -490,6 +538,21 @@ def test_cli_rejects_bad_config_before_any_stage(cli_cfg_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
     assert "kmeans_runs must be >= 1" in capsys.readouterr().err
     assert not Path(cfg.out_dir).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "hpsearch"])
+@pytest.mark.parametrize("bad, message", [
+    ({"regime": "bogus"}, "unknown regime 'bogus'"),
+    ({"grl_lambda": 0.1}, "grl_lambda is set iff regime is grad_reversal")],
+    ids=["unknown-regime", "misplaced-weight"])
+def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
+                                                          command, bad, message):
+    path, cfg = cli_cfg_path
+    path.write_text(json.dumps(cfg.to_dict() | bad))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and message in err
+    assert not Path(cfg.out_dir).exists()    # no checkpoint, no run dir
 
 
 def test_keep_heap_sets_both_thresholds(monkeypatch):

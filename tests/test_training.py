@@ -353,11 +353,24 @@ def test_frozen_probe_leaves_encoder_untouched(small_pretrained,
                      tiny_cfg("frozen_probe"))
     assert run.encoder is encoder
     assert all(np.array_equal(encoder.params[k], before[k]) for k in before)
-    assert run.lang_head is not None
+    assert run.lang_head is None    # the LID probe is the pipeline's job
     assert len(run.epoch_val_f1) == 2
     assert run.epoch_val_f1[run.selected_epoch] == max(run.epoch_val_f1)
-    assert run.lang_epoch_val_f1[run.lang_selected_epoch] == max(
-        run.lang_epoch_val_f1)
+    assert run.lang_losses == []
+
+
+@pytest.mark.parametrize("regime, weights, trains_lang_head", [
+    ("frozen_probe", {}, False), ("finetune", {}, False),
+    ("grad_reversal", {"grl_lambda": 0.5}, True),
+    ("entropy_max", {"w": 0.5}, True)],
+    ids=["frozen_probe", "finetune", "grad_reversal", "entropy_max"])
+def test_regimes_return_only_what_they_train(small_pretrained, tiny_task_split,
+                                             tiny_lid_split, regime, weights,
+                                             trains_lang_head):
+    encoder, _ = small_pretrained
+    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
+                     tiny_cfg(regime, epochs=1, **weights))
+    assert (run.lang_head is not None) == trains_lang_head
 
 
 def test_run_regime_deterministic(small_pretrained, tiny_task_split,
