@@ -1,4 +1,12 @@
-"""Lloyd's k-means with k-means++ seeding."""
+"""Lloyd's k-means with k-means++ seeding.
+
+Each assignment step writes the squared distances to one center at a
+time into an (N, k) array allocated once per call, through an (N, d)
+difference buffer that is also reused; no (N, k, d) array is formed.
+Every distance is the same row reduction over d as a broadcast would
+give, so assignments, centers and the SSE trace do not depend on the
+layout.
+"""
 
 from __future__ import annotations
 
@@ -49,16 +57,22 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = MAX_ITERS) -> KMeansR
 
     assignments = None
     sse_trace: list[float] = []
+    d2 = np.empty((n, k))
+    diff = np.empty(points.shape)
+    rows = np.arange(n)
     for it in range(max_iters):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        for j in range(k):
+            np.subtract(points, centers[j], out=diff)
+            np.square(diff, out=diff)
+            d2[:, j] = diff.sum(axis=1)
         new_assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), new_assign]
+        point_d2 = d2[rows, new_assign]
 
         # reseeding can orphan the donor's cluster, so rescan until stable;
         # a reseed moves the farthest point's cost to 0, never raising SSE
         for _ in range(k):
-            empty = [j for j in range(k) if not (new_assign == j).any()]
-            if not empty or point_d2.max() <= 0.0:
+            empty = np.flatnonzero(np.bincount(new_assign, minlength=k) == 0)
+            if not empty.size or point_d2.max() <= 0.0:
                 break
             for j in empty:
                 if point_d2.max() <= 0.0:

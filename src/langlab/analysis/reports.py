@@ -91,10 +91,10 @@ def clustering_report(sample: EmbeddingSample, annotation: str,
 
 def write_embedding_dump(path, sample: EmbeddingSample) -> None:
     lines = [f"dim={sample.vectors.shape[1]}"]
-    for i in range(len(sample)):
-        vec = " ".join(repr(float(v)) for v in sample.vectors[i])
-        label = sample.labels[i] if sample.labels is not None else "-"
-        lines.append(f"{vec}\t{label}\t{sample.languages[i]}")
+    labels = sample.labels if sample.labels is not None else ["-"] * len(sample)
+    for row, label, lang in zip(sample.vectors.tolist(), labels,
+                                sample.languages, strict=True):
+        lines.append(f"{' '.join(map(repr, row))}\t{label}\t{lang}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -125,12 +125,12 @@ def load_embedding_dump(path) -> EmbeddingSample:
 
 def write_projection_csv(path, projection: Projection2D) -> None:
     lines = ["x,y,label,language"]
-    for i in range(projection.coords.shape[0]):
-        label = projection.labels[i] if projection.labels is not None else "-"
-        lines.append(
-            f"{float(projection.coords[i, 0])!r},{float(projection.coords[i, 1])!r},"
-            f"{label},{projection.languages[i]}"
-        )
+    coords = projection.coords.tolist()
+    labels = (projection.labels if projection.labels is not None
+              else ["-"] * len(coords))
+    for (x, y), label, lang in zip(coords, labels, projection.languages,
+                                   strict=True):
+        lines.append(f"{x!r},{y!r},{label},{lang}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

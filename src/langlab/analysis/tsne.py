@@ -7,6 +7,16 @@ a Student-t Q by gradient descent with momentum (0.5, then 0.8 after the
 early-exaggeration window), per-parameter gains, and early exaggeration
 of P for the first 250 iterations.  O(N^2) memory and time; fine at desk
 scale, and exactness removes approximation as a confound.
+
+The bisection runs on blocks of AFFINITY_BLOCK rows at once: every row
+of a block starts at precision 1, and a row leaves the block's active
+set once its perplexity is within PERP_TOL or after MAX_BISECTION_STEPS
+updates.  Each row's probabilities are computed with the same float64
+operations as a row-at-a-time search, so P does not depend on the block
+size.  A row's entropy is log S - sum(p * z) for the shifted logits z
+and their exp-sum S, one log per row instead of one per entry.  The
+gradient loop allocates its three N x N arrays (Student-t kernel, Q and
+the gradient weights) once and rebuilds them in place every iteration.
 """
 
 from __future__ import annotations
@@ -21,6 +31,9 @@ P_FLOOR = 1e-12
 PERP_TOL = 1e-3
 EXAGGERATION_ITERS = 250
 MOMENTUM_SWITCH = 250
+AFFINITY_BLOCK = 64
+MAX_BISECTION_STEPS = 200
+_LOWEST = np.finfo(float).min
 
 
 @dataclass
@@ -32,61 +45,95 @@ class TsneResult:
     settings: dict = field(default_factory=dict)
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+    """Write sq_i + sq_j - 2 x_i.x_j into out, with a zero diagonal and
+    clamped at 0; scratch (same shape) is overwritten."""
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    np.add(sq[:, None], sq[None, :], out=scratch)
+    np.matmul(x, x.T, out=out)
+    out *= 2.0
+    np.subtract(scratch, out, out=out)
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _row_probs(d2_row: np.ndarray, beta: float, i: int):
-    """Conditional p_{j|i} at precision beta, and the row perplexity."""
-    z = -beta * d2_row
-    z[i] = -np.inf
-    z -= z[np.isfinite(z)].max()
-    e = np.exp(z)
-    e[i] = 0.0
-    s = e.sum()
-    p = e / s
-    nz = p[p > 0]
-    h = float(-(nz * np.log(nz)).sum())
-    return p, float(np.exp(h))
+def _bisect_block(d2: np.ndarray, first: int, target: float,
+                  p_out: np.ndarray, perp_out: np.ndarray) -> None:
+    """Bandwidth search for rows first..first+len(d2)-1 of the distances.
 
+    d2 holds those rows' full distance rows; p_out and perp_out receive
+    each row's conditional distribution and achieved perplexity.
+    """
+    m = d2.shape[0]
+    self_col = first + np.arange(m)
+    # the largest logit -beta*d2_ij (j != i) is -beta times the nearest d2
+    masked = d2.copy()
+    masked[np.arange(m), self_col] = np.inf
+    nearest = masked.min(axis=1)
 
-def _bisect_beta(d2_row: np.ndarray, i: int, target: float, max_steps: int = 200):
-    beta = 1.0
-    lo, hi = 0.0, np.inf
-    p, perp = _row_probs(d2_row, beta, i)
-    for _ in range(max_steps):
-        if abs(perp - target) <= PERP_TOL:
-            break
-        if perp > target:       # too flat: raise precision
-            lo = beta
-            beta = beta * 2.0 if hi == np.inf else 0.5 * (lo + hi)
-        else:
-            hi = beta
-            beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
-        p, perp = _row_probs(d2_row, beta, i)
-    return p, perp, beta
+    beta = np.ones(m)
+    lo = np.zeros(m)
+    hi = np.full(m, np.inf)
+    active = np.arange(m)
+    for step in range(MAX_BISECTION_STEPS + 1):
+        neg_beta = -beta[active]
+        z = neg_beta[:, None] * d2[active]
+        # logits stay finite, so p * z is 0 (not NaN) where p is 0: the
+        # clamp only replaces an overflowed -inf, whose exp is 0 anyway,
+        # and the diagonal gets a finite logit before its p is zeroed
+        np.maximum(z, _LOWEST, out=z)
+        z -= (neg_beta * nearest[active])[:, None]
+        at_self = (np.arange(active.size), self_col[active])
+        z[at_self] = 0.0
+        e = np.exp(z)
+        e[at_self] = 0.0
+        s = e.sum(axis=1)
+        p = e / s[:, None]
+        perp = np.exp(np.log(s) - (p * z).sum(axis=1))
+
+        done = np.abs(perp - target) <= PERP_TOL
+        if step == MAX_BISECTION_STEPS:
+            done[:] = True
+        p_out[active[done]] = p[done]
+        perp_out[active[done]] = perp[done]
+        active, perp = active[~done], perp[~done]
+        if not active.size:
+            return
+        # too flat: raise precision; too peaked: lower it
+        flat = perp > target
+        b = beta[active]
+        low = np.where(flat, b, lo[active])
+        high = np.where(flat, hi[active], b)
+        mid = 0.5 * (low + high)
+        beta[active] = np.where(flat, np.where(high == np.inf, b * 2.0, mid),
+                                np.where(low == 0.0, b / 2.0, mid))
+        lo[active], hi[active] = low, high
 
 
 def joint_probabilities(points: np.ndarray, perplexity: float):
     """Symmetrized t-SNE joint P plus per-row achieved perplexities."""
     n = points.shape[0]
-    d2 = _pairwise_sq_dists(points)
-    p_cond = np.zeros((n, n))
-    perps = np.zeros(n)
-    for i in range(n):
-        p_cond[i], perps[i], _ = _bisect_beta(d2[i], i, perplexity)
+    d2 = _pairwise_sq_dists(points, np.empty((n, n)), np.empty((n, n)))
+    p_cond = np.empty((n, n))
+    perps = np.empty(n)
+    for first in range(0, n, AFFINITY_BLOCK):
+        last = min(first + AFFINITY_BLOCK, n)
+        _bisect_block(d2[first:last], first, perplexity,
+                      p_cond[first:last], perps[first:last])
     p = (p_cond + p_cond.T) / (2.0 * n)
     return p, perps
 
 
-def _q_matrix(y: np.ndarray):
-    num = 1.0 / (1.0 + _pairwise_sq_dists(y))
+def _student_t_q(y: np.ndarray, num: np.ndarray, q: np.ndarray) -> None:
+    """Fill num with the Student-t kernel 1/(1 + d2) (zero diagonal) and q
+    with num normalised to sum 1 and floored at P_FLOOR."""
+    _pairwise_sq_dists(y, num, q)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
-    return np.maximum(q, P_FLOOR), num
+    np.divide(num, num.sum(), out=q)
+    np.maximum(q, P_FLOOR, out=q)
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -105,21 +152,29 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
         raise ValueError(f"row perplexity {perplexity} unreachable with {n} points")
 
     p, row_perps = joint_probabilities(points, perplexity)
-    p = np.maximum(p, P_FLOOR)
+    np.maximum(p, P_FLOOR, out=p)
+    p_exaggerated = p * early_exaggeration
 
     rng = stream(seed, "tsne-init")
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
     gains = np.ones_like(y)
 
-    q, _ = _q_matrix(y)
+    num, q, w = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    _student_t_q(y, num, q)
     kl_initial = _kl(p, q)
 
     for it in range(iterations):
-        pp = p * early_exaggeration if it < EXAGGERATION_ITERS else p
-        q, num = _q_matrix(y)
-        w = (pp - q) * num
-        grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        pp = p_exaggerated if it < EXAGGERATION_ITERS else p
+        _student_t_q(y, num, q)
+        np.subtract(pp, q, out=w)
+        w *= num
+        # w's diagonal is exactly 0, so -w with the row sums written on
+        # its diagonal is diag(rowsum w) - w
+        row_sums = w.sum(axis=1)
+        np.negative(w, out=w)
+        np.fill_diagonal(w, row_sums)
+        grad = 4.0 * (w @ y)
         if not np.isfinite(grad).all():
             raise FloatingPointError(
                 f"non-finite t-SNE gradient at iteration {it}"
@@ -132,7 +187,7 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
         y = y + update
         y = y - y.mean(axis=0)
 
-    q, _ = _q_matrix(y)
+    _student_t_q(y, num, q)
     kl_final = _kl(p, q)
     if not np.isfinite(y).all():
         raise FloatingPointError("non-finite t-SNE coordinates")

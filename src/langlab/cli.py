@@ -28,6 +28,7 @@ from langlab.pipeline import (
     ResultsBundle,
     StageError,
     _write_json,
+    check_config,
     compare_runs,
     export_plot_data,
     format_delta_table,
@@ -110,6 +111,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
+    check_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab, task_split, lid_split = prepare_data(cfg)
@@ -145,6 +147,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_probe_lid(args) -> int:
     cfg = _resolve_config(args)
+    exp_cfg = check_config(cfg)
     if not cfg.encoder_checkpoint:
         raise StageError("probe", "probe-lid needs --encoder-checkpoint "
                                   "(or encoder_checkpoint in the config)")
@@ -154,7 +157,7 @@ def _cmd_probe_lid(args) -> int:
         raise StageError("probe", f"checkpoint vocab size "
                                   f"{encoder.config.vocab_size} != corpus "
                                   f"vocab size {len(vocab)}")
-    probe = retrain_language_probe(encoder, lid_split, cfg.experiment_config())
+    probe = retrain_language_probe(encoder, lid_split, exp_cfg)
     best = probe.epoch_val_f1[probe.selected_epoch]
     print(f"language probe val F1 per epoch: "
           f"{' '.join(f'{s:.4f}' for s in probe.epoch_val_f1)}")

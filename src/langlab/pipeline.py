@@ -38,6 +38,7 @@ from langlab.heads import ClassifierHead
 from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
 from langlab.training.network import embed_examples
 from langlab.training.regimes import (
+    ExperimentConfig,
     corpus_languages,
     language_index,
     retrain_language_probe,
@@ -183,9 +184,17 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
     return reports, projection
 
 
-def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
+def check_config(cfg: PipelineConfig) -> ExperimentConfig:
+    """The config stage: run the experiment and encoder checks before any
+    corpus work or output, and return the ExperimentConfig."""
     with _stage("config"):
-        exp_cfg = cfg.experiment_config()
+        # the vocabulary size is known only once the corpus is built
+        cfg.encoder_config(vocab_size=1)
+        return cfg.experiment_config()
+
+
+def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
+    exp_cfg = check_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = cfg.to_dict()
@@ -444,8 +453,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
     regime-level hyperparameters vary.  Only the task head's score ranks
     candidates.
     """
-    with _stage("config"):
-        exp_cfg = cfg.experiment_config()
+    exp_cfg = check_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("corpus"):

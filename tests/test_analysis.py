@@ -2,11 +2,14 @@
 
 macro_f1 and v_measure are checked against independent reference
 implementations (precision/recall form and mutual-information form) on
-randomized instances.
+randomized instances.  k-means, the t-SNE affinities, the t-SNE gradient
+loop and the dump writers are checked bit for bit against the straight
+row-at-a-time and broadcast forms they replace.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections import Counter
 
@@ -27,6 +30,11 @@ from langlab.analysis.reports import (
 )
 from langlab.analysis.sampling import DEFAULT_QUOTAS, plot_sample
 from langlab.analysis.tsne import joint_probabilities, tsne
+from langlab.rng import stream
+
+# the package re-exports the functions under the modules' names
+kmeans_module = importlib.import_module("langlab.analysis.kmeans")
+tsne_module = importlib.import_module("langlab.analysis.tsne")
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +68,117 @@ def reference_v_measure(golds, clusters):
     h = 1.0 if h_c == 0.0 else mi / h_c
     c = 1.0 if h_k == 0.0 else mi / h_k
     return 0.0 if h + c == 0.0 else 2 * h * c / (h + c)
+
+
+def reference_kmeans(points, k, seed=0, max_iters=kmeans_module.MAX_ITERS):
+    """Broadcast (N, k, d) k-means with a k-scan empty-cluster search;
+    also returns how many times a cluster was re-seeded."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    centers = kmeans_module._plus_plus_init(points, k, stream(seed, "kmeans"))
+    assignments, sse_trace, reseeds = None, [], 0
+    for _ in range(max_iters):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), new_assign]
+        for _ in range(k):
+            empty = [j for j in range(k) if not (new_assign == j).any()]
+            if not empty or point_d2.max() <= 0.0:
+                break
+            for j in empty:
+                if point_d2.max() <= 0.0:
+                    break
+                far = point_d2.argmax()
+                centers[j] = points[far]
+                new_assign[far] = j
+                point_d2[far] = 0.0
+                reseeds += 1
+        sse_trace.append(float(point_d2.sum()))
+        if assignments is not None and np.array_equal(new_assign, assignments):
+            assignments = new_assign
+            break
+        assignments = new_assign
+        for j in range(k):
+            members = points[assignments == j]
+            if members.size:
+                centers[j] = members.mean(axis=0)
+    return assignments, centers, sse_trace, reseeds
+
+
+def reference_sq_dists(x):
+    sq = (x * x).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def reference_row_probs(d2_row, beta, i):
+    z = -beta * d2_row
+    z[i] = -np.inf
+    z -= z[np.isfinite(z)].max()
+    e = np.exp(z)
+    e[i] = 0.0
+    p = e / e.sum()
+    nz = p[p > 0]
+    return p, float(np.exp(-(nz * np.log(nz)).sum()))
+
+
+def reference_joint_probabilities(points, perplexity, max_steps=200):
+    """One row at a time: bisect beta from 1 until the row's perplexity
+    is within PERP_TOL or max_steps updates were made; also returns the
+    number of updates per row."""
+    n = points.shape[0]
+    d2 = reference_sq_dists(points)
+    p_cond, perps, steps = np.zeros((n, n)), np.zeros(n), np.zeros(n, int)
+    for i in range(n):
+        beta, lo, hi = 1.0, 0.0, np.inf
+        p, perp = reference_row_probs(d2[i], beta, i)
+        for _ in range(max_steps):
+            if abs(perp - perplexity) <= tsne_module.PERP_TOL:
+                break
+            if perp > perplexity:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else 0.5 * (lo + hi)
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
+            p, perp = reference_row_probs(d2[i], beta, i)
+            steps[i] += 1
+        p_cond[i], perps[i] = p, perp
+    return (p_cond + p_cond.T) / (2.0 * n), perps, steps
+
+
+def reference_tsne(points, perplexity, iterations, learning_rate=200.0,
+                   early_exaggeration=12.0, seed=0):
+    """The gradient loop with fresh N x N arrays every iteration; returns
+    (coords, kl_initial, kl_final)."""
+    floor = tsne_module.P_FLOOR
+
+    def q_matrix(y):
+        num = 1.0 / (1.0 + reference_sq_dists(y))
+        np.fill_diagonal(num, 0.0)
+        return np.maximum(num / num.sum(), floor), num
+
+    def kl(p, q):
+        return float((p * np.log(p / q)).sum())
+
+    p = np.maximum(reference_joint_probabilities(points, perplexity)[0], floor)
+    y = stream(seed, "tsne-init").normal(0.0, 1e-4, size=(len(points), 2))
+    update, gains = np.zeros_like(y), np.ones_like(y)
+    kl_initial = kl(p, q_matrix(y)[0])
+    for it in range(iterations):
+        early = it < tsne_module.EXAGGERATION_ITERS
+        pp = p * early_exaggeration if early else p
+        q, num = q_matrix(y)
+        w = (pp - q) * num
+        grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        momentum = 0.5 if it < tsne_module.MOMENTUM_SWITCH else 0.8
+        same_sign = np.sign(grad) == np.sign(update)
+        gains = np.maximum(np.where(same_sign, gains * 0.8, gains + 0.2), 0.01)
+        update = momentum * update - learning_rate * gains * grad
+        y = y + update
+        y = y - y.mean(axis=0)
+    return y, kl_initial, kl(p, q_matrix(y)[0])
 
 
 def blobs(n_per, centers, std=0.3, d=2, seed=0):
@@ -190,6 +309,37 @@ def test_kmeans_deterministic_and_separates_blobs():
     assert v_measure(labels, a.assignments.tolist()) >= 0.95
 
 
+def test_kmeans_matches_broadcast_reference():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(2, 80))
+        d = int(rng.integers(1, 7))
+        k = int(rng.integers(1, min(n, 9) + 1))
+        points = rng.normal(size=(n, d))
+        if trial % 3 == 0:
+            points = np.round(points)          # duplicate points
+        got = kmeans(points, k, seed=trial)
+        assignments, centers, sse_trace, _ = reference_kmeans(points, k,
+                                                              seed=trial)
+        assert np.array_equal(got.assignments, assignments), trial
+        assert np.array_equal(got.centers, centers), trial
+        assert got.sse_trace == sse_trace, trial
+
+
+def test_kmeans_reseeds_empty_cluster_like_reference(monkeypatch):
+    # k-means++ never picks a point twice, so start from two equal
+    # centers: the second owns no point and must be re-seeded
+    points = np.random.default_rng(22).normal(size=(40, 3))
+    monkeypatch.setattr(kmeans_module, "_plus_plus_init",
+                        lambda pts, k, rng: pts[[0, 0, 5, 9]].copy())
+    got = kmeans(points, 4, seed=0)
+    assignments, centers, sse_trace, reseeds = reference_kmeans(points, 4)
+    assert reseeds >= 1
+    assert np.array_equal(got.assignments, assignments)
+    assert np.array_equal(got.centers, centers)
+    assert got.sse_trace == sse_trace
+
+
 # ---------------------------------------------------------------------------
 # t-SNE
 
@@ -202,6 +352,46 @@ def test_joint_probabilities_are_a_distribution():
     assert p.sum() == pytest.approx(1.0)
     assert np.all(p >= 0.0)
     assert np.all(np.diag(p) == 0.0)
+
+
+def test_joint_probabilities_match_row_reference():
+    rng = np.random.default_rng(23)
+    block = tsne_module.AFFINITY_BLOCK
+    spread = rng.normal(size=(2 * block + 7, 6)) * 4.0
+    # 41 copies of one point: their rows stay above perplexity 30 at any
+    # precision, so their bisection stops at the 200-update cap
+    dup = np.concatenate([rng.normal(size=(block + 20, 4)),
+                          np.repeat(rng.normal(size=(1, 4)), 41, axis=0)])
+    # 41 copies of the origin 1e131 away from 30 points: once beta passes
+    # 2^154 their logits -beta*d2 for those points overflow to -inf; a
+    # point at d2 = 1e-60 from them still changes their P at the cap
+    far = np.concatenate([
+        np.zeros((41, 4)), [[1e-30, 0.0, 0.0, 0.0]],
+        1e130 * ([10.0, 0.0, 0.0, 0.0] + 0.1 * rng.normal(size=(30, 4)))])
+    for points, perplexity in ((spread, 30.0), (spread[:block - 3], 9.0),
+                               (far, 30.0), (dup, 30.0)):
+        with np.errstate(over="ignore", invalid="raise"):   # no 0 * -inf
+            p, perps = joint_probabilities(points, perplexity)
+        with np.errstate(over="ignore"):
+            p_ref, perps_ref, steps = reference_joint_probabilities(
+                points, perplexity)
+        assert len(points) % block
+        assert np.array_equal(p, p_ref)
+        # the entropy is log S - sum(p z) here and -sum(p log p) there
+        assert np.allclose(perps, perps_ref, rtol=1e-13, atol=0.0)
+    assert (steps[-41:] == 200).all() and (steps < 200).any()
+    assert (np.abs(perps[-41:] - 30.0) > tsne_module.PERP_TOL).all()
+
+
+def test_tsne_matches_loop_reference():
+    # 300 iterations cross the exaggeration and momentum switch at 250
+    points, _ = blobs(25, centers=(0.0, 6.0, 12.0), d=5, seed=24)
+    points[5] = points[6]
+    got = tsne(points, perplexity=12.0, iterations=300, seed=2)
+    coords, kl_initial, kl_final = reference_tsne(points, 12.0, 300, seed=2)
+    assert np.array_equal(got.coords, coords)
+    assert got.kl_initial == kl_initial
+    assert got.kl_final == kl_final
 
 
 def test_tsne_on_blobs():
@@ -360,6 +550,22 @@ def test_projection_csv_round_trip(tmp_path):
     bare = Projection2D(np.zeros((1, 2)), ["aa"], None)
     write_projection_csv(path, bare)
     assert load_projection_csv(path).labels is None
+
+
+def test_writers_match_per_value_repr(tmp_path):
+    values = np.array([[0.1, -0.0, 1e-7, 3.0], [1e300, -2.5e-310, 7.0, 1 / 3]])
+    sample = EmbeddingSample(values, ["aa", "ab"], ["X", "Y"])
+    write_embedding_dump(tmp_path / "dump.txt", sample)
+    want = "dim=4\n" + "".join(
+        " ".join(repr(float(v)) for v in row) + f"\t{label}\t{lang}\n"
+        for row, label, lang in zip(values, ["X", "Y"], ["aa", "ab"]))
+    assert (tmp_path / "dump.txt").read_text() == want
+    proj = Projection2D(values[:, :2], ["aa", "ab"], None)
+    write_projection_csv(tmp_path / "proj.csv", proj)
+    want = "x,y,label,language\n" + "".join(
+        f"{float(x)!r},{float(y)!r},-,{lang}\n"
+        for (x, y), lang in zip(values[:, :2], ["aa", "ab"]))
+    assert (tmp_path / "proj.csv").read_text() == want
 
 
 def test_projection_csv_malformed(tmp_path):

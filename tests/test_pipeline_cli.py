@@ -540,11 +540,13 @@ def test_cli_rejects_bad_config_before_any_stage(cli_cfg_path, capsys):
     assert not Path(cfg.out_dir).exists()
 
 
-@pytest.mark.parametrize("command", ["train", "hpsearch"])
+@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
+                                     "probe-lid"])
 @pytest.mark.parametrize("bad, message", [
     ({"regime": "bogus"}, "unknown regime 'bogus'"),
-    ({"grl_lambda": 0.1}, "grl_lambda is set iff regime is grad_reversal")],
-    ids=["unknown-regime", "misplaced-weight"])
+    ({"grl_lambda": 0.1}, "grl_lambda is set iff regime is grad_reversal"),
+    ({"d_model": 60, "n_heads": 7}, "d_model 60 not divisible by n_heads 7")],
+    ids=["unknown-regime", "misplaced-weight", "encoder-heads"])
 def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
                                                           command, bad, message):
     path, cfg = cli_cfg_path
