@@ -6,17 +6,21 @@ Layout (all little-endian):
     bytes 8..16   uint64 header length H
     bytes 16..16+H  JSON header, utf-8, sorted keys:
                     {"arrays": [{"name", "dtype", "shape", "offset"}...],
-                     "meta": {...caller metadata...}}
+                     "meta": {...caller metadata...},
+                     "payload_sha256": hex digest of the remainder}
     remainder     raw C-order array bytes at the stated offsets
 
 Arrays are written in sorted-name order and the header carries no
 timestamps, so identical inputs give byte-identical files (an archive
-format with mtimes would not).  Heads and encoder share one container
-under name prefixes like ``encoder/tok_emb``, ``task_head/w``.
+format with mtimes would not).  Loading checks the payload digest, so a
+corrupted payload fails by name instead of loading silently.  Heads and
+encoder share one container under name prefixes like ``encoder/tok_emb``,
+``task_head/w``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -36,6 +40,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
     entries = []
     offset = 0
     blobs = []
+    digest = hashlib.sha256()
     for name in names:
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d,
         # and tobytes() serializes in C order regardless of input layout
@@ -49,8 +54,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         })
         offset += len(blob)
         blobs.append(blob)
+        digest.update(blob)
     header = json.dumps(
-        {"arrays": entries, "meta": meta or {}},
+        {"arrays": entries, "meta": meta or {},
+         "payload_sha256": digest.hexdigest()},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
     # write beside the target, then rename: a reader never sees half a file
@@ -77,6 +84,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         (hlen,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
         base = 16 + hlen
+        if "payload_sha256" not in header:
+            raise ValueError("no payload digest in the header")
+        if hashlib.sha256(raw[base:]).hexdigest() != header["payload_sha256"]:
+            raise ValueError("payload does not match its sha256 digest")
         arrays = {}
         for ent in header["arrays"]:
             dtype = np.dtype(ent["dtype"])
@@ -116,6 +127,4 @@ def load_encoder(path):
 
 def checkpoint_digest(path) -> str:
     """Hex digest of the file bytes, for freezing-contract checks."""
-    import hashlib
-
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -17,7 +17,6 @@ from pathlib import Path
 from langlab.config import (
     PRESETS,
     PipelineConfig,
-    apply_preset,
     load_config,
     manifest_id,
 )
@@ -68,15 +67,7 @@ def _resolve_config(args) -> PipelineConfig:
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:
             overrides[flag.replace("-", "_")] = value
-    if args.config:
-        return load_config(args.config, preset=args.preset, overrides=overrides)
-    cfg = PipelineConfig()
-    if args.preset:
-        cfg = apply_preset(cfg, args.preset)
-    if overrides:
-        cfg = cfg.replaced(**overrides)
-        cfg.__post_init__()
-    return cfg
+    return load_config(args.config, preset=args.preset, overrides=overrides)
 
 
 def _cmd_gen_corpus(args) -> int:

@@ -90,6 +90,14 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     def replaced(self, **overrides) -> "PipelineConfig":
+        """A validated copy with overrides applied.
+
+        A task override re-derives quota_task when it holds the old
+        task's default; an explicit quota_task, given here or earlier
+        with a non-default value, is kept.
+        """
+        if "task" in overrides and self.quota_task == SAMPLE_QUOTAS.get(self.task):
+            overrides.setdefault("quota_task", None)
         return dataclasses.replace(self, **overrides)
 
     def experiment_config(self) -> ExperimentConfig:
@@ -155,15 +163,8 @@ def apply_preset(cfg: PipelineConfig, name: str) -> PipelineConfig:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r} (known: {known})")
-    overrides = dict(PRESETS[name])
     # a regime change invalidates the other regimes' weights
-    overrides.setdefault("grl_lambda", None)
-    overrides.setdefault("w", None)
-    if cfg.quota_task == SAMPLE_QUOTAS.get(cfg.task):
-        overrides.setdefault("quota_task", None)
-    out = cfg.replaced(**overrides)
-    out.__post_init__()
-    return out
+    return cfg.replaced(**{"grl_lambda": None, "w": None, **PRESETS[name]})
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -175,16 +176,18 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def load_config(path, preset: str | None = None,
                 overrides: dict | None = None) -> PipelineConfig:
-    """Read a flat JSON config file; preset and overrides win, in that order."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a flat JSON object")
-    cfg = config_from_dict(raw)
+    """Read a flat JSON config file (defaults when path is None); preset
+    and overrides win, in that order."""
+    cfg = PipelineConfig()
+    if path is not None:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a flat JSON object")
+        cfg = config_from_dict(raw)
     if preset:
         cfg = apply_preset(cfg, preset)
     if overrides:
         cfg = cfg.replaced(**overrides)
-        cfg.__post_init__()
     return cfg
 
 

@@ -145,7 +145,10 @@ def _layer_norm_backward(dy, p, prefix, cache, grads):
     return dx
 
 
-def _dropout_mask(shape, rate, rng):
+def dropout_mask(shape, rate, rng):
+    """Inverted-dropout mask drawn from rng, or None (and no draw) at rate 0."""
+    if rate <= 0.0:
+        return None
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -257,7 +260,7 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
         raise ValueError("training-mode forward needs an rng for dropout")
 
     def mask():
-        return _dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if drop else None
+        return dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if train else None
 
     # additive bias over keys: 0 for real positions, -1e30 for padding
     cols = np.arange(T)
@@ -428,7 +431,10 @@ def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float = 0.15,
 
     Each step samples a batch with replacement, masks a mask_rate
     fraction of non-special tokens, and minimizes cross-entropy of the
-    original ids under the tied-weight output projection.
+    original ids under the tied-weight output projection.  The forward
+    pass runs in eval mode, so config.dropout does not apply here; this
+    is kept on purpose, since turning it on would move every pretrained
+    encoder and every result built on one.
     """
     if not 0.0 < mask_rate < 1.0:
         raise ValueError(f"mask_rate must be in (0,1), got {mask_rate}")

@@ -9,10 +9,7 @@ from langlab.training.regimes import (
     TrainingRun,
     retrain_language_probe,
     run_regime,
-    train_entropy_max,
-    train_finetune,
     train_frozen_probe,
-    train_grad_reversal,
 )
 from langlab.training.evaluate import (
     bag_of_tokens_lid_f1,
@@ -38,10 +35,7 @@ __all__ = [
     "TrainingRun",
     "retrain_language_probe",
     "run_regime",
-    "train_entropy_max",
-    "train_finetune",
     "train_frozen_probe",
-    "train_grad_reversal",
     "bag_of_tokens_lid_f1",
     "evaluate_lid",
     "evaluate_task",

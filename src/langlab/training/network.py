@@ -5,11 +5,13 @@ entropy-maximisation even phase, so the reduction identities (lambda=0
 and w=0 recover plain fine-tuning) hold by construction: the same code
 path executes with the extra terms contributing exact zeros.
 
-Dropout layout per step: encoder-internal masks come from the task-side
-rng during the task forward, then one output-dropout mask is drawn and
-shared by every head reading those embeddings (the language data forward
+Dropout layout per step: one training-mode forward (_train_forward)
+serves the task batch and the language-data batch alike.  It draws the
+encoder-internal masks, then one output-dropout mask shared by every
+head reading those embeddings, all from the rng it is given, through the
+encoder's one mask helper (dropout_mask).  The language-data forward
 draws from its own rng so optional branches never perturb the task-side
-stream).
+stream.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from langlab.encoder import EncoderModel, backward_batch, forward_batch
+from langlab.encoder import EncoderModel, backward_batch, dropout_mask, forward_batch
 from langlab.heads import (
     ClassifierHead,
     ce_loss_and_dlogits,
@@ -55,6 +57,19 @@ def _gold_at_level(batch: Batch, where):
     return batch.task_y
 
 
+def _train_forward(encoder: EncoderModel, batch: Batch, rng):
+    """Training-mode forward plus output dropout, all masks from rng.
+
+    Returns (hidden, tape, where, mask, X after mask); mask is None
+    when the encoder has no dropout.
+    """
+    hidden, tape = forward_batch(encoder, batch.ids, batch.lengths,
+                                 train=True, rng=rng, want_tape=True)
+    X, where = select_embeddings(hidden, batch)
+    mask = dropout_mask(X.shape, encoder.config.dropout, rng)
+    return hidden, tape, where, mask, (X * mask if mask is not None else X)
+
+
 @dataclass
 class StepResult:
     task_loss: float
@@ -80,13 +95,7 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     the language CE trains the head normally and reaches the encoder
     scaled by -lambda.
     """
-    dropout = encoder.config.dropout
-    hidden, tape = forward_batch(encoder, batch.ids, batch.lengths,
-                                 train=True, rng=rng_task, want_tape=True)
-    X, where = select_embeddings(hidden, batch)
-    mask = (rng_task.random(X.shape) >= dropout) / (1.0 - dropout) \
-        if dropout > 0.0 else None
-    Xd = X * mask if mask is not None else X
+    hidden, tape, where, mask, Xd = _train_forward(encoder, batch, rng_task)
 
     golds = _gold_at_level(batch, where)
     task_loss, d_logits_t = ce_loss_and_dlogits(head_logits(task_head, Xd), golds)
@@ -118,19 +127,15 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
             raise ValueError(
                 "gradient-reversal step needs grl_lambda, lang_head and rng_lid"
             )
-        hidden2, tape2 = forward_batch(encoder, lid_batch.ids, lid_batch.lengths,
-                                       train=True, rng=rng_lid, want_tape=True)
-        X2 = hidden2[:, 0, :]
-        mask2 = (rng_lid.random(X2.shape) >= dropout) / (1.0 - dropout) \
-            if dropout > 0.0 else None
-        X2d = X2 * mask2 if mask2 is not None else X2
+        hidden2, tape2, where2, mask2, X2d = _train_forward(encoder, lid_batch,
+                                                            rng_lid)
         lang_loss, d_logits = ce_loss_and_dlogits(
             head_logits(lang_head, X2d), lid_batch.lang_y
         )
         dw_l, db_l, dX2d = head_backward(lang_head, X2d, d_logits)
         dX2 = dX2d * mask2 if mask2 is not None else dX2d
         # the reversal layer sits between encoder and language head
-        d_hidden2 = _scatter(hidden2.shape, None, -grl_lambda * dX2)
+        d_hidden2 = _scatter(hidden2.shape, where2, -grl_lambda * dX2)
         grads2 = backward_batch(encoder, tape2, d_hidden2)
         for k, v in grads2.items():
             grads[f"enc/{k}"] += v

@@ -1,9 +1,16 @@
 """The four training regimes and the from-scratch language probe.
 
-Regimes share one step implementation (network.composite_step) and named
-RNG streams, so the reduction identities hold exactly: grad_reversal
-with lambda=0 and entropy_max with w=0 walk the encoder through the same
+run_regime is the one entry point.  frozen_probe trains a task head over
+fixed features; finetune, grad_reversal and entropy_max run one loop
+(_fine_tune) that differs only in the extra loss term it hands the one
+step implementation (network.composite_step).  With the same named RNG
+streams, the reduction identities hold exactly: grad_reversal with
+lambda=0 and entropy_max with w=0 walk the encoder through the same
 parameter trajectory as plain fine-tuning under the same seed.
+
+Every head over fixed feature rows (task probe, LID probe, the
+bag-of-tokens baseline, the entropy-max language phase) trains one
+epoch at a time through _head_epoch.
 
 A regime returns only what it trains: the encoder, the task head, and
 the language head that grad_reversal and entropy_max train against.
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from langlab.data.split import filter_language
-from langlab.encoder import EncoderModel
+from langlab.encoder import EncoderModel, dropout_mask
 from langlab.heads import (
     ClassifierHead,
     ce_loss_and_dlogits,
@@ -130,6 +137,25 @@ def _select_best(scores: list[float]) -> int:
     return best
 
 
+def _head_epoch(head: ClassifierHead, params, state: AdamState, X, y, *,
+                batch_size: int, lr: float, dropout: float, batch_rng,
+                drop_rng, losses: list[float]) -> None:
+    """One epoch of minibatch Adam on a head over fixed feature rows.
+
+    Output dropout is applied to each minibatch in training mode; every
+    minibatch loss is appended to losses.
+    """
+    for idx in epoch_batches(len(y), batch_size, batch_rng):
+        Xb = X[idx]
+        mask = dropout_mask(Xb.shape, dropout, drop_rng)
+        if mask is not None:
+            Xb = Xb * mask
+        loss, d_logits = ce_loss_and_dlogits(head_logits(head, Xb), y[idx])
+        dw, db, _ = head_backward(head, Xb, d_logits)
+        adam_step(params, {"w": dw, "b": db}, state, lr)
+        losses.append(loss)
+
+
 def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
                           init_std: float, head_lr: float, batch_size: int,
                           epochs: int, seed: int, dropout: float,
@@ -154,14 +180,9 @@ def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
     scores: list[float] = []
     snapshots: list[ClassifierHead] = []
     for _ in range(epochs):
-        for idx in epoch_batches(len(y_train), batch_size, batch_rng):
-            X = X_train[idx]
-            if dropout > 0.0:
-                X = X * ((drop_rng.random(X.shape) >= dropout) / (1.0 - dropout))
-            loss, d_logits = ce_loss_and_dlogits(head_logits(head, X), y_train[idx])
-            dw, db, _ = head_backward(head, X, d_logits)
-            adam_step(params, {"w": dw, "b": db}, state, head_lr)
-            losses.append(loss)
+        _head_epoch(head, params, state, X_train, y_train,
+                    batch_size=batch_size, lr=head_lr, dropout=dropout,
+                    batch_rng=batch_rng, drop_rng=drop_rng, losses=losses)
         scores.append(macro_f1_ids(head_predictions(head, X_val), y_val,
                                    n_classes))
         snapshots.append(head.copy())
@@ -217,13 +238,26 @@ def _val_task_f1(encoder, task_head, val_examples, task_spec, lang_to_id) -> flo
     return cached_task_f1(task_head, emb, task_spec.n_classes)
 
 
-def _joint_phase(encoder, task_split, lid_split, cfg, *, reversal: bool):
-    """Encoder+task training; with reversal, a language batch rides along."""
+def _fine_tune(encoder: EncoderModel, task_split, lid_split,
+               cfg: ExperimentConfig) -> TrainingRun:
+    """Encoder + task head under composite_step, best epoch by pivot val F1.
+
+    finetune trains the two alone.  grad_reversal adds a cycled
+    same-size language batch to every step; the language CE reaches the
+    encoder through the reversal layer, and the language head shares the
+    one optimizer.  entropy_max opens every epoch with a language-head
+    epoch against the current encoder (its own optimizer), then runs the
+    task epoch under the combined confusion loss with that head frozen.
+    Each epoch snapshots the encoder and both heads together.
+    """
     task_spec = task_spec_from_split(cfg.task, task_split)
     languages = corpus_languages(lid_split)
     lang_to_id = language_index(languages)
     train, val = _pivot_train_val(task_split, cfg)
-    label_to_id = task_spec.label_to_id
+    reversal = cfg.regime == "grad_reversal"
+    entropy = cfg.regime == "entropy_max"
+    if entropy and not lid_split.train:
+        raise ValueError("empty language-data training split")
 
     enc = encoder.copy()
     task_head = ClassifierHead.init(enc.config.d_model, task_spec.n_classes,
@@ -231,156 +265,67 @@ def _joint_phase(encoder, task_split, lid_split, cfg, *, reversal: bool):
     params = {f"enc/{k}": v for k, v in enc.params.items()}
     params["task/w"] = task_head.w
     params["task/b"] = task_head.b
-    lang_head = None
-    if reversal:
+    lang_head = lid_batch = lid_drop_rng = None
+    if reversal or entropy:
         lang_head = ClassifierHead.init(enc.config.d_model, len(languages),
                                         cfg.init_std, seed=cfg.seed, tag="lang")
+    if reversal:
         params["lang/w"] = lang_head.w
         params["lang/b"] = lang_head.b
+        cycler = CyclingBatches(len(lid_split.train), stream(cfg.seed, "lid-batches"))
+        lid_drop_rng = stream(cfg.seed, "lid-dropout")
+    if entropy:
+        lang_params = {"w": lang_head.w, "b": lang_head.b}
+        lang_state = AdamState()
+        lang_batch_rng = stream(cfg.seed, "em-lang-batches")
+        lang_drop_rng = stream(cfg.seed, "em-lang-dropout")
 
     state = AdamState()
     lr = lambda name: cfg.encoder_lr if name.startswith("enc/") else cfg.head_lr
     batch_rng = stream(cfg.seed, "task-batches")
     drop_rng = stream(cfg.seed, "task-dropout")
-    if reversal:
-        cycler = CyclingBatches(len(lid_split.train), stream(cfg.seed, "lid-batches"))
-        lid_drop_rng = stream(cfg.seed, "lid-dropout")
 
-    task_losses: list[float] = []
-    lang_losses: list[float] = []
-    scores: list[float] = []
+    run = TrainingRun(regime=cfg.regime, epoch_val_f1=[], selected_epoch=0,
+                      encoder=enc, task_head=task_head, lang_head=lang_head)
     snapshots = []
     for _ in range(cfg.epochs):
+        if entropy:
+            # language phase: head alone against the frozen current encoder
+            emb = embed_examples(enc, lid_split.train, "text", lang_to_id)
+            _head_epoch(lang_head, lang_params, lang_state, emb.X, emb.lang_y,
+                        batch_size=cfg.batch_size, lr=cfg.head_lr,
+                        dropout=enc.config.dropout, batch_rng=lang_batch_rng,
+                        drop_rng=lang_drop_rng, losses=run.lang_losses)
+
         for idx in epoch_batches(len(train), cfg.batch_size, batch_rng):
-            batch = make_batch([train[i] for i in idx], label_to_id,
+            batch = make_batch([train[i] for i in idx], task_spec.label_to_id,
                                lang_to_id, task_spec.level)
             if reversal:
                 lid_idx = cycler.take(len(idx))
                 lid_batch = make_batch([lid_split.train[i] for i in lid_idx],
                                        None, lang_to_id, "text")
-                res = composite_step(enc, task_head, batch, drop_rng,
-                                     lang_head=lang_head,
-                                     grl_lambda=cfg.grl_lambda,
-                                     lid_batch=lid_batch, rng_lid=lid_drop_rng)
-                lang_losses.append(res.lang_loss)
-            else:
-                res = composite_step(enc, task_head, batch, drop_rng)
-            adam_step(params, res.grads, state, lr)
-            task_losses.append(res.task_loss)
-        scores.append(_val_task_f1(enc, task_head, val, task_spec, lang_to_id))
-        snapshots.append((enc.copy(), task_head.copy(),
-                          lang_head.copy() if reversal else None))
-    best = _select_best(scores)
-    best_enc, best_head, best_lang = snapshots[best]
-    return (best_enc, best_head, best_lang, scores, best,
-            task_losses, lang_losses)
-
-
-def train_finetune(encoder: EncoderModel, task_split, lid_split,
-                   cfg: ExperimentConfig) -> TrainingRun:
-    """Joint encoder+task training; no language head."""
-    (enc, task_head, _, scores, best,
-     task_losses, _) = _joint_phase(encoder, task_split, lid_split, cfg,
-                                    reversal=False)
-    return TrainingRun(
-        regime=cfg.regime, epoch_val_f1=scores, selected_epoch=best,
-        encoder=enc, task_head=task_head, lang_head=None,
-        task_losses=task_losses,
-    )
-
-
-def train_grad_reversal(encoder: EncoderModel, task_split, lid_split,
-                        cfg: ExperimentConfig) -> TrainingRun:
-    """Task batch plus same-size language batch per step; the language CE
-    reaches the encoder through the reversal layer."""
-    (enc, task_head, lang_head, scores, best,
-     task_losses, lang_losses) = _joint_phase(encoder, task_split, lid_split,
-                                              cfg, reversal=True)
-    return TrainingRun(
-        regime=cfg.regime, epoch_val_f1=scores, selected_epoch=best,
-        encoder=enc, task_head=task_head, lang_head=lang_head,
-        task_losses=task_losses, lang_losses=lang_losses,
-    )
-
-
-def train_entropy_max(encoder: EncoderModel, task_split, lid_split,
-                      cfg: ExperimentConfig) -> TrainingRun:
-    """Alternating one-epoch phases: language head alone, then encoder +
-    task head under the combined confusion loss with the head frozen."""
-    task_spec = task_spec_from_split(cfg.task, task_split)
-    languages = corpus_languages(lid_split)
-    lang_to_id = language_index(languages)
-    train, val = _pivot_train_val(task_split, cfg)
-    label_to_id = task_spec.label_to_id
-    if not lid_split.train:
-        raise ValueError("empty language-data training split")
-
-    enc = encoder.copy()
-    task_head = ClassifierHead.init(enc.config.d_model, task_spec.n_classes,
-                                    cfg.init_std, seed=cfg.seed, tag="task")
-    lang_head = ClassifierHead.init(enc.config.d_model, len(languages),
-                                    cfg.init_std, seed=cfg.seed, tag="lang")
-    enc_params = {f"enc/{k}": v for k, v in enc.params.items()}
-    enc_params["task/w"] = task_head.w
-    enc_params["task/b"] = task_head.b
-    lang_params = {"w": lang_head.w, "b": lang_head.b}
-    enc_state = AdamState()
-    lang_state = AdamState()
-    lr = lambda name: cfg.encoder_lr if name.startswith("enc/") else cfg.head_lr
-
-    batch_rng = stream(cfg.seed, "task-batches")
-    drop_rng = stream(cfg.seed, "task-dropout")
-    lang_batch_rng = stream(cfg.seed, "em-lang-batches")
-    lang_drop_rng = stream(cfg.seed, "em-lang-dropout")
-    dropout = enc.config.dropout
-
-    task_losses: list[float] = []
-    lang_losses: list[float] = []
-    lang_terms: list[float] = []
-    scores: list[float] = []
-    snapshots = []
-    for _ in range(cfg.epochs):
-        # language phase: head alone against the frozen current encoder
-        emb = embed_examples(enc, lid_split.train, "text", lang_to_id)
-        for idx in epoch_batches(len(emb), cfg.batch_size, lang_batch_rng):
-            X = emb.X[idx]
-            if dropout > 0.0:
-                X = X * ((lang_drop_rng.random(X.shape) >= dropout)
-                         / (1.0 - dropout))
-            loss, d_logits = ce_loss_and_dlogits(head_logits(lang_head, X),
-                                                 emb.lang_y[idx])
-            dw, db, _ = head_backward(lang_head, X, d_logits)
-            adam_step(lang_params, {"w": dw, "b": db}, lang_state, cfg.head_lr)
-            lang_losses.append(loss)
-
-        # task phase: encoder + task head under the combined loss
-        for idx in epoch_batches(len(train), cfg.batch_size, batch_rng):
-            batch = make_batch([train[i] for i in idx], label_to_id,
-                               lang_to_id, task_spec.level)
             res = composite_step(enc, task_head, batch, drop_rng,
                                  lang_head=lang_head, w=cfg.w,
-                                 language_term_variant=cfg.language_term_variant)
-            adam_step(enc_params, res.grads, enc_state, lr)
-            task_losses.append(res.task_loss)
-            lang_terms.append(res.lang_term)
-        scores.append(_val_task_f1(enc, task_head, val, task_spec, lang_to_id))
-        snapshots.append((enc.copy(), task_head.copy()))
-    best = _select_best(scores)
-    best_enc, best_head = snapshots[best]
-    return TrainingRun(
-        regime=cfg.regime, epoch_val_f1=scores, selected_epoch=best,
-        encoder=best_enc, task_head=best_head, lang_head=lang_head,
-        task_losses=task_losses, lang_losses=lang_losses,
-        lang_terms=lang_terms,
-    )
+                                 language_term_variant=cfg.language_term_variant,
+                                 grl_lambda=cfg.grl_lambda,
+                                 lid_batch=lid_batch, rng_lid=lid_drop_rng)
+            adam_step(params, res.grads, state, lr)
+            run.task_losses.append(res.task_loss)
+            if res.lang_loss is not None:
+                run.lang_losses.append(res.lang_loss)
+            if res.lang_term is not None:
+                run.lang_terms.append(res.lang_term)
+        run.epoch_val_f1.append(_val_task_f1(enc, task_head, val, task_spec,
+                                             lang_to_id))
+        snapshots.append((enc.copy(), task_head.copy(),
+                          lang_head.copy() if lang_head is not None else None))
+    run.selected_epoch = _select_best(run.epoch_val_f1)
+    run.encoder, run.task_head, run.lang_head = snapshots[run.selected_epoch]
+    return run
 
 
 def run_regime(encoder: EncoderModel, task_split, lid_split,
                cfg: ExperimentConfig) -> TrainingRun:
-    trainer = {
-        "frozen_probe": train_frozen_probe,
-        "finetune": train_finetune,
-        "grad_reversal": train_grad_reversal,
-        "entropy_max": train_entropy_max,
-    }[cfg.regime]
+    """Train one regime: the one entry point for all four."""
+    trainer = train_frozen_probe if cfg.regime == "frozen_probe" else _fine_tune
     return trainer(encoder, task_split, lid_split, cfg)

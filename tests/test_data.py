@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import struct
 from pathlib import Path
@@ -438,6 +440,27 @@ def test_checkpoint_garbled_header_names_path(tmp_path, header):
     path = tmp_path / "garbled.ckpt"
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_payload_digest_checked(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.arange(12.0).reshape(3, 4)}, meta={"k": 1})
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    assert header["payload_sha256"] == hashlib.sha256(raw[16 + hlen:]).hexdigest()
+    # one flipped payload byte still parses, but must not load
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*sha256"):
+        load_checkpoint(path)
+    # a header without the digest is refused as well
+    del header["payload_sha256"]
+    bare = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(bare)) + bare
+                     + bytes(raw[16 + hlen:]))
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*digest"):
         load_checkpoint(path)
 
 

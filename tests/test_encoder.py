@@ -7,6 +7,8 @@ zeros (e.g. key biases) don't divide by zero.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf, ndtr
@@ -285,7 +287,7 @@ def test_tape_is_single_use():
 
 
 def test_dropout_mask_expectation():
-    from langlab.encoder import _dropout_mask
+    from langlab.encoder import dropout_mask as _dropout_mask
 
     p = 0.1
     mask = _dropout_mask((1000, 1000), p, stream(0, "mask-test"))
@@ -312,6 +314,22 @@ def test_mlm_step_loss_gradients_match_fd():
     names = ["tok_emb", "mlm_bias", "pos_emb", "L0_wq", "L0_w1", "final_ln_g"]
     worst = fd_max_rel_err(model, loss, grads, names)
     assert worst <= FD_TOL, f"max FD relative error {worst:.2e}"
+
+
+def test_mlm_step_runs_without_dropout():
+    # pretraining runs the encoder in eval mode: the configured dropout
+    # neither changes the loss and gradients nor draws from the rng
+    plain = small_model(dropout=0.0)
+    dropped = EncoderModel(config=replace(plain.config, dropout=0.5),
+                           params={k: v.copy() for k, v in plain.params.items()})
+    ids, lengths, _ = small_batch()
+    rng_a, rng_b = stream(5, "mlm-drop"), stream(5, "mlm-drop")
+    loss_a, grads_a = mlm_step_loss(plain, ids, lengths, 0.3, rng_a)
+    loss_b, grads_b = mlm_step_loss(dropped, ids, lengths, 0.3, rng_b)
+    assert loss_a == loss_b
+    assert grads_a.keys() == grads_b.keys()
+    assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_mlm_forces_one_mask():

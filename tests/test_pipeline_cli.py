@@ -184,6 +184,25 @@ def test_apply_preset_resets_other_regime_weights_and_quota():
     assert xnli.quota_task == SAMPLE_QUOTAS["pair_inference"]
 
 
+def test_task_override_rederives_default_quota(tmp_path):
+    def resolved(*argv):
+        return cli._resolve_config(cli.build_parser().parse_args(["train", *argv]))
+
+    pair = SAMPLE_QUOTAS["pair_inference"]
+    from_file = tmp_path / "pair.json"
+    from_file.write_text(json.dumps({"task": "pair_inference"}))
+    assert resolved("--config", str(from_file)).quota_task == pair
+    assert resolved("--preset", "xnli-frozen").quota_task == pair
+    assert resolved("--task", "pair_inference").quota_task == pair
+    assert PipelineConfig().replaced(task="pair_inference").quota_task == pair
+    # an explicit non-default quota survives a task change
+    kept = tmp_path / "kept.json"
+    kept.write_text(json.dumps({"quota_task": 7}))
+    assert resolved("--config", str(kept), "--task", "pair_inference").quota_task == 7
+    assert load_config(from_file, overrides={"task": "token_tag",
+                                             "quota_task": 12}).quota_task == 12
+
+
 def test_canonical_json_and_manifest_id():
     obj = {"b": 1, "a": [1, 2], "c": {"y": 0.5, "x": None}}
     text = canonical_json(obj)

@@ -21,6 +21,7 @@ from langlab.training.batching import (
     task_spec_for,
 )
 from langlab.training.evaluate import bag_of_tokens_lid_f1, evaluate_lid
+from langlab.training import regimes
 from langlab.training.network import (
     StepResult,
     _gold_at_level,
@@ -431,6 +432,23 @@ def test_entropy_max_tracks_language_term(small_pretrained, tiny_task_split,
                     tiny_cfg("entropy_max", w=0.5))
     assert em.lang_terms and all(np.isfinite(t) for t in em.lang_terms)
     assert em.lang_losses
+
+
+def test_entropy_max_returns_the_selected_epochs_language_head(
+        small_pretrained, tiny_task_split, tiny_lid_split, monkeypatch):
+    # encoder, task head and language head all come from the selected epoch
+    encoder, _ = small_pretrained
+    one = run_regime(encoder, tiny_task_split, tiny_lid_split,
+                     tiny_cfg("entropy_max", w=0.5, epochs=1))
+    scores = iter([1.0, 0.0, 0.0])
+    monkeypatch.setattr(regimes, "_val_task_f1", lambda *args: next(scores))
+    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
+                     tiny_cfg("entropy_max", w=0.5, epochs=3))
+    assert run.selected_epoch == 0 and run.epoch_val_f1 == [1.0, 0.0, 0.0]
+    assert params_equal(run.encoder, one.encoder)
+    assert np.array_equal(run.task_head.w, one.task_head.w)
+    assert np.array_equal(run.lang_head.w, one.lang_head.w)
+    assert np.array_equal(run.lang_head.b, one.lang_head.b)
 
 
 def test_retrain_language_probe_deterministic(small_pretrained, tiny_lid_split):
