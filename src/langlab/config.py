@@ -159,12 +159,16 @@ PRESETS: dict[str, dict] = {
 _FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
-def apply_preset(cfg: PipelineConfig, name: str) -> PipelineConfig:
+def _preset_keys(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r} (known: {known})")
     # a regime change invalidates the other regimes' weights
-    return cfg.replaced(**{"grl_lambda": None, "w": None, **PRESETS[name]})
+    return {"grl_lambda": None, "w": None, **PRESETS[name]}
+
+
+def apply_preset(cfg: PipelineConfig, name: str) -> PipelineConfig:
+    return cfg.replaced(**_preset_keys(name))
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -177,18 +181,17 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 def load_config(path, preset: str | None = None,
                 overrides: dict | None = None) -> PipelineConfig:
     """Read a flat JSON config file (defaults when path is None); preset
-    and overrides win, in that order."""
-    cfg = PipelineConfig()
+    and overrides win, in that order.  The keys are merged before the
+    config is built, so quota_task is derived from the final task only
+    when no layer gives it."""
+    raw = {}
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a flat JSON object")
-        cfg = config_from_dict(raw)
     if preset:
-        cfg = apply_preset(cfg, preset)
-    if overrides:
-        cfg = cfg.replaced(**overrides)
-    return cfg
+        raw = {**raw, **_preset_keys(preset)}
+    return config_from_dict({**raw, **(overrides or {})})
 
 
 def canonical_json(obj) -> str:

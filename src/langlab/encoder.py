@@ -8,6 +8,21 @@ by ``scipy.special.ndtr`` and cached on the tape, additive key masking.
 Everything runs in float64; forward passes record a GradientTape from
 which backward_batch produces exact analytical parameter gradients.
 
+Only rows whose output is read are computed.  forward_batch takes a
+read index, the (rows, cols) of the positions whose final hidden state
+the caller reads (None: every real token).  Every layer but the last
+runs layer norm, the projections and the feed-forward over the real
+tokens packed into (N, d) rows; Q, K and V are scattered into a zeroed
+(B, T, d) grid only for the (B, H, T, T) attention core, so padding is
+never computed.  The last layer computes layer norm 1, K and V for
+every real token, but Q, the attention rows, the output projection,
+layer norm 2, the feed-forward and the final layer norm only at the
+read rows.  The returned (B, T, d) hidden array is exactly 0.0 at rows
+that are not read, and backward_batch reads its upstream gradient at
+the read rows only.  Train-mode dropout masks are drawn at full
+(B, T, d) shape from the given stream and then gathered, so the stream
+moves as if every row were computed.
+
 Parameter names: ``tok_emb``, ``pos_emb``, ``mlm_bias``,
 ``final_ln_{g,b}`` and per layer i ``L{i}_ln1_{g,b}``,
 ``L{i}_{wq,bq,wk,bk,wv,bv,wo,bo}``, ``L{i}_ln2_{g,b}``,
@@ -106,12 +121,14 @@ class EncoderModel:
 class GradientTape:
     """Forward intermediates for one minibatch; consumed once by backward.
 
+    ``real`` places the packed real tokens in the (B, T) grid and
+    ``read`` the rows whose final hidden state was computed.
     ``layers[i]`` holds layer i's block caches under ``ln1``, ``att``,
     ``ln2`` and ``ff``; ``final`` is the final layer norm's cache."""
 
     ids: np.ndarray
-    lengths: np.ndarray
-    key_bias: np.ndarray
+    real: tuple
+    read: tuple
     emb_drop_mask: np.ndarray | None
     layers: list = field(default_factory=list)
     final: dict = field(default_factory=dict)
@@ -134,8 +151,8 @@ def _layer_norm_backward(dy, p, prefix, cache, grads):
     xhat, inv = cache["xhat"], cache["inv"]
     inv_d = 1.0 / xhat.shape[-1]
     tmp = dy * xhat
-    grads[prefix + "g"] = tmp.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    grads[prefix + "b"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    grads[prefix + "g"] = tmp.sum(axis=0)
+    grads[prefix + "b"] = dy.sum(axis=0)
     dx = dy * p[prefix + "g"]
     np.multiply(dx, xhat, out=tmp)
     m2 = tmp.sum(axis=-1, keepdims=True) * inv_d
@@ -152,9 +169,13 @@ def dropout_mask(shape, rate, rng):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _split_heads(x, n_heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _grid(x, at, shape, n_heads):
+    """Packed rows x scattered into a zeroed (B, S, d) grid at the (rows,
+    cols) pair at, split into heads: (B, n_heads, S, d / n_heads)."""
+    buf = np.zeros(shape + x.shape[-1:])
+    buf[at] = x
+    b, s, d = buf.shape
+    return buf.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
@@ -162,49 +183,60 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _attention(h, p, L, key_bias, n_heads, mask):
-    """Self-attention over the normed input h; returns (output, cache)."""
-    q = _split_heads(h @ p[L + "wq"] + p[L + "bq"], n_heads)
-    k = _split_heads(h @ p[L + "wk"] + p[L + "bk"], n_heads)
-    v = _split_heads(h @ p[L + "wv"] + p[L + "bv"], n_heads)
+def _attention(h, p, L, key_at, queries, key_bias, n_heads, mask):
+    """Self-attention of the query rows over every real token.
+
+    h is the normed input of every real token, packed, and key_at places
+    it in the (B, T) grid of key_bias.  queries = (pos, at, S): the query
+    rows' index in h (None: all of them) and their place in a (B, S)
+    grid.  Returns (output at the query rows, cache)."""
+    pos, q_at, S = queries
+    B, T = key_bias.shape[0], key_bias.shape[-1]
+    hq = h if pos is None else h[pos]
+    q = _grid(hq @ p[L + "wq"] + p[L + "bq"], q_at, (B, S), n_heads)
+    k = _grid(h @ p[L + "wk"] + p[L + "bk"], key_at, (B, T), n_heads)
+    v = _grid(h @ p[L + "wv"] + p[L + "bv"], key_at, (B, T), n_heads)
     attn = q @ k.swapaxes(-1, -2)
     attn *= 1.0 / np.sqrt(q.shape[-1])
     attn += key_bias
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(attn @ v)
+    ctx = _merge_heads(attn @ v)[q_at]
     out = ctx @ p[L + "wo"] + p[L + "bo"]
     if mask is not None:
         out *= mask
-    return out, {"h": h, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
-                 "mask": mask}
+    return out, {"h": h, "hq": hq, "key_at": key_at, "pos": pos, "q_at": q_at,
+                 "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx, "mask": mask}
 
 
 def _attention_backward(dy, p, L, c, grads):
+    """Gradient at h, every real token packed, from dy at the query rows."""
     dy = dy if c["mask"] is None else dy * c["mask"]
-    B, T, d = dy.shape
-    dy2d = dy.reshape(-1, d)
-    grads[L + "wo"] = c["ctx"].reshape(-1, d).T @ dy2d
-    grads[L + "bo"] = dy2d.sum(axis=0)
+    grads[L + "wo"] = c["ctx"].T @ dy
+    grads[L + "bo"] = dy.sum(axis=0)
     attn, q, k, v = c["attn"], c["q"], c["k"], c["v"]
     scale = 1.0 / np.sqrt(q.shape[-1])
-    d_ctx = _split_heads(dy @ p[L + "wo"].T, q.shape[1])
+    B, H, S, _ = q.shape
+    d_ctx = _grid(dy @ p[L + "wo"].T, c["q_at"], (B, S), H)
     d_scores = d_ctx @ v.swapaxes(-1, -2)
     d_v = attn.swapaxes(-1, -2) @ d_ctx
     d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
     d_scores *= attn
-    d_q = d_scores @ k * scale
-    d_k = d_scores.swapaxes(-1, -2) @ q * scale
-    h2d = c["h"].reshape(-1, d)
-    dh = None
-    for nm, d_proj in (("q", d_q), ("k", d_k), ("v", d_v)):
-        d_proj = _merge_heads(d_proj).reshape(-1, d)
-        grads[L + "w" + nm] = h2d.T @ d_proj
+    d_q = _merge_heads(d_scores @ k * scale)[c["q_at"]]
+    d_k = _merge_heads(d_scores.swapaxes(-1, -2) @ q * scale)[c["key_at"]]
+    d_v = _merge_heads(d_v)[c["key_at"]]
+    for nm, x, d_proj in (("q", c["hq"], d_q), ("k", c["h"], d_k),
+                          ("v", c["h"], d_v)):
+        grads[L + "w" + nm] = x.T @ d_proj
         grads[L + "b" + nm] = d_proj.sum(axis=0)
-        part = d_proj @ p[L + "w" + nm].T
-        dh = part if dh is None else dh + part
-    return dh.reshape(B, T, d)
+    dh = d_k @ p[L + "wk"].T
+    if c["pos"] is None:
+        dh += d_q @ p[L + "wq"].T
+    else:
+        dh[c["pos"]] += d_q @ p[L + "wq"].T
+    dh += d_v @ p[L + "wv"].T
+    return dh
 
 
 def _feed_forward(h, p, L, mask):
@@ -220,10 +252,8 @@ def _feed_forward(h, p, L, mask):
 def _feed_forward_backward(dy, p, L, c, grads):
     dy = dy if c["mask"] is None else dy * c["mask"]
     pre, cdf = c["pre"], c["cdf"]
-    d, d_ff = p[L + "w1"].shape
-    dy2d = dy.reshape(-1, d)
-    grads[L + "w2"] = (pre * cdf).reshape(-1, d_ff).T @ dy2d
-    grads[L + "b2"] = dy2d.sum(axis=0)
+    grads[L + "w2"] = (pre * cdf).T @ dy
+    grads[L + "b2"] = dy.sum(axis=0)
     # GELU'(x) = Phi(x) + x * phi(x), built in place
     slope = np.multiply(pre, pre)
     slope *= -0.5
@@ -233,19 +263,21 @@ def _feed_forward_backward(dy, p, L, c, grads):
     slope += cdf
     d_pre = dy @ p[L + "w2"].T
     d_pre *= slope
-    dpre2d = d_pre.reshape(-1, d_ff)
-    grads[L + "w1"] = c["h"].reshape(-1, d).T @ dpre2d
-    grads[L + "b1"] = dpre2d.sum(axis=0)
+    grads[L + "w1"] = c["h"].T @ d_pre
+    grads[L + "b1"] = d_pre.sum(axis=0)
     return d_pre @ p[L + "w1"].T
 
 
 def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
-                  *, train: bool = False, rng=None, want_tape: bool = False):
+                  *, train: bool = False, rng=None, want_tape: bool = False,
+                  read=None):
     """Run the encoder over a padded id batch.
 
-    ids: (B, T) int array padded with PAD; lengths: (B,) true lengths.
-    Returns (hidden (B, T, d_model), tape or None).  Dropout is active
-    only when train=True, drawing masks from rng.
+    ids: (B, T) int array padded with PAD; lengths: (B,) true lengths;
+    read: a (rows, cols) pair naming the real positions whose final
+    hidden state is wanted, or None for every real token.  Returns
+    (hidden (B, T, d_model), tape or None); rows that are not read are
+    0.0.  Dropout is active only when train=True, drawing masks from rng.
     """
     cfg, p = model.config, model.params
     ids = np.asarray(ids)
@@ -259,33 +291,55 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
     if drop and rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
 
-    def mask():
-        return dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if train else None
+    real = np.arange(T)[None, :] < lengths[:, None]
+    at = np.nonzero(real)                       # packed order: row-major
+    read_at, queries = at, (None, at, T)
+    if read is not None:
+        chosen = np.zeros((B, T), dtype=bool)
+        chosen[read] = True
+        if (chosen & ~real).any():
+            raise ValueError("read index names a padding position")
+        if chosen.sum() < at[0].size:
+            read_at = np.nonzero(chosen)
+            read_pos = (np.cumsum(real).reshape(B, T) - 1)[read_at]
+            # each read row's query slot within its own sequence
+            counts = np.bincount(read_at[0], minlength=B)
+            slots = np.arange(read_pos.size) - (np.cumsum(counts) - counts)[read_at[0]]
+            queries = (read_pos, (read_at[0], slots), int(counts.max()))
+
+    def mask(rows):
+        """A full (B, T, d) mask from the stream, kept at rows only."""
+        m = dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if train else None
+        return None if m is None else m[rows]
 
     # additive bias over keys: 0 for real positions, -1e30 for padding
-    cols = np.arange(T)
-    key_bias = np.where(cols[None, :] < lengths[:, None], 0.0, KEY_MASK_BIAS)
-    key_bias = key_bias[:, None, None, :]
+    key_bias = np.where(real, 0.0, KEY_MASK_BIAS)[:, None, None, :]
 
-    x = p["tok_emb"][ids] + p["pos_emb"][:T]
-    emb_mask = mask()
+    x = p["tok_emb"][ids[at]] + p["pos_emb"][at[1]]
+    emb_mask = mask(at)
     if emb_mask is not None:
         x *= emb_mask
 
-    tape = GradientTape(ids=ids, lengths=lengths, key_bias=key_bias,
+    tape = GradientTape(ids=ids, real=at, read=read_at,
                         emb_drop_mask=emb_mask) if want_tape else None
+    last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
+        # the last layer computes its queries and everything after them
+        # at the read rows only
         L = f"L{i}_"
+        qs, rows = (queries, read_at) if i == last else ((None, at, T), at)
         h, ln1 = _layer_norm(x, p, L + "ln1_")
-        x_att, att = _attention(h, p, L, key_bias, cfg.n_heads, mask())
-        x_att += x                                      # residual
+        x_att, att = _attention(h, p, L, at, qs, key_bias, cfg.n_heads, mask(rows))
+        x_att += x if qs[0] is None else x[qs[0]]       # residual
         h, ln2 = _layer_norm(x_att, p, L + "ln2_")
-        x, ff = _feed_forward(h, p, L, mask())
+        x, ff = _feed_forward(h, p, L, mask(rows))
         x += x_att                                      # residual
         if want_tape:
             tape.layers.append({"ln1": ln1, "att": att, "ln2": ln2, "ff": ff})
 
-    hidden, fin = _layer_norm(x, p, "final_ln_")
+    out, fin = _layer_norm(x, p, "final_ln_")
+    hidden = np.zeros((B, T, cfg.d_model))
+    hidden[read_at] = out
     if want_tape:
         tape.final = fin
     return hidden, tape
@@ -295,18 +349,18 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
                    d_hidden: np.ndarray) -> dict[str, np.ndarray]:
     """Exact parameter gradients for the forward pass recorded in tape.
 
-    Upstream gradient at padded positions is zeroed (padding is not part
-    of the sequence).  The tape is single-use.
+    d_hidden is the (B, T, d_model) upstream gradient; it is read only
+    at the tape's read rows (padding is not part of the sequence, and
+    rows that were not read are constant).  The tape is single-use.
     """
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
 
     p = model.params
-    T = tape.ids.shape[1]
-    real = (np.arange(T)[None, :] < tape.lengths[:, None])[..., None]
     grads: dict[str, np.ndarray] = {}
-    dx = _layer_norm_backward(d_hidden * real, p, "final_ln_", tape.final, grads)
+    dx = _layer_norm_backward(d_hidden[tape.read], p, "final_ln_", tape.final,
+                              grads)
     for i in reversed(range(model.config.n_layers)):
         L, t = f"L{i}_", tape.layers[i]
         d_x_att = _feed_forward_backward(dx, p, L, t["ff"], grads)
@@ -314,14 +368,20 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
         d_x_att += dx                                   # residual
         dx = _attention_backward(d_x_att, p, L, t["att"], grads)
         dx = _layer_norm_backward(dx, p, L + "ln1_", t["ln1"], grads)
-        dx += d_x_att                                   # residual
+        if t["att"]["pos"] is None:
+            dx += d_x_att                               # residual
+        else:
+            dx[t["att"]["pos"]] += d_x_att
 
     if tape.emb_drop_mask is not None:
         dx *= tape.emb_drop_mask
     grads["tok_emb"] = np.zeros_like(p["tok_emb"])
-    np.add.at(grads["tok_emb"], tape.ids, dx)
+    np.add.at(grads["tok_emb"], tape.ids[tape.real], dx)
+    B, T = tape.ids.shape
+    d_grid = np.zeros((B, T, dx.shape[-1]))
+    d_grid[tape.real] = dx
     grads["pos_emb"] = np.zeros_like(p["pos_emb"])
-    grads["pos_emb"][:T] = dx.sum(axis=0)
+    grads["pos_emb"][:T] = d_grid.sum(axis=0)
     grads["mlm_bias"] = np.zeros_like(p["mlm_bias"])
     return {name: grads[name] for name in p}
 
@@ -384,11 +444,11 @@ def mlm_step_loss(model, ids, lengths, mask_rate, rng):
         mask[rows[pick], colz[pick]] = True
 
     masked_ids = np.where(mask, MASK_ID, ids)
-    hidden, tape = forward_batch(model, masked_ids, lengths, want_tape=True)
-
-    rows, colz = np.nonzero(mask)
-    h = hidden[rows, colz]                      # (M, d)
-    gold = ids[rows, colz]                      # (M,)
+    read = np.nonzero(mask)
+    hidden, tape = forward_batch(model, masked_ids, lengths, want_tape=True,
+                                 read=read)
+    h = hidden[read]                            # (M, d)
+    gold = ids[read]                            # (M,)
     logits = h @ p["tok_emb"].T + p["mlm_bias"]
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
@@ -400,7 +460,7 @@ def mlm_step_loss(model, ids, lengths, mask_rate, rng):
     d_logits[np.arange(n), gold] -= 1.0
     d_logits /= n
     d_hidden = np.zeros_like(hidden)
-    d_hidden[rows, colz] = d_logits @ p["tok_emb"]
+    d_hidden[read] = d_logits @ p["tok_emb"]
     grads = backward_batch(model, tape, d_hidden)
     grads["tok_emb"] += d_logits.T @ h          # tied output projection
     grads["mlm_bias"] += d_logits.sum(axis=0)
@@ -418,10 +478,10 @@ def mlm_masked_accuracy(model, sequences, mask_rate, seed=0):
     if not mask.any():
         return float("nan")
     masked_ids = np.where(mask, MASK_ID, ids)
-    hidden, _ = forward_batch(model, masked_ids, lengths)
-    rows, colz = np.nonzero(mask)
-    logits = hidden[rows, colz] @ p["tok_emb"].T + p["mlm_bias"]
-    return float((logits.argmax(axis=-1) == ids[rows, colz]).mean())
+    read = np.nonzero(mask)
+    hidden, _ = forward_batch(model, masked_ids, lengths, read=read)
+    logits = hidden[read] @ p["tok_emb"].T + p["mlm_bias"]
+    return float((logits.argmax(axis=-1) == ids[read]).mean())
 
 
 def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float = 0.15,

@@ -31,30 +31,39 @@ from langlab.heads import (
 from langlab.training.batching import Batch, make_batch
 
 
-def select_embeddings(hidden: np.ndarray, batch: Batch):
-    """Pick the classified vectors: every real token, or position 0."""
+def read_index(batch: Batch):
+    """The (rows, cols) the heads read: every real token, or position 0."""
+    B, T = batch.ids.shape
     if batch.level == "token":
-        T = hidden.shape[1]
-        rows, cols = np.nonzero(np.arange(T)[None, :] < batch.lengths[:, None])
-        return hidden[rows, cols], (rows, cols)
-    return hidden[:, 0, :], None
+        return np.nonzero(np.arange(T)[None, :] < batch.lengths[:, None])
+    return np.arange(B), np.zeros(B, dtype=np.int64)
+
+
+def select_embeddings(hidden: np.ndarray, batch: Batch):
+    """Pick the classified vectors; returns (X, where), where = read_index."""
+    where = read_index(batch)
+    return hidden[where], where
 
 
 def _scatter(hidden_shape, where, dX):
     d_hidden = np.zeros(hidden_shape)
-    if where is None:
-        d_hidden[:, 0, :] = dX
-    else:
-        rows, cols = where
-        d_hidden[rows, cols] = dX
+    d_hidden[where] = dX
     return d_hidden
 
 
 def _gold_at_level(batch: Batch, where):
     if batch.level == "token":
-        rows, cols = where
-        return batch.task_y[rows, cols]
+        return batch.task_y[where]
     return batch.task_y
+
+
+def _forward(encoder: EncoderModel, batch: Batch, **kwargs):
+    """Encoder forward computing only the rows the heads read; returns
+    (hidden, tape, X, where)."""
+    hidden, tape = forward_batch(encoder, batch.ids, batch.lengths,
+                                 read=read_index(batch), **kwargs)
+    X, where = select_embeddings(hidden, batch)
+    return hidden, tape, X, where
 
 
 def _train_forward(encoder: EncoderModel, batch: Batch, rng):
@@ -63,9 +72,8 @@ def _train_forward(encoder: EncoderModel, batch: Batch, rng):
     Returns (hidden, tape, where, mask, X after mask); mask is None
     when the encoder has no dropout.
     """
-    hidden, tape = forward_batch(encoder, batch.ids, batch.lengths,
-                                 train=True, rng=rng, want_tape=True)
-    X, where = select_embeddings(hidden, batch)
+    hidden, tape, X, where = _forward(encoder, batch, train=True, rng=rng,
+                                      want_tape=True)
     mask = dropout_mask(X.shape, encoder.config.dropout, rng)
     return hidden, tape, where, mask, (X * mask if mask is not None else X)
 
@@ -170,18 +178,13 @@ def embed_examples(encoder: EncoderModel, examples, level: str,
     for start in range(0, len(examples), batch_size):
         chunk = list(examples[start:start + batch_size])
         batch = make_batch(chunk, label_to_id, lang_to_id, level)
-        hidden, _ = forward_batch(encoder, batch.ids, batch.lengths)
-        X, where = select_embeddings(hidden, batch)
+        _, _, X, where = _forward(encoder, batch)
         xs.append(X)
         if batch.task_y is not None:
             tys.append(_gold_at_level(batch, where))
-        if level == "token":
-            rows, _ = where
-            lys.append(batch.lang_y[rows])
-            idx.append(start + rows)
-        else:
-            lys.append(batch.lang_y)
-            idx.append(start + np.arange(len(chunk)))
+        rows = where[0]
+        lys.append(batch.lang_y[rows])
+        idx.append(start + rows)
     return EmbeddedData(
         X=np.concatenate(xs),
         task_y=np.concatenate(tys) if tys else None,

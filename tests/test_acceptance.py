@@ -62,6 +62,7 @@ from langlab.training.network import (
     _gold_at_level,
     composite_step,
     embed_examples,
+    read_index,
     select_embeddings,
 )
 from langlab.training.regimes import (
@@ -210,8 +211,9 @@ def test_criterion_01_gradient_finite_differences():
 # ----------------------------------------------------------------------------
 
 def _lang_branch_grads(enc, lang_head, lid_batch, scale: float):
+    # the branch reads position 0 only, as composite_step's forward does
     hidden, tape = forward_batch(enc, lid_batch.ids, lid_batch.lengths,
-                                 want_tape=True)
+                                 want_tape=True, read=read_index(lid_batch))
     X = hidden[:, 0, :]
     _, d_logits = ce_loss_and_dlogits(head_logits(lang_head, X),
                                       lid_batch.lang_y)

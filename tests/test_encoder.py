@@ -14,9 +14,11 @@ import pytest
 from scipy.special import erf, ndtr
 
 from langlab.encoder import (
+    LN_EPS,
     EncoderConfig,
     EncoderModel,
     backward_batch,
+    dropout_mask,
     encode,
     encode_batch,
     forward_batch,
@@ -27,7 +29,7 @@ from langlab.encoder import (
 )
 from langlab.optim import ADAM_EPS, AdamState, adam_step
 from langlab.rng import stream
-from langlab.vocab import SEP_ID
+from langlab.vocab import N_SPECIAL, SEP_ID
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -126,16 +128,17 @@ def test_ndtr_gelu_matches_erf_form():
 
 def test_tape_keeps_phi_in_place_of_the_activation():
     model = small_model(n_layers=2, d_ff=16)
-    ids, lengths, _ = small_batch()
+    ids, lengths, real = small_batch()
     _, tape = forward_batch(model, ids, lengths, want_tape=True)
     assert len(tape.layers) == 2
     for cache in tape.layers:
         assert set(cache) == {"ln1", "att", "ln2", "ff"}
         ff = cache["ff"]
         assert np.array_equal(ff["cdf"], ndtr(ff["pre"]))
-        # the pre-activation and Phi are the only (B, T, d_ff) arrays kept
+        # the pre-activation and Phi are the only (real tokens, d_ff)
+        # arrays kept
         wide = [a for block in cache.values() for a in block.values()
-                if isinstance(a, np.ndarray) and a.shape == (2, 6, 16)]
+                if isinstance(a, np.ndarray) and a.shape == (real.sum(), 16)]
         assert len(wide) == 2
 
 
@@ -163,13 +166,123 @@ def test_train_mode_dropout_reproducible():
 
 
 def test_padding_content_is_invisible():
-    # changing token ids under the padding must not move real positions
-    model = small_model()
+    # changing token ids under the padding must not move real positions,
+    # in either mode and whichever rows are read
+    model = small_model(n_layers=2, dropout=0.2)
     ids, lengths, real = small_batch()
     ids_b = np.where(real, ids, 7)
-    ha, _ = forward_batch(model, ids, lengths)
-    hb, _ = forward_batch(model, ids_b, lengths)
-    assert np.array_equal(ha[real], hb[real])
+    for train in (False, True):
+        for read in (None, ([0, 1, 1], [4, 0, 3])):
+            ha, _ = forward_batch(model, ids, lengths, train=train,
+                                  rng=stream(2, "pad"), read=read)
+            hb, _ = forward_batch(model, ids_b, lengths, train=train,
+                                  rng=stream(2, "pad"), read=read)
+            assert np.array_equal(ha[real], hb[real])
+            assert not ha[~real].any()
+
+
+# ---------------------------------------------------------------------------
+# row-selective forward: packed real tokens, last layer at the read rows
+
+
+def reference_forward(model, ids, lengths, rng=None):
+    """Every block at every padded (B, T) position; masks drawn in the
+    encoder's order (embedding, then attention and feed-forward per
+    layer) when rng is given."""
+    cfg, p = model.config, model.params
+    B, T = ids.shape
+    d, H = cfg.d_model, cfg.n_heads
+
+    def drop(x):
+        m = None if rng is None else dropout_mask((B, T, d), cfg.dropout, rng)
+        return x if m is None else x * m
+
+    def norm(x, prefix):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        return xc / np.sqrt(var + LN_EPS) * p[prefix + "g"] + p[prefix + "b"]
+
+    def heads(x):
+        return x.reshape(B, T, H, d // H).transpose(0, 2, 1, 3)
+
+    real = np.arange(T)[None, :] < lengths[:, None]
+    bias = np.where(real, 0.0, -1e30)[:, None, None, :]
+    x = drop(p["tok_emb"][ids] + p["pos_emb"][:T])
+    for i in range(cfg.n_layers):
+        L = f"L{i}_"
+        h = norm(x, L + "ln1_")
+        q, k, v = (heads(h @ p[L + "w" + n] + p[L + "b" + n]) for n in "qkv")
+        s = q @ k.swapaxes(-1, -2) * (1.0 / np.sqrt(d // H)) + bias
+        a = np.exp(s - s.max(axis=-1, keepdims=True))
+        a /= a.sum(axis=-1, keepdims=True)
+        ctx = (a @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+        x = x + drop(ctx @ p[L + "wo"] + p[L + "bo"])
+        pre = norm(x, L + "ln2_") @ p[L + "w1"] + p[L + "b1"]
+        x = x + drop((pre * ndtr(pre)) @ p[L + "w2"] + p[L + "b2"])
+    return norm(x, "final_ln_")
+
+
+def read_rows(kind, real):
+    """A text-level (position 0), token-level (None: every real token) or
+    sparse masked-token style read index."""
+    if kind == "text":
+        return np.arange(real.shape[0]), np.zeros(real.shape[0], dtype=int)
+    if kind == "token":
+        return None
+    pick = real & (np.random.default_rng(9).random(real.shape) < 0.3)
+    return np.nonzero(pick)
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("kind", ["text", "token", "sparse"])
+def test_read_rows_match_full_forward_and_keep_rng_stream(kind, train):
+    model = small_model(n_layers=2, dropout=0.2, seed=3)
+    for name, value in model.params.items():    # move biases and gains off init
+        value += np.random.default_rng(len(name)).normal(0.0, 0.1, value.shape)
+    ids, lengths, real = small_batch()
+    read = read_rows(kind, real)
+    rng, ref_rng = stream(6, "rows"), stream(6, "rows")
+    hidden, _ = forward_batch(model, ids, lengths, train=train,
+                              rng=rng if train else None, read=read)
+    ref = reference_forward(model, ids, lengths, ref_rng if train else None)
+    at = np.nonzero(real) if read is None else read
+    err = np.abs(hidden[at] - ref[at]).max() / np.abs(ref[at]).max()
+    assert err <= 1e-15, f"read rows differ from the full forward by {err:.1e}"
+    unread = np.ones(real.shape, dtype=bool)
+    unread[at] = False
+    assert not hidden[unread].any()            # exactly 0.0 where not read
+    # the masks are drawn at full (B, T, d) shape, so the stream moves as
+    # if every row were computed
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_read_index_must_name_real_positions():
+    model = small_model()
+    ids, lengths, _ = small_batch()
+    with pytest.raises(ValueError, match="padding"):
+        forward_batch(model, ids, lengths, read=([1], [5]))
+
+
+def test_last_layer_caches_only_read_rows():
+    # earlier layers keep packed real tokens; the last layer keeps its
+    # queries, attention output and feed-forward at the M read rows only
+    model = small_model(n_layers=3, d_ff=16)
+    ids, lengths, real = small_batch()
+    read = read_rows("sparse", real)
+    N, M = int(real.sum()), read[0].size
+    assert 0 < M < N
+    _, tape = forward_batch(model, ids, lengths, want_tape=True, read=read)
+    for i, cache in enumerate(tape.layers):
+        rows = M if i == len(tape.layers) - 1 else N
+        assert cache["ff"]["pre"].shape == cache["ff"]["cdf"].shape == (rows, 16)
+        assert cache["ln2"]["xhat"].shape == (rows, 8)
+        assert cache["att"]["hq"].shape == cache["att"]["ctx"].shape == (rows, 8)
+        # layer norm 1, K and V still cover every real token
+        assert cache["ln1"]["xhat"].shape == cache["att"]["h"].shape == (N, 8)
+    assert tape.final["xhat"].shape == (M, 8)
+    # the last layer's attention rows: one query slot per read row of the
+    # fullest sequence, not one per position
+    assert tape.layers[-1]["att"]["attn"].shape[2] == np.bincount(read[0]).max()
 
 
 def test_encode_matches_batch():
@@ -303,17 +416,24 @@ def test_dropout_mask_expectation():
 
 
 def test_mlm_step_loss_gradients_match_fd():
-    model = small_model(n_layers=1)
+    # the step reads the last layer at the masked rows only: a few of
+    # them, several, or the one position forced when none is drawn
     ids, lengths, _ = small_batch()
+    for n_layers, mask_rate, least_drawn in ((1, 0.3, 1), (2, 0.5, 3),
+                                             (2, 1e-12, 0)):
+        model = small_model(n_layers=n_layers)
+        drawn = ((stream(4, "fd-mlm").random(ids.shape) < mask_rate)
+                 & (ids >= N_SPECIAL)).sum()
+        assert drawn >= least_drawn if least_drawn else drawn == 0
 
-    def loss_and_grads(m):
-        return mlm_step_loss(m, ids, lengths, 0.3, stream(4, "fd-mlm"))
+        def loss_and_grads(m):
+            return mlm_step_loss(m, ids, lengths, mask_rate, stream(4, "fd-mlm"))
 
-    _, grads = loss_and_grads(model)
-    loss = lambda m: loss_and_grads(m)[0]
-    names = ["tok_emb", "mlm_bias", "pos_emb", "L0_wq", "L0_w1", "final_ln_g"]
-    worst = fd_max_rel_err(model, loss, grads, names)
-    assert worst <= FD_TOL, f"max FD relative error {worst:.2e}"
+        _, grads = loss_and_grads(model)
+        worst = fd_max_rel_err(model, lambda m: loss_and_grads(m)[0], grads,
+                               sorted(model.params))
+        assert worst <= FD_TOL, f"{n_layers} layers, mask rate {mask_rate}: " \
+                                f"max FD relative error {worst:.2e}"
 
 
 def test_mlm_step_runs_without_dropout():

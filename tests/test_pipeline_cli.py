@@ -203,6 +203,22 @@ def test_task_override_rederives_default_quota(tmp_path):
                                              "quota_task": 12}).quota_task == 12
 
 
+def test_explicit_quota_survives_a_task_change(tmp_path):
+    # a given quota_task equal to the old task's default is still given
+    def resolved(*argv):
+        return cli._resolve_config(cli.build_parser().parse_args(["train", *argv]))
+
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"task": "token_tag", "quota_task": 10}))
+    assert SAMPLE_QUOTAS["token_tag"] == 10
+    assert resolved("--config", str(given), "--preset", "xnli-frozen").quota_task == 10
+    assert resolved("--config", str(given), "--task", "pair_inference").quota_task == 10
+    derived = tmp_path / "derived.json"
+    derived.write_text(json.dumps({"task": "token_tag"}))
+    assert resolved("--config", str(derived), "--preset",
+                    "xnli-frozen").quota_task == SAMPLE_QUOTAS["pair_inference"]
+
+
 def test_canonical_json_and_manifest_id():
     obj = {"b": 1, "a": [1, 2], "c": {"y": 0.5, "x": None}}
     text = canonical_json(obj)
