@@ -9,7 +9,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,6 @@ class Projection2D:
     coords: np.ndarray                  # (N, 2)
     languages: list[str]
     labels: list[str] | None
-    settings: dict = field(default_factory=dict)
 
 
 def clustering_report(sample: EmbeddingSample, annotation: str,

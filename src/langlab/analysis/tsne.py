@@ -15,8 +15,26 @@ updates.  Each row's probabilities are computed with the same float64
 operations as a row-at-a-time search, so P does not depend on the block
 size.  A row's entropy is log S - sum(p * z) for the shifted logits z
 and their exp-sum S, one log per row instead of one per entry.  The
-gradient loop allocates its three N x N arrays (Student-t kernel, Q and
-the gradient weights) once and rebuilds them in place every iteration.
+distances and the conditional rows are the only N x N arrays of the
+search; P is symmetrized into the distances' array.
+
+The gradient loop works on row panels of the upper triangle: rows
+a..a+PANEL-1 against columns a..N-1.  P and the Student-t kernel are
+symmetric, so each pair i < j is computed once, and each panel's
+entries on and below the diagonal are zero.  Pass 1 builds every kernel
+panel 1/(1 + d2) into one packed store, with 1 + d2 from a single
+(n, 4) x (4, n) product, and sums it; Z is twice the sum of the panel
+sums, taken in panel order.  Pass 2 reads the panels back, forms the
+weights w = (e p - max(num / Z, P_FLOOR)) num in a PANEL x N scratch
+buffer, and adds w @ [y, 1] to the panel's rows and w.T @ [y, 1] to
+rows a..N-1: the gradient sums and the row sums of the full symmetric
+w.  The KL divergence uses the same panels; its diagonal terms are
+exactly 0, since p_ii = q_ii = P_FLOOR.  Besides P the loop holds the
+store (about N^2 / 2 entries, kept because rebuilding the panels in
+pass 2 was slower) and the scratch buffer; no N x N work array.  Z and
+the gradient are summed in another order than a dense N x N loop, so
+coordinates agree with one only to rounding, amplified by the
+sign-based gains over many iterations.
 """
 
 from __future__ import annotations
@@ -33,6 +51,10 @@ EXAGGERATION_ITERS = 250
 MOMENTUM_SWITCH = 250
 AFFINITY_BLOCK = 64
 MAX_BISECTION_STEPS = 200
+# rows per panel: 64 beat 32, 96, 128 and 256 at N = 269, 992 and 2000
+PANEL = 64
+_STRICT_UPPER = np.triu(np.ones((PANEL, PANEL)), 1)
+_STRICT_UPPER.flags.writeable = False
 _LOWEST = np.finfo(float).min
 
 
@@ -114,31 +136,99 @@ def _bisect_block(d2: np.ndarray, first: int, target: float,
 def joint_probabilities(points: np.ndarray, perplexity: float):
     """Symmetrized t-SNE joint P plus per-row achieved perplexities."""
     n = points.shape[0]
-    d2 = _pairwise_sq_dists(points, np.empty((n, n)), np.empty((n, n)))
-    p_cond = np.empty((n, n))
+    d2, p_cond = np.empty((n, n)), np.empty((n, n))
+    _pairwise_sq_dists(points, d2, p_cond)
     perps = np.empty(n)
     for first in range(0, n, AFFINITY_BLOCK):
         last = min(first + AFFINITY_BLOCK, n)
         _bisect_block(d2[first:last], first, perplexity,
                       p_cond[first:last], perps[first:last])
-    p = (p_cond + p_cond.T) / (2.0 * n)
+    # the distances are spent: P takes their array
+    p = np.add(p_cond, p_cond.T, out=d2)
+    p /= 2.0 * n
     return p, perps
 
 
-def _student_t_q(y: np.ndarray, num: np.ndarray, q: np.ndarray) -> None:
-    """Fill num with the Student-t kernel 1/(1 + d2) (zero diagonal) and q
-    with num normalised to sum 1 and floored at P_FLOOR."""
-    _pairwise_sq_dists(y, num, q)
-    num += 1.0
-    np.divide(1.0, num, out=num)
-    np.fill_diagonal(num, 0.0)
-    np.divide(num, num.sum(), out=q)
-    np.maximum(q, P_FLOOR, out=q)
+def _panels(store: np.ndarray, n: int):
+    """(a, b, view) for each row panel of the upper triangle: rows a..b-1
+    against columns a..n-1, packed one after another in store."""
+    offset = 0
+    for a in range(0, n, PANEL):
+        b = min(a + PANEL, n)
+        size = (b - a) * (n - a)
+        yield a, b, store[offset:offset + size].reshape(b - a, n - a)
+        offset += size
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+def _panel_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel panels' store and one PANEL x n scratch buffer."""
+    store = sum((min(a + PANEL, n) - a) * (n - a) for a in range(0, n, PANEL))
+    return np.empty(store), np.empty(min(PANEL, n) * n)
+
+
+def _kernel_panels(y: np.ndarray, buffers) -> float:
+    """Write the Student-t kernel 1/(1 + d2) of each panel, zero on and
+    below the diagonal, into the store; return Z, the kernel summed over
+    all i != j: twice the panel sums, taken in panel order."""
+    store = buffers[0]
+    n = len(y)
+    sq = (y * y).sum(axis=1)
+    # 1 + d2 = (1 + sq_i) + sq_j - 2 y_i.y_j as one product of (n, 4)
+    # factors, clamped at 1 against cancellation
+    rows = np.column_stack([-2.0 * y, 1.0 + sq, np.ones(n)])
+    cols = np.column_stack([y, np.ones(n), sq])
+    z = 0.0
+    for a, b, num in _panels(store, n):
+        np.matmul(rows[a:b], cols[a:].T, out=num)
+        np.maximum(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        num[:, :b - a] *= _STRICT_UPPER[:b - a, :b - a]
+        z += float(num.sum())
+    return 2.0 * z
+
+
+def _gradient(p: np.ndarray, y: np.ndarray, exaggeration: float,
+              buffers) -> np.ndarray:
+    """The exact gradient of KL(e P || Q) at y.
+
+    Each panel's weights are w = (p - max(num / (e Z), P_FLOOR / e)) num,
+    the dense (e p - max(num / Z, P_FLOOR)) num over e; the factor e goes
+    into the final scale, so no exaggerated copy of P is made.
+    """
+    n = len(y)
+    z = _kernel_panels(y, buffers)
+    store, scratch = buffers
+    # acc[:, :2] collects sum_j w_ij y_j and acc[:, 2] the row sums of w
+    y1 = np.hstack([y, np.ones((n, 1))])
+    acc = np.zeros((n, 3))
+    for a, b, num in _panels(store, n):
+        w = scratch[:num.size].reshape(num.shape)
+        np.divide(num, exaggeration * z, out=w)
+        np.maximum(w, P_FLOOR / exaggeration, out=w)
+        np.subtract(p[a:b, a:], w, out=w)
+        w *= num
+        # w holds the pairs i < j; the transposed product adds j > i
+        acc[a:b] += w @ y1[a:]
+        acc[a:] += w.T @ y1[a:b]
+    return 4.0 * exaggeration * (acc[:, 2:] * y - acc[:, :2])
+
+
+def _kl(p: np.ndarray, y: np.ndarray, buffers) -> float:
+    """KL(P || Q) at y.  Its diagonal terms are exactly 0, since
+    p_ii = q_ii = P_FLOOR, so the pairs i < j are summed and doubled."""
+    z = _kernel_panels(y, buffers)
+    store, scratch = buffers
+    total = 0.0
+    for a, b, num in _panels(store, len(y)):
+        t = scratch[:num.size].reshape(num.shape)
+        np.divide(num, z, out=t)
+        np.maximum(t, P_FLOOR, out=t)
+        np.divide(p[a:b, a:], t, out=t)
+        np.log(t, out=t)
+        t *= p[a:b, a:]
+        t[:, :b - a] *= _STRICT_UPPER[:b - a, :b - a]
+        total += float(t.sum())
+    return 2.0 * total
 
 
 def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
@@ -150,31 +240,23 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
         raise ValueError(f"perplexity {perplexity} must be < n points {n}")
     if perplexity > n - 1:
         raise ValueError(f"row perplexity {perplexity} unreachable with {n} points")
+    if not early_exaggeration > 0.0:
+        raise ValueError(f"early_exaggeration must be > 0, got {early_exaggeration}")
 
     p, row_perps = joint_probabilities(points, perplexity)
     np.maximum(p, P_FLOOR, out=p)
-    p_exaggerated = p * early_exaggeration
 
     rng = stream(seed, "tsne-init")
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(y)
     gains = np.ones_like(y)
 
-    num, q, w = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    _student_t_q(y, num, q)
-    kl_initial = _kl(p, q)
+    buffers = _panel_buffers(n)
+    kl_initial = _kl(p, y, buffers)
 
     for it in range(iterations):
-        pp = p_exaggerated if it < EXAGGERATION_ITERS else p
-        _student_t_q(y, num, q)
-        np.subtract(pp, q, out=w)
-        w *= num
-        # w's diagonal is exactly 0, so -w with the row sums written on
-        # its diagonal is diag(rowsum w) - w
-        row_sums = w.sum(axis=1)
-        np.negative(w, out=w)
-        np.fill_diagonal(w, row_sums)
-        grad = 4.0 * (w @ y)
+        e = early_exaggeration if it < EXAGGERATION_ITERS else 1.0
+        grad = _gradient(p, y, e, buffers)
         if not np.isfinite(grad).all():
             raise FloatingPointError(
                 f"non-finite t-SNE gradient at iteration {it}"
@@ -187,8 +269,7 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
         y = y + update
         y = y - y.mean(axis=0)
 
-    _student_t_q(y, num, q)
-    kl_final = _kl(p, q)
+    kl_final = _kl(p, y, buffers)
     if not np.isfinite(y).all():
         raise FloatingPointError("non-finite t-SNE coordinates")
     return TsneResult(

@@ -89,17 +89,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def replaced(self, **overrides) -> "PipelineConfig":
-        """A validated copy with overrides applied.
-
-        A task override re-derives quota_task when it holds the old
-        task's default; an explicit quota_task, given here or earlier
-        with a non-default value, is kept.
-        """
-        if "task" in overrides and self.quota_task == SAMPLE_QUOTAS.get(self.task):
-            overrides.setdefault("quota_task", None)
-        return dataclasses.replace(self, **overrides)
-
     def experiment_config(self) -> ExperimentConfig:
         return ExperimentConfig(
             regime=self.regime,
@@ -165,10 +154,6 @@ def _preset_keys(name: str) -> dict:
         raise ValueError(f"unknown preset {name!r} (known: {known})")
     # a regime change invalidates the other regimes' weights
     return {"grl_lambda": None, "w": None, **PRESETS[name]}
-
-
-def apply_preset(cfg: PipelineConfig, name: str) -> PipelineConfig:
-    return cfg.replaced(**_preset_keys(name))
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:

@@ -159,14 +159,6 @@ def _cell(value: float, mid: str) -> dict:
     return {"value": float(value), "manifest": mid}
 
 
-def _tsne_settings(cfg: PipelineConfig, n_points: int) -> dict:
-    # perplexity must stay below the sample size; small toy samples clamp
-    perplexity = min(cfg.tsne_perplexity, max(1.0, (n_points - 1) / 3.0))
-    return {"perplexity": perplexity, "iterations": cfg.tsne_iterations,
-            "learning_rate": 200.0, "early_exaggeration": 12.0,
-            "seed": cfg.seed}
-
-
 def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
     reports = {}
     for annotation in ("label", "language"):
@@ -174,13 +166,12 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
                                 seed=cfg.seed).to_dict()
         rep["manifest"] = mid
         reports[annotation] = rep
-    settings = _tsne_settings(cfg, len(sample))
-    result = tsne(sample.vectors, perplexity=settings["perplexity"],
-                  iterations=settings["iterations"], seed=cfg.seed)
-    settings["kl_initial"] = result.kl_initial
-    settings["kl_final"] = result.kl_final
+    # perplexity must stay below the sample size; small toy samples clamp
+    perplexity = min(cfg.tsne_perplexity, max(1.0, (len(sample) - 1) / 3.0))
+    result = tsne(sample.vectors, perplexity=perplexity,
+                  iterations=cfg.tsne_iterations, seed=cfg.seed)
     projection = Projection2D(coords=result.coords, languages=sample.languages,
-                              labels=sample.labels, settings=settings)
+                              labels=sample.labels)
     return reports, projection
 
 

@@ -2,15 +2,18 @@
 
 macro_f1 and v_measure are checked against independent reference
 implementations (precision/recall form and mutual-information form) on
-randomized instances.  k-means, the t-SNE affinities, the t-SNE gradient
-loop and the dump writers are checked bit for bit against the straight
-row-at-a-time and broadcast forms they replace.
+randomized instances.  k-means, the t-SNE affinities and the dump
+writers are checked bit for bit against the straight row-at-a-time and
+broadcast forms they replace.  The t-SNE gradient, Z and KL, which sum
+over upper-triangle panels, are checked against a dense N x N reference
+to rounding and against finite differences.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,6 +38,8 @@ from langlab.rng import stream
 # the package re-exports the functions under the modules' names
 kmeans_module = importlib.import_module("langlab.analysis.kmeans")
 tsne_module = importlib.import_module("langlab.analysis.tsne")
+
+FD_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +153,48 @@ def reference_joint_probabilities(points, perplexity, max_steps=200):
     return (p_cond + p_cond.T) / (2.0 * n), perps, steps
 
 
+def reference_gradient(p, y, exaggeration):
+    """The dense t-SNE gradient of KL(e P || Q) at y, with Z and KL(P || Q)."""
+    num = 1.0 / (1.0 + reference_sq_dists(y))
+    np.fill_diagonal(num, 0.0)
+    z = num.sum()
+    q = np.maximum(num / z, tsne_module.P_FLOOR)
+    w = (exaggeration * p - q) * num
+    grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+    return grad, z, float((p * np.log(p / q)).sum())
+
+
 def reference_tsne(points, perplexity, iterations, learning_rate=200.0,
                    early_exaggeration=12.0, seed=0):
     """The gradient loop with fresh N x N arrays every iteration; returns
-    (coords, kl_initial, kl_final)."""
-    floor = tsne_module.P_FLOOR
-
-    def q_matrix(y):
-        num = 1.0 / (1.0 + reference_sq_dists(y))
-        np.fill_diagonal(num, 0.0)
-        return np.maximum(num / num.sum(), floor), num
-
-    def kl(p, q):
-        return float((p * np.log(p / q)).sum())
-
-    p = np.maximum(reference_joint_probabilities(points, perplexity)[0], floor)
+    (coords, kl_initial, kl_final, steps), where steps holds each
+    iteration's (y, exaggeration, gradient)."""
+    p = np.maximum(reference_joint_probabilities(points, perplexity)[0],
+                   tsne_module.P_FLOOR)
     y = stream(seed, "tsne-init").normal(0.0, 1e-4, size=(len(points), 2))
     update, gains = np.zeros_like(y), np.ones_like(y)
-    kl_initial = kl(p, q_matrix(y)[0])
+    kl_initial = reference_gradient(p, y, 1.0)[2]
+    steps = []
     for it in range(iterations):
         early = it < tsne_module.EXAGGERATION_ITERS
-        pp = p * early_exaggeration if early else p
-        q, num = q_matrix(y)
-        w = (pp - q) * num
-        grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        exaggeration = early_exaggeration if early else 1.0
+        grad = reference_gradient(p, y, exaggeration)[0]
+        steps.append((y, exaggeration, grad))
         momentum = 0.5 if it < tsne_module.MOMENTUM_SWITCH else 0.8
         same_sign = np.sign(grad) == np.sign(update)
         gains = np.maximum(np.where(same_sign, gains * 0.8, gains + 0.2), 0.01)
         update = momentum * update - learning_rate * gains * grad
         y = y + update
         y = y - y.mean(axis=0)
-    return y, kl_initial, kl(p, q_matrix(y)[0])
+    return y, kl_initial, reference_gradient(p, y, 1.0)[2], steps
+
+
+def random_affinities(n, rng):
+    """A symmetric P over n points, zero diagonal, floored as tsne uses it."""
+    p = rng.random((n, n)) ** 4
+    p = p + p.T
+    np.fill_diagonal(p, 0.0)
+    return np.maximum(p / p.sum(), tsne_module.P_FLOOR)
 
 
 def blobs(n_per, centers, std=0.3, d=2, seed=0):
@@ -384,14 +400,83 @@ def test_joint_probabilities_match_row_reference():
 
 
 def test_tsne_matches_loop_reference():
-    # 300 iterations cross the exaggeration and momentum switch at 250
+    # the panels sum Z and the gradient in another order than the dense
+    # loop, and the sign-based gains amplify last-bit differences over 300
+    # iterations, so the gradient is checked at each of the reference's
+    # iterates instead of comparing end coordinates; 300 iterations cross
+    # the exaggeration and momentum switch at 250
     points, _ = blobs(25, centers=(0.0, 6.0, 12.0), d=5, seed=24)
     points[5] = points[6]
     got = tsne(points, perplexity=12.0, iterations=300, seed=2)
-    coords, kl_initial, kl_final = reference_tsne(points, 12.0, 300, seed=2)
-    assert np.array_equal(got.coords, coords)
-    assert got.kl_initial == kl_initial
-    assert got.kl_final == kl_final
+    coords, kl_initial, kl_final, steps = reference_tsne(points, 12.0, 300,
+                                                         seed=2)
+    p = np.maximum(joint_probabilities(points, 12.0)[0], tsne_module.P_FLOOR)
+    buffers = tsne_module._panel_buffers(len(points))
+    assert [e for _, e, _ in steps] == [12.0] * 250 + [1.0] * 50
+    for it, (y, exaggeration, grad) in enumerate(steps):
+        g = tsne_module._gradient(p, y, exaggeration, buffers)
+        assert np.abs(g - grad).max() <= 1e-12 * np.abs(grad).max(), it
+    assert got.kl_initial == pytest.approx(kl_initial, rel=1e-13, abs=0.0)
+    assert tsne_module._kl(p, coords, buffers) == pytest.approx(
+        kl_final, rel=1e-13, abs=0.0)
+
+
+def test_tsne_panels_match_dense_reference():
+    panel = tsne_module.PANEL
+    rng = np.random.default_rng(31)
+    for n in (2, 3, panel - 1, panel, panel + 1, 2 * panel + 5):
+        p = random_affinities(n, rng)
+        for scale in (1e-4, 10.0):
+            y = rng.normal(0.0, scale, size=(n, 2))
+            # duplicate pairs (d2 = 0) that leave distinct points; the
+            # second spans two panels when n > PANEL
+            if n > 2:
+                y[1] = y[0]
+            if n > 4:
+                y[-1] = y[n // 2]
+            buffers = tsne_module._panel_buffers(n)
+            for exaggeration in (12.0, 1.0):
+                grad, z, kl = reference_gradient(p, y, exaggeration)
+                g = tsne_module._gradient(p, y, exaggeration, buffers)
+                assert np.abs(g - grad).max() <= 1e-12 * np.abs(grad).max(), \
+                    (n, scale, exaggeration)
+                assert tsne_module._kernel_panels(y, buffers) == pytest.approx(
+                    z, rel=1e-13, abs=0.0)
+                assert tsne_module._kl(p, y, buffers) == pytest.approx(
+                    kl, rel=1e-13, abs=1e-15)
+
+
+def test_tsne_gradient_matches_finite_differences():
+    rng = np.random.default_rng(32)
+    n = tsne_module.PANEL + 9
+    p = random_affinities(n, rng)
+    y = rng.normal(0.0, 2.0, size=(n, 2))
+    buffers = tsne_module._panel_buffers(n)
+    grad = tsne_module._gradient(p, y, 1.0, buffers)
+    h, worst = 1e-5, 0.0
+    for i in rng.choice(n, size=8, replace=False):
+        for d in range(2):
+            y_step = y.copy()
+            y_step[i, d] += h
+            up = tsne_module._kl(p, y_step, buffers)
+            y_step[i, d] -= 2.0 * h
+            down = tsne_module._kl(p, y_step, buffers)
+            fd = (up - down) / (2.0 * h)
+            worst = max(worst, abs(fd - grad[i, d]) / max(abs(fd), 1e-6))
+    assert worst <= FD_TOL, f"max FD relative error {worst:.2e}"
+
+
+def test_tsne_gradient_allocates_no_square_array():
+    n = 1000
+    rng = np.random.default_rng(33)
+    p, y = random_affinities(n, rng), rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        tsne_module._gradient(p, y, 12.0, tsne_module._panel_buffers(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, f"peak {peak} B"
 
 
 def test_tsne_on_blobs():
@@ -420,6 +505,13 @@ def test_tsne_perplexity_must_fit():
     points = np.random.default_rng(8).normal(size=(10, 3))
     with pytest.raises(ValueError, match="perplexity"):
         tsne(points, perplexity=10.0)
+
+
+def test_tsne_early_exaggeration_must_be_positive():
+    # the gradient divides by it before scaling by it
+    points = np.random.default_rng(8).normal(size=(10, 3))
+    with pytest.raises(ValueError, match="early_exaggeration"):
+        tsne(points, perplexity=3.0, early_exaggeration=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the comparison/export paths the CLI exposes.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -22,7 +23,6 @@ from langlab.config import (
     PRESETS,
     SAMPLE_QUOTAS,
     PipelineConfig,
-    apply_preset,
     canonical_json,
     config_from_dict,
     load_config,
@@ -165,22 +165,24 @@ def test_load_config_precedence(tmp_path):
         load_config(bad)
 
 
-def test_apply_preset_all_names_valid():
+def test_presets_all_names_valid():
     for name in PRESETS:
-        cfg = apply_preset(PipelineConfig(), name)
+        cfg = load_config(None, preset=name)
         exp = cfg.experiment_config()   # regime/weight combination validates
         assert exp.regime == PRESETS[name]["regime"]
     with pytest.raises(ValueError, match="unknown preset"):
-        apply_preset(PipelineConfig(), "udpos-adapters")
+        load_config(None, preset="udpos-adapters")
 
 
-def test_apply_preset_resets_other_regime_weights_and_quota():
-    cfg = apply_preset(PipelineConfig(), "udpos-gradrev")
+def test_preset_resets_other_regime_weights_and_quota(tmp_path):
+    cfg = load_config(None, preset="udpos-gradrev")
     assert cfg.grl_lambda == 0.1 and cfg.w is None
-    back = apply_preset(cfg, "udpos-frozen")
+    gradrev = tmp_path / "gradrev.json"
+    gradrev.write_text(json.dumps({"regime": "grad_reversal", "grl_lambda": 0.1}))
+    back = load_config(gradrev, preset="udpos-frozen")
     assert back.grl_lambda is None and back.w is None
     # switching task re-derives the default quota
-    xnli = apply_preset(PipelineConfig(), "xnli-finetuned")
+    xnli = load_config(None, preset="xnli-finetuned")
     assert xnli.quota_task == SAMPLE_QUOTAS["pair_inference"]
 
 
@@ -194,7 +196,7 @@ def test_task_override_rederives_default_quota(tmp_path):
     assert resolved("--config", str(from_file)).quota_task == pair
     assert resolved("--preset", "xnli-frozen").quota_task == pair
     assert resolved("--task", "pair_inference").quota_task == pair
-    assert PipelineConfig().replaced(task="pair_inference").quota_task == pair
+    assert load_config(None, overrides={"task": "pair_inference"}).quota_task == pair
     # an explicit non-default quota survives a task change
     kept = tmp_path / "kept.json"
     kept.write_text(json.dumps({"quota_task": 7}))
@@ -226,7 +228,7 @@ def test_canonical_json_and_manifest_id():
     assert manifest_id(obj) == hashlib.sha256(text.encode()).hexdigest()
     # any field change moves the id, including the output directory
     cfg = tiny_pipeline_cfg("a")
-    other = cfg.replaced(out_dir="b")
+    other = dataclasses.replace(cfg, out_dir="b")
     assert manifest_id(cfg.to_dict()) != manifest_id(other.to_dict())
 
 
