@@ -20,6 +20,7 @@ encoder share one container under name prefixes like ``encoder/tok_emb``,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -110,7 +111,8 @@ def save_encoder(path, model) -> None:
 
     assert isinstance(model, EncoderModel)
     arrays = {f"encoder/{k}": v for k, v in model.params.items()}
-    save_checkpoint(path, arrays, {"encoder_config": model.config.to_dict()})
+    save_checkpoint(path, arrays,
+                    {"encoder_config": dataclasses.asdict(model.config)})
 
 
 def load_encoder(path):

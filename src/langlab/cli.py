@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Subcommands: gen-corpus, pretrain, train, probe-lid, analyze, hpsearch,
-export, compare.  All configuration is explicit (flat JSON config file,
-presets, flag overrides); no environment variables.  Exit code 0 on
-success; failures print a stage-tagged diagnostic to stderr and exit
-nonzero.
+export, compare.  The CLI only parses arguments and prints results: every
+command that touches the encoder runs through langlab.pipeline's stages.
+All configuration is explicit (flat JSON config file, presets, flag
+overrides); no environment variables.  Exit code 0 on success; failures
+print a stage-tagged diagnostic to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import ctypes
 import sys
 from pathlib import Path
 
-from langlab.config import (
-    PRESETS,
-    PipelineConfig,
-    load_config,
-    manifest_id,
-)
+from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.pipeline import (
@@ -27,19 +23,15 @@ from langlab.pipeline import (
     ResultsBundle,
     StageError,
     _write_json,
-    check_config,
     compare_runs,
     export_plot_data,
     format_delta_table,
     hyperparameter_search,
-    prepare_data,
-    pretrain_encoder,
     reanalyze,
     run_experiment,
-    retrain_language_probe,
+    run_language_probe,
+    run_pretraining,
 )
-from langlab.checkpoint import load_encoder, save_encoder
-from langlab.training.regimes import corpus_languages
 
 # ExperimentConfig fields exposed as flag overrides on config-driven
 # subcommands; flags mirror config field names.
@@ -101,22 +93,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _resolve_config(args)
-    check_config(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab, task_split, lid_split = prepare_data(cfg)
-    encoder, losses = pretrain_encoder(cfg, vocab, lid_split)
-    path = out / "encoder-pretrained.ckpt"
-    save_encoder(path, encoder)
-    manifest = {
-        "manifest_id": manifest_id(cfg.to_dict()),
-        "config": cfg.to_dict(),
-        "mlm_steps": len(losses),
-        "mlm_final_loss": losses[-1] if losses else None,
-        "checkpoint": path.name,
-    }
-    _write_json(out / "pretrain-manifest.json", manifest)
+    path, losses = run_pretraining(_resolve_config(args))
     final = f"{losses[-1]:.4f}" if losses else "n/a"
     print(f"pretrained encoder -> {path} (final masked loss {final})")
     return 0
@@ -137,23 +114,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_probe_lid(args) -> int:
-    cfg = _resolve_config(args)
-    exp_cfg = check_config(cfg)
-    if not cfg.encoder_checkpoint:
-        raise StageError("probe", "probe-lid needs --encoder-checkpoint "
-                                  "(or encoder_checkpoint in the config)")
-    vocab, task_split, lid_split = prepare_data(cfg)
-    encoder = load_encoder(cfg.encoder_checkpoint)
-    if encoder.config.vocab_size != len(vocab):
-        raise StageError("probe", f"checkpoint vocab size "
-                                  f"{encoder.config.vocab_size} != corpus "
-                                  f"vocab size {len(vocab)}")
-    probe = retrain_language_probe(encoder, lid_split, exp_cfg)
+    probe, languages = run_language_probe(_resolve_config(args))
     best = probe.epoch_val_f1[probe.selected_epoch]
     print(f"language probe val F1 per epoch: "
           f"{' '.join(f'{s:.4f}' for s in probe.epoch_val_f1)}")
     print(f"selected epoch {probe.selected_epoch} (F1 {best:.4f}) over "
-          f"{len(corpus_languages(lid_split))} languages")
+          f"{len(languages)} languages")
     return 0
 
 

@@ -89,32 +89,17 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def _sub_config(self, cls, **given):
+        """A cls built from this config's fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name)
+                      for f in dataclasses.fields(cls) if f.name not in given},
+                   **given)
+
     def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            regime=self.regime,
-            task=self.task,
-            pivot_language=self.pivot_language,
-            init_std=self.init_std,
-            batch_size=self.batch_size,
-            head_lr=self.head_lr,
-            encoder_lr=self.encoder_lr,
-            grl_lambda=self.grl_lambda,
-            w=self.w,
-            language_term_variant=self.language_term_variant,
-            epochs=self.epochs,
-            seed=self.seed,
-        )
+        return self._sub_config(ExperimentConfig)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=vocab_size,
-            d_model=self.d_model,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
-            max_len=self.max_len,
-            dropout=self.dropout,
-        )
+        return self._sub_config(EncoderConfig, vocab_size=vocab_size)
 
 
 # Selected hyperparameters shipped as named presets: task + regime plus

@@ -66,14 +66,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "d_model": self.d_model,
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "d_ff": self.d_ff, "max_len": self.max_len,
-            "dropout": self.dropout,
-        }
-
 
 @dataclass
 class EncoderModel:
@@ -387,37 +379,13 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
 
 
 # ----------------------------------------------------------------------------
-# Single-sequence evaluation interface
+# Masked-token pretraining
 # ----------------------------------------------------------------------------
 
 def _sequence_ids(sequence) -> np.ndarray:
     tokens = getattr(sequence, "tokens", sequence)
     return np.asarray(tokens, dtype=np.int64)
 
-
-def encode(model: EncoderModel, sequence) -> np.ndarray:
-    """Final-layer embedding per token, eval mode (deterministic)."""
-    ids = _sequence_ids(sequence)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("encode expects a nonempty token sequence")
-    hidden, _ = forward_batch(model, ids[None, :], np.array([ids.size]))
-    return hidden[0]
-
-
-def text_embedding(model: EncoderModel, sequence) -> np.ndarray:
-    """Embedding of position 0, used as the whole-text representation."""
-    return encode(model, sequence)[0]
-
-
-def encode_batch(model: EncoderModel, ids, lengths) -> np.ndarray:
-    """Eval-mode batch encode; returns (B, T, d_model)."""
-    hidden, _ = forward_batch(model, ids, lengths)
-    return hidden
-
-
-# ----------------------------------------------------------------------------
-# Masked-token pretraining
-# ----------------------------------------------------------------------------
 
 def _pad_id_batch(seqs: list[np.ndarray]):
     lengths = np.array([s.size for s in seqs])

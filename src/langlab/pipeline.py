@@ -1,10 +1,23 @@
 """End-to-end experiment orchestration.
 
-run_experiment drives config -> corpus -> pretrain -> regime training ->
-language probe -> evaluation -> analysis -> bundle, writing every
-artifact under the configured output directory.  Any stage failure
-raises StageError carrying the stage name; artifacts written before the
-failure stay on disk for inspection.
+Every command that touches the encoder runs here as a sequence of named
+stages; the CLI only parses arguments and prints what these return:
+
+    train      run_experiment         config, corpus, pretrain, train,
+                                      probe, manifest, evaluate, analyze,
+                                      bundle
+    pretrain   run_pretraining        config, corpus, pretrain, manifest
+    probe-lid  run_language_probe     config, corpus, pretrain, probe
+    hpsearch   hyperparameter_search  config, corpus, pretrain, search
+    analyze    reanalyze              analyze, corpus, checkpoints,
+                                      evaluate, analyze, bundle
+
+The config stage checks every setting before any corpus work or output;
+the corpus stage builds the corpora, splits and indexes (prepare_data);
+the pretrain stage loads the configured checkpoint or pretrains a fresh
+encoder (pretrain_encoder).  Artifacts go under the configured output
+directory.  Any stage failure raises StageError carrying the stage
+name; artifacts written before the failure stay on disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -18,6 +31,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from langlab.analysis.reports import (
     EmbeddingSample,
@@ -33,12 +47,15 @@ from langlab.config import PipelineConfig, config_from_dict, manifest_id
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
 from langlab.data.split import stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
+from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
 from langlab.heads import ClassifierHead
+from langlab.training.batching import TaskSpec
 from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
 from langlab.training.network import embed_examples
 from langlab.training.regimes import (
     ExperimentConfig,
+    ProbeRun,
     corpus_languages,
     language_index,
     retrain_language_probe,
@@ -51,6 +68,7 @@ from langlab.vocab import Vocabulary
 BUNDLE_SCHEMA_VERSION = 1
 PROJECTION_FILES = {"task": "projection-task.csv", "lid": "projection-lid.csv"}
 EXPORT_KINDS = ("labels-task", "labels-lid", "languages-task", "languages-lid")
+PRETRAINED_CHECKPOINT = "encoder-pretrained.ckpt"
 
 
 class StageError(RuntimeError):
@@ -130,27 +148,41 @@ def load_corpora(cfg: PipelineConfig):
     return vocab, task_examples, lid_examples
 
 
-def prepare_data(cfg: PipelineConfig):
-    """Corpora plus stratified splits (split seed ties to the corpus,
-    not the run, so paired runs see identical partitions)."""
+class RunData(NamedTuple):
+    """What the corpus stage hands every later stage."""
+    vocab: Vocabulary
+    task_split: CorpusSplit
+    lid_split: CorpusSplit
+    task_spec: TaskSpec
+    languages: tuple[str, ...]
+    lang_to_id: dict[str, int]
+
+
+def prepare_data(cfg: PipelineConfig) -> RunData:
+    """Corpora, stratified splits and their indexes (split seed ties to
+    the corpus, not the run, so paired runs see identical partitions)."""
     vocab, task_examples, lid_examples = load_corpora(cfg)
     task_split = stratified_split(task_examples, seed=cfg.corpus_seed)
     lid_split = stratified_split(lid_examples, seed=cfg.corpus_seed + 1)
-    return vocab, task_split, lid_split
+    languages = corpus_languages(lid_split)
+    return RunData(vocab, task_split, lid_split,
+                   task_spec_from_split(cfg.task, task_split), languages,
+                   language_index(languages))
 
 
-def pretrain_encoder(cfg: PipelineConfig, vocab, lid_split):
-    """Load the configured checkpoint, or MLM-pretrain on LID train data."""
+def pretrain_encoder(cfg: PipelineConfig, data: RunData):
+    """Load the configured checkpoint, checked against the corpus
+    vocabulary, or MLM-pretrain on LID train data; (encoder, losses)."""
     if cfg.encoder_checkpoint:
         encoder = load_encoder(cfg.encoder_checkpoint)
-        if encoder.config.vocab_size != len(vocab):
+        if encoder.config.vocab_size != len(data.vocab):
             raise ValueError(
                 f"checkpoint vocab size {encoder.config.vocab_size} != "
-                f"corpus vocab size {len(vocab)}"
+                f"corpus vocab size {len(data.vocab)}"
             )
         return encoder, []
-    fresh = EncoderModel.init(cfg.encoder_config(len(vocab)), seed=cfg.seed)
-    return mlm_pretrain(fresh, lid_split.train, mask_rate=cfg.mask_rate,
+    fresh = EncoderModel.init(cfg.encoder_config(len(data.vocab)), seed=cfg.seed)
+    return mlm_pretrain(fresh, data.lid_split.train, mask_rate=cfg.mask_rate,
                         steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
                         lr=cfg.mlm_lr, seed=cfg.seed)
 
@@ -175,38 +207,79 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
     return reports, projection
 
 
-def check_config(cfg: PipelineConfig) -> ExperimentConfig:
-    """The config stage: run the experiment and encoder checks before any
-    corpus work or output, and return the ExperimentConfig."""
+def check_config(cfg: PipelineConfig,
+                 n_samples: int | None = None) -> ExperimentConfig:
+    """The config stage: run the experiment and encoder checks, and the
+    search size check when given one, before any corpus work or output;
+    return the ExperimentConfig."""
     with _stage("config"):
         # the vocabulary size is known only once the corpus is built
         cfg.encoder_config(vocab_size=1)
+        if n_samples is not None and n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         return cfg.experiment_config()
+
+
+def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
+                        save: bool = False):
+    """What every command does after its config stage: make out (when
+    given), then the corpus and pretrain stages; with save set, the
+    encoder is saved as out / PRETRAINED_CHECKPOINT."""
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    with _stage("corpus"):
+        data = prepare_data(cfg)
+    with _stage("pretrain"):
+        encoder, losses = pretrain_encoder(cfg, data)
+        if save:
+            save_encoder(out / PRETRAINED_CHECKPOINT, encoder)
+    return data, encoder, losses
+
+
+def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
+    """Pretrain (or load) the encoder, save it with pretrain-manifest.json;
+    return the checkpoint path and the MLM losses."""
+    check_config(cfg)
+    out = Path(cfg.out_dir)
+    _, _, losses = _corpus_and_encoder(cfg, out, save=True)
+    with _stage("manifest"):
+        cfg_dict = cfg.to_dict()
+        _write_json(out / "pretrain-manifest.json", {
+            "manifest_id": manifest_id(cfg_dict),
+            "config": cfg_dict,
+            "mlm_steps": len(losses),
+            "mlm_final_loss": losses[-1] if losses else None,
+            "checkpoint": PRETRAINED_CHECKPOINT,
+        })
+    return out / PRETRAINED_CHECKPOINT, losses
+
+
+def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
+    """Retrain the language probe against cfg.encoder_checkpoint; writes
+    nothing.  Returns the ProbeRun and the corpus languages."""
+    exp_cfg = check_config(cfg)
+    if not cfg.encoder_checkpoint:
+        raise StageError("probe", "probe-lid needs --encoder-checkpoint "
+                                  "(or encoder_checkpoint in the config)")
+    data, encoder, _ = _corpus_and_encoder(cfg)
+    with _stage("probe"):
+        probe = retrain_language_probe(encoder, data.lid_split, exp_cfg)
+    return probe, data.languages
 
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
     exp_cfg = check_config(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    data, encoder, mlm_losses = _corpus_and_encoder(cfg, out, save=True)
     cfg_dict = cfg.to_dict()
     mid = manifest_id(cfg_dict)
 
-    with _stage("corpus"):
-        vocab, task_split, lid_split = prepare_data(cfg)
-        task_spec = task_spec_from_split(cfg.task, task_split)
-        languages = corpus_languages(lid_split)
-        lang_to_id = language_index(languages)
-
-    with _stage("pretrain"):
-        encoder, mlm_losses = pretrain_encoder(cfg, vocab, lid_split)
-        save_encoder(out / "encoder-pretrained.ckpt", encoder)
-
     with _stage("train"):
-        run = run_regime(encoder, task_split, lid_split, exp_cfg)
+        run = run_regime(encoder, data.task_split, data.lid_split, exp_cfg)
         save_encoder(out / "encoder-final.ckpt", run.encoder)
 
     with _stage("probe"):
-        probe = retrain_language_probe(run.encoder, lid_split, exp_cfg)
+        probe = retrain_language_probe(run.encoder, data.lid_split, exp_cfg)
         heads = {"task/w": run.task_head.w, "task/b": run.task_head.b,
                  "probe/w": probe.head.w, "probe/b": probe.head.b}
         if run.lang_head is not None:
@@ -226,26 +299,25 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
             "probe_selected_epoch": probe.selected_epoch,
             "mlm_final_loss": float(mlm_losses[-1]) if mlm_losses else None,
             "checkpoint": "encoder-final.ckpt",
-            "pretrained_checkpoint": "encoder-pretrained.ckpt",
+            "pretrained_checkpoint": PRETRAINED_CHECKPOINT,
             "heads_checkpoint": "heads.ckpt",
         }
         _write_json(out / "manifest.json", manifest)
 
     bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder,
-                                       run.task_head, probe.head, task_split,
-                                       lid_split, task_spec, languages,
-                                       lang_to_id, manifest)
+                                       run.task_head, probe.head, data,
+                                       manifest)
     return ResultsBundle(data=bundle_data, root=out)
 
 
 def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
-                         probe_head, task_split, lid_split, task_spec,
-                         languages, lang_to_id, manifest) -> dict:
+                         probe_head, data: RunData, manifest) -> dict:
     """Evaluation + analysis + bundle stages (shared by train and analyze).
 
     Each test split goes through the encoder once; F1 scores and plot
     samples are all read off those embeddings.
     """
+    _, task_split, lid_split, task_spec, languages, lang_to_id = data
     with _stage("evaluate"):
         emb_task = embed_examples(encoder, task_split.test, task_spec.level,
                                   lang_to_id, task_spec.label_to_id)
@@ -315,7 +387,7 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                                 "lid": "embeddings-lid.tsv"},
             "files": {"manifest": "manifest.json",
                       "encoder_final": "encoder-final.ckpt",
-                      "encoder_pretrained": "encoder-pretrained.ckpt",
+                      "encoder_pretrained": PRETRAINED_CHECKPOINT,
                       "heads": "heads.ckpt"},
         }
         _write_json(out / "bundle.json", bundle)
@@ -334,19 +406,15 @@ def reanalyze(run_dir) -> ResultsBundle:
     cfg = config_from_dict(manifest["config"])
     mid = manifest["manifest_id"]
     with _stage("corpus"):
-        vocab, task_split, lid_split = prepare_data(cfg)
-        task_spec = task_spec_from_split(cfg.task, task_split)
-        languages = corpus_languages(lid_split)
-        lang_to_id = language_index(languages)
+        data = prepare_data(cfg)
     with _stage("checkpoints"):
         encoder = load_encoder(root / manifest["checkpoint"])
         arrays, _ = load_checkpoint(root / manifest["heads_checkpoint"])
         task_head = ClassifierHead(w=arrays["task/w"], b=arrays["task/b"])
         probe_head = ClassifierHead(w=arrays["probe/w"], b=arrays["probe/b"])
-    data = _measure_and_analyze(cfg, root, mid, encoder, task_head,
-                                probe_head, task_split, lid_split, task_spec,
-                                languages, lang_to_id, manifest)
-    return ResultsBundle(data=data, root=root)
+    bundle_data = _measure_and_analyze(cfg, root, mid, encoder, task_head,
+                                       probe_head, data, manifest)
+    return ResultsBundle(data=bundle_data, root=root)
 
 
 METRIC_PATHS = (
@@ -444,21 +512,15 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
     regime-level hyperparameters vary.  Only the task head's score ranks
     candidates.
     """
-    exp_cfg = check_config(cfg)
+    exp_cfg = check_config(cfg, n_samples)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with _stage("corpus"):
-        vocab, task_split, lid_split = prepare_data(cfg)
-        task_spec = task_spec_from_split(cfg.task, task_split)
-        lang_to_id = language_index(corpus_languages(lid_split))
-    with _stage("pretrain"):
-        encoder, _ = pretrain_encoder(cfg, vocab, lid_split)
+    data, encoder, _ = _corpus_and_encoder(cfg, out)
 
     def evaluate(sample: dict) -> float:
         exp = replace(exp_cfg, **sample)
-        run = run_regime(encoder, task_split, lid_split, exp)
-        scores = evaluate_task(run.encoder, run.task_head, task_split.dev,
-                               task_spec, lang_to_id)
+        run = run_regime(encoder, data.task_split, data.lid_split, exp)
+        scores = evaluate_task(run.encoder, run.task_head, data.task_split.dev,
+                               data.task_spec, data.lang_to_id)
         return scores["overall"]
 
     with _stage("search"):

@@ -19,13 +19,10 @@ from langlab.encoder import (
     EncoderModel,
     backward_batch,
     dropout_mask,
-    encode,
-    encode_batch,
     forward_batch,
     mlm_masked_accuracy,
     mlm_pretrain,
     mlm_step_loss,
-    text_embedding,
 )
 from langlab.optim import ADAM_EPS, AdamState, adam_step
 from langlab.rng import stream
@@ -285,7 +282,7 @@ def test_last_layer_caches_only_read_rows():
     assert tape.layers[-1]["att"]["attn"].shape[2] == np.bincount(read[0]).max()
 
 
-def test_encode_matches_batch():
+def test_lone_sequence_matches_its_padded_row():
     model = small_model()
     rng = np.random.default_rng(0)
     seqs = [rng.integers(4, 12, size=n) for n in (3, 6)]
@@ -293,20 +290,13 @@ def test_encode_matches_batch():
     ids = np.zeros((2, T), dtype=int)
     for r, s in enumerate(seqs):
         ids[r, : s.size] = s
-    batch = encode_batch(model, ids, np.array([3, 6]))
+    batch, _ = forward_batch(model, ids, np.array([3, 6]))
     for r, s in enumerate(seqs):
-        single = encode(model, s)
-        assert single.shape == (s.size, 8)
-        assert np.allclose(single, batch[r, : s.size], atol=1e-12)
-    emb = text_embedding(model, seqs[0])
-    assert emb.shape == (8,)
-    assert np.allclose(emb, batch[0, 0], atol=1e-12)
-
-
-def test_encode_rejects_empty():
-    model = small_model()
-    with pytest.raises(ValueError, match="nonempty"):
-        encode(model, np.array([], dtype=int))
+        lone, _ = forward_batch(model, s[None, :], np.array([s.size]))
+        assert lone.shape == (1, s.size, 8)
+        assert np.allclose(lone[0], batch[r, : s.size], atol=1e-12)
+    # padding rows of the shorter sequence stay exactly 0.0
+    assert not batch[0, 3:].any()
 
 
 # ---------------------------------------------------------------------------

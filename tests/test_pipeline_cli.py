@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from langlab import cli
-from langlab.checkpoint import load_checkpoint
+from langlab import cli, pipeline
+from langlab.checkpoint import load_checkpoint, save_encoder
 from langlab.cli import main
 from langlab.config import (
     PRESETS,
@@ -29,6 +29,7 @@ from langlab.config import (
     manifest_id,
 )
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
+from langlab.encoder import EncoderConfig, EncoderModel
 from langlab.pipeline import (
     EXPORT_KINDS,
     METRIC_PATHS,
@@ -44,6 +45,7 @@ from langlab.pipeline import (
     run_experiment,
 )
 from langlab.training import network, regimes
+from langlab.training.regimes import ExperimentConfig
 from langlab.vocab import Vocabulary
 
 
@@ -128,14 +130,32 @@ def test_json_writer_refuses_nan(tmp_path):
     assert not (tmp_path / "bundle.json").exists()
 
 
+# a non-default value of every ExperimentConfig and EncoderConfig field
+# but the two regime weights, which exclude each other
+SUB_CONFIG_VALUES = dict(
+    task="pair_inference", pivot_language="bb", init_std=0.05,
+    batch_size=7, head_lr=0.02, encoder_lr=0.003,
+    language_term_variant="shannon", epochs=3, seed=11,
+    d_model=24, n_layers=3, n_heads=3, d_ff=40, max_len=64, dropout=0.2)
+
+
 def test_config_sub_configs():
-    cfg = PipelineConfig(regime="entropy_max", w=0.7)
-    exp = cfg.experiment_config()
-    assert exp.regime == "entropy_max" and exp.w == 0.7
-    assert exp.head_lr == cfg.head_lr and exp.epochs == cfg.epochs
-    enc = cfg.encoder_config(vocab_size=100)
-    assert enc.vocab_size == 100 and enc.d_model == cfg.d_model
-    assert enc.dropout == cfg.dropout
+    for cls in (ExperimentConfig, EncoderConfig):
+        for f in dataclasses.fields(cls):
+            if (f.default is not dataclasses.MISSING
+                    and f.name not in ("grl_lambda", "w")):
+                assert SUB_CONFIG_VALUES[f.name] != f.default, f.name
+    # each weight gets a non-default value under its own regime
+    for regime, weight in (("grad_reversal", {"grl_lambda": 0.2}),
+                           ("entropy_max", {"w": 0.7})):
+        cfg = PipelineConfig(regime=regime, **weight, **SUB_CONFIG_VALUES)
+        given = {"regime": regime, "grl_lambda": None, "w": None, **weight,
+                 **SUB_CONFIG_VALUES, "vocab_size": 100}
+        for sub, cls in ((cfg.experiment_config(), ExperimentConfig),
+                         (cfg.encoder_config(vocab_size=100), EncoderConfig)):
+            assert type(sub) is cls
+            assert dataclasses.asdict(sub) == {
+                f.name: given[f.name] for f in dataclasses.fields(cls)}
 
 
 def test_config_from_dict_round_trip_and_unknown_keys():
@@ -592,6 +612,105 @@ def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error [config]") and message in err
     assert not Path(cfg.out_dir).exists()    # no checkpoint, no run dir
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_cli_hpsearch_rejects_bad_sample_count_before_any_stage(
+        cli_cfg_path, capsys, samples):
+    path, cfg = cli_cfg_path
+    assert main(["hpsearch", "--config", str(path), "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and "n_samples must be >= 1" in err
+    assert not Path(cfg.out_dir).exists()
+
+
+def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
+    path, cfg = cli_cfg_path
+    entered: list[str] = []
+    real_stage = pipeline._stage
+
+    def recording_stage(name):
+        entered.append(name)
+        return real_stage(name)
+
+    monkeypatch.setattr(pipeline, "_stage", recording_stage)
+    ckpt = str(Path(cfg.out_dir) / "encoder-pretrained.ckpt")
+    commands = {
+        "train": ["train", "--config", str(path)],
+        "analyze": ["analyze", "--run", cfg.out_dir],
+        "hpsearch": ["hpsearch", "--config", str(path), "--samples", "1"],
+        "pretrain": ["pretrain", "--config", str(path)],
+        "probe-lid": ["probe-lid", "--config", str(path),
+                      "--encoder-checkpoint", ckpt],
+    }
+    stages = {}
+    for name, argv in commands.items():
+        entered.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        stages[name] = list(entered)
+    head = ["config", "corpus", "pretrain"]
+    assert stages == {
+        "train": head + ["train", "probe", "manifest", "evaluate", "analyze",
+                         "bundle"],
+        "analyze": ["analyze", "corpus", "checkpoints", "evaluate", "analyze",
+                    "bundle"],
+        "hpsearch": head + ["search"],
+        "pretrain": head + ["manifest"],
+        "probe-lid": head + ["probe"],
+    }
+
+
+@pytest.fixture()
+def foreign_checkpoint(tmp_path):
+    """An encoder checkpoint whose vocabulary no tiny corpus has."""
+    path = tmp_path / "foreign.ckpt"
+    enc_cfg = EncoderConfig(vocab_size=7, d_model=16, n_layers=1, n_heads=2,
+                            d_ff=32)
+    save_encoder(path, EncoderModel.init(enc_cfg, seed=0))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
+                                     "probe-lid"])
+@pytest.mark.parametrize("fault, tag", [
+    ("missing-corpus-file", "error [corpus] "),
+    ("checkpoint-vocab", "error [pretrain] checkpoint vocab size 7 != "
+                         "corpus vocab size")],
+    ids=["missing-corpus-file", "checkpoint-vocab"])
+def test_cli_input_faults_carry_the_same_stage(cli_cfg_path, foreign_checkpoint,
+                                               capsys, command, fault, tag):
+    path, cfg = cli_cfg_path
+    keys = {"encoder_checkpoint": foreign_checkpoint}
+    if fault == "missing-corpus-file":
+        missing = str(path.parent / "absent")
+        keys |= {"task_corpus_path": f"{missing}.conllu",
+                 "lid_corpus_path": f"{missing}.tsv",
+                 "vocab_path": f"{missing}.txt"}
+    path.write_text(json.dumps(cfg.to_dict() | keys))
+    argv = [command, "--config", str(path)]
+    if command == "hpsearch":
+        argv += ["--samples", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(tag)
+
+
+def test_pretrain_manifest_keys(cli_cfg_path, capsys):
+    path, cfg = cli_cfg_path
+    assert main(["pretrain", "--config", str(path)]) == 0
+    out = Path(cfg.out_dir)
+    assert capsys.readouterr().out.startswith(
+        f"pretrained encoder -> {out / 'encoder-pretrained.ckpt'}")
+    manifest = json.loads((out / "pretrain-manifest.json").read_text())
+    assert set(manifest) == {"manifest_id", "config", "mlm_steps",
+                             "mlm_final_loss", "checkpoint"}
+    assert manifest["manifest_id"] == manifest_id(cfg.to_dict())
+    assert manifest["config"] == cfg.to_dict()
+    assert manifest["mlm_steps"] == cfg.mlm_steps
+    assert isinstance(manifest["mlm_final_loss"], float)
+    assert manifest["checkpoint"] == "encoder-pretrained.ckpt"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "encoder-pretrained.ckpt", "pretrain-manifest.json"]
 
 
 def test_keep_heap_sets_both_thresholds(monkeypatch):
