@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,9 @@ from langlab.training.regimes import ExperimentConfig
 # bad config fails before pretraining instead of writing NaN or nothing
 _MINIMUMS = {"epochs": 1, "mlm_steps": 0, "quota_task": 1, "quota_lid": 1,
              "kmeans_runs": 1, "tsne_iterations": 0}
+# what each declared field type accepts; bool is refused for both numbers,
+# and null only where the type says "| None"
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
@@ -79,6 +83,13 @@ class PipelineConfig:
     tsne_iterations: int = 1000
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            kind, _, nullable = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (value is None and nullable) and (
+                    isinstance(value, bool)
+                    or not isinstance(value, _KINDS[kind])):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.quota_task is None and self.task in SAMPLE_QUOTAS:
             self.quota_task = SAMPLE_QUOTAS[self.task]
         for name, least in _MINIMUMS.items():

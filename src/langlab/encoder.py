@@ -10,18 +10,19 @@ which backward_batch produces exact analytical parameter gradients.
 
 Only rows whose output is read are computed.  forward_batch takes a
 read index, the (rows, cols) of the positions whose final hidden state
-the caller reads (None: every real token).  Every layer but the last
-runs layer norm, the projections and the feed-forward over the real
-tokens packed into (N, d) rows; Q, K and V are scattered into a zeroed
-(B, T, d) grid only for the (B, H, T, T) attention core, so padding is
-never computed.  The last layer computes layer norm 1, K and V for
-every real token, but Q, the attention rows, the output projection,
-layer norm 2, the feed-forward and the final layer norm only at the
-read rows.  The returned (B, T, d) hidden array is exactly 0.0 at rows
-that are not read, and backward_batch reads its upstream gradient at
-the read rows only.  Train-mode dropout masks are drawn at full
-(B, T, d) shape from the given stream and then gathered, so the stream
-moves as if every row were computed.
+the caller reads, each once and in increasing row-major order (None:
+every real token).  Every layer but the last runs layer norm, the
+projections and the feed-forward over the real tokens packed into
+(N, d) rows; Q, K and V are scattered into a zeroed (B, T, d) grid only
+for the (B, H, T, T) attention core, so padding is never computed.  The
+last layer computes layer norm 1, K and V for every real token, but Q,
+the attention rows, the output projection, layer norm 2, the
+feed-forward and the final layer norm only at the read rows.
+forward_batch returns those M rows as an (M, d) array in the order of
+the read index, and backward_batch takes their (M, d) gradient.
+Train-mode dropout masks are drawn at full (B, T, d) shape from the
+given stream and then gathered, so the stream moves as if every row
+were computed.
 
 Parameter names: ``tok_emb``, ``pos_emb``, ``mlm_bias``,
 ``final_ln_{g,b}`` and per layer i ``L{i}_ln1_{g,b}``,
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from langlab.heads import ce_loss_and_dlogits
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
 from langlab.vocab import MASK_ID, N_SPECIAL, PAD_ID
@@ -113,14 +115,13 @@ class EncoderModel:
 class GradientTape:
     """Forward intermediates for one minibatch; consumed once by backward.
 
-    ``real`` places the packed real tokens in the (B, T) grid and
-    ``read`` the rows whose final hidden state was computed.
+    ``real`` places the packed real tokens in the (B, T) grid.
     ``layers[i]`` holds layer i's block caches under ``ln1``, ``att``,
-    ``ln2`` and ``ff``; ``final`` is the final layer norm's cache."""
+    ``ln2`` and ``ff``; ``final`` is the final layer norm's cache, one
+    row per read row."""
 
     ids: np.ndarray
     real: tuple
-    read: tuple
     emb_drop_mask: np.ndarray | None
     layers: list = field(default_factory=list)
     final: dict = field(default_factory=dict)
@@ -267,9 +268,11 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
 
     ids: (B, T) int array padded with PAD; lengths: (B,) true lengths;
     read: a (rows, cols) pair naming the real positions whose final
-    hidden state is wanted, or None for every real token.  Returns
-    (hidden (B, T, d_model), tape or None); rows that are not read are
-    0.0.  Dropout is active only when train=True, drawing masks from rng.
+    hidden state is wanted, each once and in increasing row-major order,
+    or None for every real token.  Returns (out, tape or None), out the
+    (M, d_model) final hidden states at the M read positions, in read
+    order.  Dropout is active only when train=True, drawing masks from
+    rng.
     """
     cfg, p = model.config, model.params
     ids = np.asarray(ids)
@@ -287,12 +290,13 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
     at = np.nonzero(real)                       # packed order: row-major
     read_at, queries = at, (None, at, T)
     if read is not None:
-        chosen = np.zeros((B, T), dtype=bool)
-        chosen[read] = True
-        if (chosen & ~real).any():
+        read_at = tuple(np.asarray(a) for a in read)
+        if (np.diff(read_at[0] * T + read_at[1]) <= 0).any():
+            raise ValueError("read index must name each position once, "
+                             "in increasing row-major order")
+        if not real[read_at].all():
             raise ValueError("read index names a padding position")
-        if chosen.sum() < at[0].size:
-            read_at = np.nonzero(chosen)
+        if read_at[0].size < at[0].size:
             read_pos = (np.cumsum(real).reshape(B, T) - 1)[read_at]
             # each read row's query slot within its own sequence
             counts = np.bincount(read_at[0], minlength=B)
@@ -312,7 +316,7 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
     if emb_mask is not None:
         x *= emb_mask
 
-    tape = GradientTape(ids=ids, real=at, read=read_at,
+    tape = GradientTape(ids=ids, real=at,
                         emb_drop_mask=emb_mask) if want_tape else None
     last = cfg.n_layers - 1
     for i in range(cfg.n_layers):
@@ -330,29 +334,28 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
             tape.layers.append({"ln1": ln1, "att": att, "ln2": ln2, "ff": ff})
 
     out, fin = _layer_norm(x, p, "final_ln_")
-    hidden = np.zeros((B, T, cfg.d_model))
-    hidden[read_at] = out
     if want_tape:
         tape.final = fin
-    return hidden, tape
+    return out, tape
 
 
 def backward_batch(model: EncoderModel, tape: GradientTape,
-                   d_hidden: np.ndarray) -> dict[str, np.ndarray]:
+                   d_out: np.ndarray) -> dict[str, np.ndarray]:
     """Exact parameter gradients for the forward pass recorded in tape.
 
-    d_hidden is the (B, T, d_model) upstream gradient; it is read only
-    at the tape's read rows (padding is not part of the sequence, and
-    rows that were not read are constant).  The tape is single-use.
+    d_out is the (M, d_model) upstream gradient at the rows forward_batch
+    returned, in the same order.  The tape is single-use.
     """
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
+    if d_out.shape != tape.final["xhat"].shape:
+        raise ValueError(f"upstream gradient shape {d_out.shape} does not "
+                         f"match the read rows {tape.final['xhat'].shape}")
     tape.used = True
 
     p = model.params
     grads: dict[str, np.ndarray] = {}
-    dx = _layer_norm_backward(d_hidden[tape.read], p, "final_ln_", tape.final,
-                              grads)
+    dx = _layer_norm_backward(d_out, p, "final_ln_", tape.final, grads)
     for i in reversed(range(model.config.n_layers)):
         L, t = f"L{i}_", tape.layers[i]
         d_x_att = _feed_forward_backward(dx, p, L, t["ff"], grads)
@@ -413,23 +416,11 @@ def mlm_step_loss(model, ids, lengths, mask_rate, rng):
 
     masked_ids = np.where(mask, MASK_ID, ids)
     read = np.nonzero(mask)
-    hidden, tape = forward_batch(model, masked_ids, lengths, want_tape=True,
-                                 read=read)
-    h = hidden[read]                            # (M, d)
-    gold = ids[read]                            # (M,)
-    logits = h @ p["tok_emb"].T + p["mlm_bias"]
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    n = gold.size
-    loss = -np.log(np.maximum(probs[np.arange(n), gold], 1e-300)).mean()
-
-    d_logits = probs.copy()
-    d_logits[np.arange(n), gold] -= 1.0
-    d_logits /= n
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[read] = d_logits @ p["tok_emb"]
-    grads = backward_batch(model, tape, d_hidden)
+    h, tape = forward_batch(model, masked_ids, lengths, want_tape=True,
+                            read=read)
+    loss, d_logits = ce_loss_and_dlogits(h @ p["tok_emb"].T + p["mlm_bias"],
+                                         ids[read])
+    grads = backward_batch(model, tape, d_logits @ p["tok_emb"])
     grads["tok_emb"] += d_logits.T @ h          # tied output projection
     grads["mlm_bias"] += d_logits.sum(axis=0)
     return loss, grads
@@ -447,8 +438,8 @@ def mlm_masked_accuracy(model, sequences, mask_rate, seed=0):
         return float("nan")
     masked_ids = np.where(mask, MASK_ID, ids)
     read = np.nonzero(mask)
-    hidden, _ = forward_batch(model, masked_ids, lengths, read=read)
-    logits = hidden[read] @ p["tok_emb"].T + p["mlm_bias"]
+    h, _ = forward_batch(model, masked_ids, lengths, read=read)
+    logits = h @ p["tok_emb"].T + p["mlm_bias"]
     return float((logits.argmax(axis=-1) == ids[read]).mean())
 
 

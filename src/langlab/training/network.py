@@ -5,6 +5,10 @@ entropy-maximisation even phase, so the reduction identities (lambda=0
 and w=0 recover plain fine-tuning) hold by construction: the same code
 path executes with the extra terms contributing exact zeros.
 
+read_index picks the rows the heads read; the encoder returns them as
+the (M, d) classified vectors X, and the (M, d) gradient at X goes
+straight back to backward_batch.
+
 Dropout layout per step: one training-mode forward (_train_forward)
 serves the task batch and the language-data batch alike.  It draws the
 encoder-internal masks, then one output-dropout mask shared by every
@@ -39,18 +43,6 @@ def read_index(batch: Batch):
     return np.arange(B), np.zeros(B, dtype=np.int64)
 
 
-def select_embeddings(hidden: np.ndarray, batch: Batch):
-    """Pick the classified vectors; returns (X, where), where = read_index."""
-    where = read_index(batch)
-    return hidden[where], where
-
-
-def _scatter(hidden_shape, where, dX):
-    d_hidden = np.zeros(hidden_shape)
-    d_hidden[where] = dX
-    return d_hidden
-
-
 def _gold_at_level(batch: Batch, where):
     if batch.level == "token":
         return batch.task_y[where]
@@ -58,24 +50,24 @@ def _gold_at_level(batch: Batch, where):
 
 
 def _forward(encoder: EncoderModel, batch: Batch, **kwargs):
-    """Encoder forward computing only the rows the heads read; returns
-    (hidden, tape, X, where)."""
-    hidden, tape = forward_batch(encoder, batch.ids, batch.lengths,
-                                 read=read_index(batch), **kwargs)
-    X, where = select_embeddings(hidden, batch)
-    return hidden, tape, X, where
+    """Encoder forward at the rows the heads read; returns (X, tape,
+    where), X the (M, d) classified vectors at where = read_index."""
+    where = read_index(batch)
+    X, tape = forward_batch(encoder, batch.ids, batch.lengths, read=where,
+                            **kwargs)
+    return X, tape, where
 
 
 def _train_forward(encoder: EncoderModel, batch: Batch, rng):
     """Training-mode forward plus output dropout, all masks from rng.
 
-    Returns (hidden, tape, where, mask, X after mask); mask is None
-    when the encoder has no dropout.
+    Returns (tape, where, mask, X after mask); mask is None when the
+    encoder has no dropout.
     """
-    hidden, tape, X, where = _forward(encoder, batch, train=True, rng=rng,
-                                      want_tape=True)
+    X, tape, where = _forward(encoder, batch, train=True, rng=rng,
+                              want_tape=True)
     mask = dropout_mask(X.shape, encoder.config.dropout, rng)
-    return hidden, tape, where, mask, (X * mask if mask is not None else X)
+    return tape, where, mask, (X * mask if mask is not None else X)
 
 
 @dataclass
@@ -103,7 +95,7 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     the language CE trains the head normally and reaches the encoder
     scaled by -lambda.
     """
-    hidden, tape, where, mask, Xd = _train_forward(encoder, batch, rng_task)
+    tape, where, mask, Xd = _train_forward(encoder, batch, rng_task)
 
     golds = _gold_at_level(batch, where)
     task_loss, d_logits_t = ce_loss_and_dlogits(head_logits(task_head, Xd), golds)
@@ -124,7 +116,7 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
         dXd = dXd_t
 
     dX = dXd * mask if mask is not None else dXd
-    grads_enc = backward_batch(encoder, tape, _scatter(hidden.shape, where, dX))
+    grads_enc = backward_batch(encoder, tape, dX)
     grads = {f"enc/{k}": v for k, v in grads_enc.items()}
     grads["task/w"] = dw_t
     grads["task/b"] = db_t
@@ -135,16 +127,14 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
             raise ValueError(
                 "gradient-reversal step needs grl_lambda, lang_head and rng_lid"
             )
-        hidden2, tape2, where2, mask2, X2d = _train_forward(encoder, lid_batch,
-                                                            rng_lid)
+        tape2, _, mask2, X2d = _train_forward(encoder, lid_batch, rng_lid)
         lang_loss, d_logits = ce_loss_and_dlogits(
             head_logits(lang_head, X2d), lid_batch.lang_y
         )
         dw_l, db_l, dX2d = head_backward(lang_head, X2d, d_logits)
         dX2 = dX2d * mask2 if mask2 is not None else dX2d
         # the reversal layer sits between encoder and language head
-        d_hidden2 = _scatter(hidden2.shape, where2, -grl_lambda * dX2)
-        grads2 = backward_batch(encoder, tape2, d_hidden2)
+        grads2 = backward_batch(encoder, tape2, -grl_lambda * dX2)
         for k, v in grads2.items():
             grads[f"enc/{k}"] += v
         grads["lang/w"] = dw_l
@@ -178,7 +168,7 @@ def embed_examples(encoder: EncoderModel, examples, level: str,
     for start in range(0, len(examples), batch_size):
         chunk = list(examples[start:start + batch_size])
         batch = make_batch(chunk, label_to_id, lang_to_id, level)
-        _, _, X, where = _forward(encoder, batch)
+        X, _, where = _forward(encoder, batch)
         xs.append(X)
         if batch.task_y is not None:
             tys.append(_gold_at_level(batch, where))

@@ -63,7 +63,6 @@ from langlab.training.network import (
     composite_step,
     embed_examples,
     read_index,
-    select_embeddings,
 )
 from langlab.training.regimes import (
     ExperimentConfig,
@@ -92,24 +91,31 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
 # dropout 0.0, where the training forward computes identical values).
 # ----------------------------------------------------------------------------
 
-def _task_ce(enc, head, batch):
+def _classified(enc, batch):
+    """(X, where): the vectors at read_index, picked from a forward over
+    every real token, so the objectives do not share the composite
+    step's read-row path."""
     hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    X, where = select_embeddings(hidden, batch)
+    if batch.level != "token":      # position 0: each sequence's first row
+        hidden = hidden[np.cumsum(batch.lengths) - batch.lengths]
+    return hidden, read_index(batch)
+
+
+def _task_ce(enc, head, batch):
+    X, where = _classified(enc, batch)
     loss, _ = ce_loss_and_dlogits(head_logits(head, X),
                                   _gold_at_level(batch, where))
     return loss
 
 
 def _lang_ce(enc, head, lid_batch):
-    hidden, _ = forward_batch(enc, lid_batch.ids, lid_batch.lengths)
-    loss, _ = ce_loss_and_dlogits(head_logits(head, hidden[:, 0, :]),
-                                  lid_batch.lang_y)
+    X, _ = _classified(enc, lid_batch)
+    loss, _ = ce_loss_and_dlogits(head_logits(head, X), lid_batch.lang_y)
     return loss
 
 
 def _lang_term(enc, head, batch):
-    hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    X, _ = select_embeddings(hidden, batch)
+    X, _ = _classified(enc, batch)
     return language_term_and_dlogits(head_logits(head, X))[0]
 
 
@@ -212,15 +218,12 @@ def test_criterion_01_gradient_finite_differences():
 
 def _lang_branch_grads(enc, lang_head, lid_batch, scale: float):
     # the branch reads position 0 only, as composite_step's forward does
-    hidden, tape = forward_batch(enc, lid_batch.ids, lid_batch.lengths,
-                                 want_tape=True, read=read_index(lid_batch))
-    X = hidden[:, 0, :]
+    X, tape = forward_batch(enc, lid_batch.ids, lid_batch.lengths,
+                            want_tape=True, read=read_index(lid_batch))
     _, d_logits = ce_loss_and_dlogits(head_logits(lang_head, X),
                                       lid_batch.lang_y)
     _, _, dX = head_backward(lang_head, X, d_logits)
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 0, :] = scale * dX
-    return backward_batch(enc, tape, d_hidden)
+    return backward_batch(enc, tape, scale * dX)
 
 
 def test_criterion_02_gradient_reversal_semantics():

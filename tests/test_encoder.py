@@ -106,10 +106,10 @@ def test_copy_is_deep():
 
 def test_forward_shapes_and_determinism():
     model = small_model()
-    ids, lengths, _ = small_batch()
+    ids, lengths, real = small_batch()
     h1, tape = forward_batch(model, ids, lengths, want_tape=True)
     h2, _ = forward_batch(model, ids, lengths)
-    assert h1.shape == (2, 6, 8)
+    assert h1.shape == (real.sum(), 8)          # one row per real token
     assert np.array_equal(h1, h2)
     assert tape is not None and len(tape.layers) == 1
 
@@ -174,8 +174,7 @@ def test_padding_content_is_invisible():
                                   rng=stream(2, "pad"), read=read)
             hb, _ = forward_batch(model, ids_b, lengths, train=train,
                                   rng=stream(2, "pad"), read=read)
-            assert np.array_equal(ha[real], hb[real])
-            assert not ha[~real].any()
+            assert np.array_equal(ha, hb)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +242,10 @@ def test_read_rows_match_full_forward_and_keep_rng_stream(kind, train):
                               rng=rng if train else None, read=read)
     ref = reference_forward(model, ids, lengths, ref_rng if train else None)
     at = np.nonzero(real) if read is None else read
-    err = np.abs(hidden[at] - ref[at]).max() / np.abs(ref[at]).max()
+    # the returned rows are the read positions, in row-major order
+    assert hidden.shape == (at[0].size, 8)
+    err = np.abs(hidden - ref[at]).max() / np.abs(ref[at]).max()
     assert err <= 1e-15, f"read rows differ from the full forward by {err:.1e}"
-    unread = np.ones(real.shape, dtype=bool)
-    unread[at] = False
-    assert not hidden[unread].any()            # exactly 0.0 where not read
     # the masks are drawn at full (B, T, d) shape, so the stream moves as
     # if every row were computed
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -258,6 +256,19 @@ def test_read_index_must_name_real_positions():
     ids, lengths, _ = small_batch()
     with pytest.raises(ValueError, match="padding"):
         forward_batch(model, ids, lengths, read=([1], [5]))
+
+
+@pytest.mark.parametrize("read", [([1, 0], [0, 2]), ([0, 0], [3, 1]),
+                                  ([0, 1, 1], [2, 1, 1])],
+                         ids=["rows-out-of-order", "cols-out-of-order",
+                              "repeated"])
+def test_read_index_must_be_unique_and_row_major(read):
+    # the returned rows follow the read index, so it may not be reordered
+    # or de-duplicated behind the caller's back
+    model = small_model()
+    ids, lengths, _ = small_batch()
+    with pytest.raises(ValueError, match="row-major"):
+        forward_batch(model, ids, lengths, read=read)
 
 
 def test_last_layer_caches_only_read_rows():
@@ -291,52 +302,49 @@ def test_lone_sequence_matches_its_padded_row():
     for r, s in enumerate(seqs):
         ids[r, : s.size] = s
     batch, _ = forward_batch(model, ids, np.array([3, 6]))
-    for r, s in enumerate(seqs):
+    assert batch.shape == (9, 8)                # real tokens only, packed
+    for s, rows in zip(seqs, (batch[:3], batch[3:])):
         lone, _ = forward_batch(model, s[None, :], np.array([s.size]))
-        assert lone.shape == (1, s.size, 8)
-        assert np.allclose(lone[0], batch[r, : s.size], atol=1e-12)
-    # padding rows of the shorter sequence stay exactly 0.0
-    assert not batch[0, 3:].any()
+        assert lone.shape == (s.size, 8)
+        assert np.allclose(lone, rows, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
 
-def projection_loss(ids, lengths, real, W, *, train=False, drop_seed=0):
+def projection_loss(ids, lengths, W, *, train=False, drop_seed=0):
     """Scalar loss: fixed random projection of all real-position outputs."""
     def loss(model):
         rng = stream(drop_seed, "fd-dropout") if train else None
         hidden, _ = forward_batch(model, ids, lengths, train=train, rng=rng)
-        return float((hidden[real] * W).sum())
+        return float((hidden * W).sum())
     return loss
 
 
-def projection_grads(model, ids, lengths, real, W, *, train=False, drop_seed=0):
+def projection_grads(model, ids, lengths, W, *, train=False, drop_seed=0):
     rng = stream(drop_seed, "fd-dropout") if train else None
     hidden, tape = forward_batch(model, ids, lengths, train=train, rng=rng,
                                  want_tape=True)
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[real] = W
-    return backward_batch(model, tape, d_hidden)
+    return backward_batch(model, tape, np.broadcast_to(W, hidden.shape))
 
 
 def test_gradients_match_finite_differences_eval_mode():
     model = small_model(n_layers=2)
-    ids, lengths, real = small_batch()
+    ids, lengths, _ = small_batch()
     W = np.random.default_rng(5).normal(size=(8,))
-    loss = projection_loss(ids, lengths, real, W)
-    grads = projection_grads(model, ids, lengths, real, W)
+    loss = projection_loss(ids, lengths, W)
+    grads = projection_grads(model, ids, lengths, W)
     worst = fd_max_rel_err(model, loss, grads, sorted(model.params))
     assert worst <= FD_TOL, f"max FD relative error {worst:.2e}"
 
 
 def test_gradients_match_finite_differences_with_dropout():
     model = small_model(dropout=0.1)
-    ids, lengths, real = small_batch()
+    ids, lengths, _ = small_batch()
     W = np.random.default_rng(6).normal(size=(8,))
-    loss = projection_loss(ids, lengths, real, W, train=True, drop_seed=3)
-    grads = projection_grads(model, ids, lengths, real, W, train=True,
+    loss = projection_loss(ids, lengths, W, train=True, drop_seed=3)
+    grads = projection_grads(model, ids, lengths, W, train=True,
                              drop_seed=3)
     worst = fd_max_rel_err(model, loss, grads, sorted(model.params))
     assert worst <= FD_TOL, f"max FD relative error {worst:.2e}"
@@ -346,40 +354,28 @@ def test_key_bias_and_mlm_bias_gradients_are_structural_zeros():
     # softmax rows are shift invariant, so the key bias cannot move the
     # loss; its analytical gradient only carries float cancellation noise
     model = small_model(n_layers=2)
-    ids, lengths, real = small_batch()
+    ids, lengths, _ = small_batch()
     W = np.random.default_rng(7).normal(size=(8,))
-    grads = projection_grads(model, ids, lengths, real, W)
+    grads = projection_grads(model, ids, lengths, W)
     other_scale = max(np.abs(grads["L0_wk"]).max(), 1.0)
     for name in ("L0_bk", "L1_bk"):
         assert np.abs(grads[name]).max() <= 1e-10 * other_scale
     assert np.array_equal(grads["mlm_bias"], np.zeros_like(grads["mlm_bias"]))
     # and the loss itself is invariant under a key-bias shift
-    loss = projection_loss(ids, lengths, real, W)
+    loss = projection_loss(ids, lengths, W)
     base = loss(model)
     model.params["L0_bk"] += 0.37
     assert abs(loss(model) - base) <= 1e-9 * max(abs(base), 1.0)
     model.params["L0_bk"] -= 0.37
 
 
-def test_padded_upstream_gradient_is_ignored():
-    model = small_model()
-    ids, lengths, real = small_batch()
-    W = np.random.default_rng(8).normal(size=(8,))
-    d_clean = np.zeros((2, 6, 8))
-    d_clean[real] = W
-    d_dirty = d_clean.copy()
-    d_dirty[~real] = 123.0
-    _, tape1 = forward_batch(model, ids, lengths, want_tape=True)
-    _, tape2 = forward_batch(model, ids, lengths, want_tape=True)
-    g1 = backward_batch(model, tape1, d_clean)
-    g2 = backward_batch(model, tape2, d_dirty)
-    assert all(np.array_equal(g1[k], g2[k]) for k in g1)
-
-
 def test_tape_is_single_use():
     model = small_model()
-    ids, lengths, _ = small_batch()
+    ids, lengths, real = small_batch()
     hidden, tape = forward_batch(model, ids, lengths, want_tape=True)
+    # the upstream gradient has one row per returned row, not the grid
+    with pytest.raises(ValueError, match="upstream gradient shape"):
+        backward_batch(model, tape, np.zeros(real.shape + (8,)))
     backward_batch(model, tape, np.zeros_like(hidden))
     with pytest.raises(RuntimeError, match="consumed"):
         backward_batch(model, tape, np.zeros_like(hidden))

@@ -597,6 +597,24 @@ def test_cli_rejects_bad_config_before_any_stage(cli_cfg_path, capsys):
     assert not Path(cfg.out_dir).exists()
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("epochs", "5", "epochs must be int, got '5'"),
+    ("mlm_steps", None, "mlm_steps must be int, got None"),
+    ("epochs", 1.5, "epochs must be int, got 1.5"),
+    ("tsne_iterations", None, "tsne_iterations must be int, got None"),
+    ("dropout", True, "dropout must be float, got True")],
+    ids=["str-epochs", "null-mlm-steps", "float-epochs", "null-tsne-iterations",
+         "bool-dropout"])
+def test_cli_rejects_mistyped_config_values_before_any_stage(
+        cli_cfg_path, capsys, field, bad, message):
+    path, cfg = cli_cfg_path
+    path.write_text(json.dumps(cfg.to_dict() | {field: bad}))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [cli] {message}\n"
+    assert not Path(cfg.out_dir).exists()
+
+
 @pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
                                      "probe-lid"])
 @pytest.mark.parametrize("bad, message", [

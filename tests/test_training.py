@@ -27,7 +27,7 @@ from langlab.training.network import (
     _gold_at_level,
     composite_step,
     embed_examples,
-    select_embeddings,
+    read_index,
 )
 from langlab.training.regimes import (
     ExperimentConfig,
@@ -164,24 +164,31 @@ def fd_setup(tiny_vocab, tiny_task_corpus, tiny_lid_corpus):
     return enc, task_head, lang_head, batch, lid_batch
 
 
-def _task_ce(enc, head, batch):
+def _classified(enc, batch):
+    """(X, where): the vectors at read_index, picked from a forward over
+    every real token, so the objectives do not share the composite
+    step's read-row path."""
     hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    X, where = select_embeddings(hidden, batch)
+    if batch.level != "token":      # position 0: each sequence's first row
+        hidden = hidden[np.cumsum(batch.lengths) - batch.lengths]
+    return hidden, read_index(batch)
+
+
+def _task_ce(enc, head, batch):
+    X, where = _classified(enc, batch)
     loss, _ = ce_loss_and_dlogits(head_logits(head, X),
                                   _gold_at_level(batch, where))
     return loss
 
 
 def _lang_ce(enc, head, lid_batch):
-    hidden, _ = forward_batch(enc, lid_batch.ids, lid_batch.lengths)
-    loss, _ = ce_loss_and_dlogits(head_logits(head, hidden[:, 0, :]),
-                                  lid_batch.lang_y)
+    X, _ = _classified(enc, lid_batch)
+    loss, _ = ce_loss_and_dlogits(head_logits(head, X), lid_batch.lang_y)
     return loss
 
 
 def _lang_term(enc, head, batch):
-    hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    X, _ = select_embeddings(hidden, batch)
+    X, _ = _classified(enc, batch)
     return language_term_and_dlogits(head_logits(head, X))[0]
 
 
