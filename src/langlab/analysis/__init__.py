@@ -1,33 +1,2 @@
 """Representation-geometry measurement: macro F1, k-means with averaged
 V-measure, exact t-SNE, and the stratified plot-sampling rules."""
-
-from langlab.analysis.metrics import macro_f1, v_measure
-from langlab.analysis.kmeans import kmeans
-from langlab.analysis.tsne import tsne
-from langlab.analysis.reports import (
-    ClusterReport,
-    EmbeddingSample,
-    Projection2D,
-    clustering_report,
-    load_embedding_dump,
-    write_embedding_dump,
-    load_projection_csv,
-    write_projection_csv,
-)
-from langlab.analysis.sampling import plot_sample
-
-__all__ = [
-    "macro_f1",
-    "v_measure",
-    "kmeans",
-    "tsne",
-    "ClusterReport",
-    "EmbeddingSample",
-    "Projection2D",
-    "clustering_report",
-    "load_embedding_dump",
-    "write_embedding_dump",
-    "load_projection_csv",
-    "write_projection_csv",
-    "plot_sample",
-]

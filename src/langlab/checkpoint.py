@@ -125,8 +125,3 @@ def load_encoder(path):
     params = {k[len("encoder/"):]: v for k, v in arrays.items()
               if k.startswith("encoder/")}
     return EncoderModel(config=EncoderConfig(**cfg), params=params)
-
-
-def checkpoint_digest(path) -> str:
-    """Hex digest of the file bytes, for freezing-contract checks."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -1,43 +1,2 @@
 """Corpus handling: synthetic multilingual generation, file loaders for the
 CoNLL-U / NLI-TSV / LID-TSV formats, and language-stratified splitting."""
-
-from langlab.data.types import (
-    CorpusSplit,
-    LabeledExample,
-    TokenSequence,
-    MAX_LEN,
-)
-from langlab.data.synthetic import (
-    SyntheticLanguageSpec,
-    build_vocabulary,
-    generate_corpus,
-    make_language_specs,
-)
-from langlab.data.io import (
-    load_conllu,
-    load_lid_paragraphs,
-    load_nli_tsv,
-    write_conllu,
-    write_lid_tsv,
-    write_nli_tsv,
-)
-from langlab.data.split import filter_language, stratified_split
-
-__all__ = [
-    "CorpusSplit",
-    "LabeledExample",
-    "TokenSequence",
-    "MAX_LEN",
-    "SyntheticLanguageSpec",
-    "build_vocabulary",
-    "generate_corpus",
-    "make_language_specs",
-    "load_conllu",
-    "load_lid_paragraphs",
-    "load_nli_tsv",
-    "write_conllu",
-    "write_lid_tsv",
-    "write_nli_tsv",
-    "filter_language",
-    "stratified_split",
-]

@@ -66,10 +66,6 @@ def build_antonym_map(n_concepts: int) -> dict:
     return amap
 
 
-def antonym_of(concept: int, n_concepts: int) -> int | None:
-    return build_antonym_map(n_concepts).get(concept)
-
-
 @dataclass(frozen=True)
 class SyntheticLanguageSpec:
     """One synthetic language: lexicon, function words and word order."""

@@ -426,23 +426,6 @@ def mlm_step_loss(model, ids, lengths, mask_rate, rng):
     return loss, grads
 
 
-def mlm_masked_accuracy(model, sequences, mask_rate, seed=0):
-    """Fraction of masked positions predicted correctly (eval check)."""
-    rng = stream(seed, "mlm-eval")
-    p = model.params
-    seqs = [_sequence_ids(s) for s in sequences]
-    ids, lengths = _pad_id_batch(seqs)
-    eligible = (ids >= N_SPECIAL)
-    mask = eligible & (rng.random(ids.shape) < mask_rate)
-    if not mask.any():
-        return float("nan")
-    masked_ids = np.where(mask, MASK_ID, ids)
-    read = np.nonzero(mask)
-    h, _ = forward_batch(model, masked_ids, lengths, read=read)
-    logits = h @ p["tok_emb"].T + p["mlm_bias"]
-    return float((logits.argmax(axis=-1) == ids[read]).mean())
-
-
 def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float = 0.15,
                  steps: int = 2000, batch_size: int = 32, lr: float = 1e-3,
                  seed: int = 0) -> tuple[EncoderModel, list[float]]:

@@ -1,12 +1,17 @@
-"""Single-layer softmax classifier heads, their losses, and the
+"""Single-layer softmax classifier heads, their batch losses, and the
 gradient-reversal layer.
 
-The language-confusion loss is implemented exactly as written in the
-source formulation: L = (1-w) * XE(y_a) + w * (-sum_k ln y_b[k]).  The
-language term sums negative log-probabilities over *all* classes, which
-is minimized (value K ln K) at the uniform distribution.  A Shannon
-entropy variant (-H(y_b) as the term) is available behind
-``language_term="shannon"`` for comparison; both agree on the minimizer.
+The training loops run two batch losses over (N, K) logits, each
+returning the mean over rows and its gradient w.r.t. the logits:
+ce_loss_and_dlogits (cross-entropy) and language_term_and_dlogits (the
+language-confusion term).  composite_step combines them exactly as
+written in the source formulation: L = (1-w) * XE(y_a) + w * (-sum_k ln
+y_b[k]).  The language term sums negative log-probabilities over *all*
+classes, which is minimized (value K ln K) at the uniform distribution.
+A Shannon entropy variant (-H(y_b) as the term) is selected by the
+``language_term_variant`` config field (one of LANGUAGE_TERM_VARIANTS);
+both agree on the minimizer.  The reversal layer is the identity going
+forward, so only its backward, grad_reversal_backward, exists.
 """
 
 from __future__ import annotations
@@ -63,46 +68,11 @@ def head_logits(head: ClassifierHead, x: np.ndarray) -> np.ndarray:
     return x @ head.w + head.b
 
 
-def head_forward(head: ClassifierHead, embedding: np.ndarray) -> np.ndarray:
-    """Softmax probabilities for one embedding or a batch of them."""
-    return softmax(head_logits(head, embedding))
-
-
-def cross_entropy(probabilities: np.ndarray, gold: int) -> float:
-    """-ln p[gold], with a 1e-12 floor inside the log."""
-    p = np.asarray(probabilities)
-    if not 0 <= gold < p.shape[-1]:
-        raise ValueError(f"gold class {gold} out of range for {p.shape[-1]} classes")
-    return float(-np.log(max(float(p[gold]), LOG_EPS)))
-
-
-def grad_reversal_forward(x: np.ndarray) -> np.ndarray:
-    return x
-
-
 def grad_reversal_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
+    """The reversal layer's backward: the upstream gradient times -lam."""
     if lam < 0:
         raise ValueError(f"gradient reversal lambda must be >= 0, got {lam}")
     return -lam * upstream
-
-
-def language_term(lang_probs: np.ndarray, variant: str = "as_written") -> float:
-    """The language-confusion term for one probability vector."""
-    p = np.maximum(np.asarray(lang_probs, dtype=float), LOG_EPS)
-    if variant == "as_written":
-        return float(-np.log(p).sum())
-    if variant == "shannon":
-        return float((p * np.log(p)).sum())
-    raise ValueError(f"unknown language term variant {variant!r}")
-
-
-def entropy_max_loss(task_probs, gold_task, lang_probs, w,
-                     language_term_variant: str = "as_written") -> float:
-    """Combined loss (1-w) * XE(task) + w * language term."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0,1], got {w}")
-    xe = cross_entropy(task_probs, gold_task)
-    return (1.0 - w) * xe + w * language_term(lang_probs, language_term_variant)
 
 
 # ----------------------------------------------------------------------------

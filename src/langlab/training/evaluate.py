@@ -50,37 +50,3 @@ def evaluate_lid(encoder, head: ClassifierHead, examples, level: str,
     """Macro F1 of language prediction at the dataset's granularity."""
     emb = embed_examples(encoder, examples, level, lang_to_id)
     return cached_lid_f1(head, emb, len(lang_to_id))
-
-
-def token_count_features(examples, vocab_size: int) -> np.ndarray:
-    """Length-normalized token count vectors, one row per example."""
-    X = np.zeros((len(examples), vocab_size))
-    for i, ex in enumerate(examples):
-        for t in ex.sequence.tokens:
-            X[i, t] += 1.0
-        X[i] /= len(ex.sequence.tokens)
-    return X
-
-
-def bag_of_tokens_lid_f1(lid_split, vocab_size: int, lang_to_id: dict, *,
-                         head_lr: float = 1e-1, batch_size: int = 32,
-                         epochs: int = 5, init_std: float = 1e-2,
-                         seed: int = 0) -> float:
-    """Text-level LID baseline: linear head over raw token counts.
-
-    Trains on the train part with best-epoch selection on val, then scores
-    the test part. Measures how much language identity is recoverable from
-    surface statistics alone, without any encoder.
-    """
-    # imported here because regimes imports this module
-    from langlab.training.regimes import _train_head_on_cached
-
-    parts = (lid_split.train, lid_split.val, lid_split.test)
-    X = [token_count_features(part, vocab_size) for part in parts]
-    y = [np.array([lang_to_id[ex.language] for ex in part]) for part in parts]
-    probe = _train_head_on_cached(
-        X[0], y[0], X[1], y[1], len(lang_to_id), init_std=init_std,
-        head_lr=head_lr, batch_size=batch_size, epochs=epochs, seed=seed,
-        dropout=0.0, tag="bag-of-tokens")
-    return macro_f1_ids(head_predictions(probe.head, X[2]), y[2],
-                        len(lang_to_id))

@@ -28,6 +28,7 @@ from langlab.encoder import EncoderModel, backward_batch, dropout_mask, forward_
 from langlab.heads import (
     ClassifierHead,
     ce_loss_and_dlogits,
+    grad_reversal_backward,
     head_backward,
     head_logits,
     language_term_and_dlogits,
@@ -134,7 +135,8 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
         dw_l, db_l, dX2d = head_backward(lang_head, X2d, d_logits)
         dX2 = dX2d * mask2 if mask2 is not None else dX2d
         # the reversal layer sits between encoder and language head
-        grads2 = backward_batch(encoder, tape2, -grl_lambda * dX2)
+        grads2 = backward_batch(encoder, tape2,
+                                grad_reversal_backward(dX2, grl_lambda))
         for k, v in grads2.items():
             grads[f"enc/{k}"] += v
         grads["lang/w"] = dw_l

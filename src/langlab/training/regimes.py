@@ -9,8 +9,8 @@ lambda=0 and entropy_max with w=0 walk the encoder through the same
 parameter trajectory as plain fine-tuning under the same seed.
 
 Every head over fixed feature rows (task probe, LID probe, the
-bag-of-tokens baseline, the entropy-max language phase) trains one
-epoch at a time through _head_epoch.
+entropy-max language phase) trains one epoch at a time through
+_head_epoch.
 
 A regime returns only what it trains: the encoder, the task head, and
 the language head that grad_reversal and entropy_max train against.
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from langlab.data.split import filter_language
 from langlab.encoder import EncoderModel, dropout_mask
 from langlab.heads import (
+    LANGUAGE_TERM_VARIANTS,
     ClassifierHead,
     ce_loss_and_dlogits,
     head_backward,
@@ -82,6 +83,9 @@ class ExperimentConfig:
             raise ValueError("grl_lambda must be >= 0")
         if self.w is not None and not 0.0 <= self.w <= 1.0:
             raise ValueError("w must be in [0,1]")
+        if self.language_term_variant not in LANGUAGE_TERM_VARIANTS:
+            raise ValueError(f"unknown language term variant "
+                             f"{self.language_term_variant!r}")
 
 
 @dataclass

@@ -32,11 +32,11 @@ from langlab.analysis.reports import EmbeddingSample, clustering_report
 from langlab.analysis.sampling import plot_sample
 from langlab.analysis.tsne import tsne
 from langlab.config import PipelineConfig
-from langlab.data import (
+from langlab.data.split import stratified_split
+from langlab.data.synthetic import (
     build_vocabulary,
     generate_corpus,
     make_language_specs,
-    stratified_split,
 )
 from langlab.encoder import (
     EncoderConfig,

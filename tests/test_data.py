@@ -14,7 +14,6 @@ import pytest
 from langlab.checkpoint import (
     MAGIC,
     CheckpointError,
-    checkpoint_digest,
     load_checkpoint,
     load_encoder,
     save_checkpoint,
@@ -33,7 +32,6 @@ from langlab.data.io import (
 from langlab.data.split import SPLIT_FRACTIONS, filter_language, stratified_split
 from langlab.data.synthetic import (
     TAG_INVENTORY,
-    antonym_of,
     build_antonym_map,
     build_vocabulary,
     generate_corpus,
@@ -171,7 +169,6 @@ def test_antonym_map_symmetric_same_tag():
     for a, b in amap.items():
         assert amap[b] == a and a != b
         assert tag_of_concept(a) == tag_of_concept(b)
-    assert antonym_of(next(iter(amap)), 30) == amap[next(iter(amap))]
 
 
 def test_token_tag_corpus_labels(tiny_specs, tiny_vocab, tiny_task_corpus):
@@ -413,9 +410,9 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
     save_checkpoint(p1, arrays)
     save_checkpoint(p2, arrays)
-    assert checkpoint_digest(p1) == checkpoint_digest(p2)
+    assert p1.read_bytes() == p2.read_bytes()
     save_checkpoint(p2, {"a": np.arange(4.0), "b": np.zeros((2, 2))})
-    assert checkpoint_digest(p1) != checkpoint_digest(p2)
+    assert p1.read_bytes() != p2.read_bytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

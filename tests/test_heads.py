@@ -9,20 +9,35 @@ from langlab.heads import (
     LOG_EPS,
     ClassifierHead,
     ce_loss_and_dlogits,
-    cross_entropy,
-    entropy_max_loss,
     grad_reversal_backward,
-    grad_reversal_forward,
     head_backward,
-    head_forward,
     head_logits,
-    language_term,
     language_term_and_dlogits,
     softmax,
 )
 
 FD_H = 1e-6
 FD_TOL = 1e-6
+
+
+# Per-row references the batch losses are checked against.
+
+def _cross_entropy(probabilities: np.ndarray, gold: int) -> float:
+    """-ln p[gold], with a 1e-12 floor inside the log."""
+    p = np.asarray(probabilities)
+    if not 0 <= gold < p.shape[-1]:
+        raise ValueError(f"gold class {gold} out of range for {p.shape[-1]} classes")
+    return float(-np.log(max(float(p[gold]), LOG_EPS)))
+
+
+def _language_term(lang_probs: np.ndarray, variant: str = "as_written") -> float:
+    """The language-confusion term for one probability vector."""
+    p = np.maximum(np.asarray(lang_probs, dtype=float), LOG_EPS)
+    if variant == "as_written":
+        return float(-np.log(p).sum())
+    if variant == "shannon":
+        return float((p * np.log(p)).sum())
+    raise ValueError(f"unknown language term variant {variant!r}")
 
 
 def fd_logits_grad(fn, logits):
@@ -96,18 +111,17 @@ def test_head_forward_and_dim_check():
     head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     x = np.array([2.0, 0.0])
     assert np.allclose(head_logits(head, x), [2.0, 0.0])
-    assert np.allclose(head_forward(head, x), softmax(np.array([2.0, 0.0])))
     with pytest.raises(ValueError, match="does not match"):
         head_logits(head, np.zeros(3))
 
 
 def test_cross_entropy_value_floor_and_range():
-    assert cross_entropy(np.array([0.25, 0.75]), 1) == pytest.approx(
+    assert _cross_entropy(np.array([0.25, 0.75]), 1) == pytest.approx(
         -np.log(0.75))
-    assert cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(
+    assert _cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(
         -np.log(LOG_EPS))
     with pytest.raises(ValueError, match="out of range"):
-        cross_entropy(np.array([0.5, 0.5]), 2)
+        _cross_entropy(np.array([0.5, 0.5]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +129,6 @@ def test_cross_entropy_value_floor_and_range():
 
 
 def test_grad_reversal_layer():
-    x = np.random.default_rng(0).normal(size=(3, 4))
-    assert grad_reversal_forward(x) is x
     up = np.random.default_rng(1).normal(size=(3, 4))
     assert np.array_equal(grad_reversal_backward(up, 0.5), -0.5 * up)
     assert np.array_equal(grad_reversal_backward(up, 0.0),
@@ -133,38 +145,24 @@ def test_grad_reversal_layer():
 def test_language_term_uniform_minimum():
     k = 33
     uniform = np.full(k, 1.0 / k)
-    assert language_term(uniform, "as_written") == pytest.approx(
+    assert _language_term(uniform, "as_written") == pytest.approx(
         k * np.log(k), rel=1e-12)
-    assert language_term(uniform, "shannon") == pytest.approx(
+    assert _language_term(uniform, "shannon") == pytest.approx(
         -np.log(k), rel=1e-12)
     # any non-uniform vector sits strictly above the minimum
     tilted = np.full(k, 1.0 / k)
     tilted[0] += 0.01
     tilted[1] -= 0.01
-    assert language_term(tilted, "as_written") > k * np.log(k)
-    assert language_term(tilted, "shannon") > -np.log(k)
+    assert _language_term(tilted, "as_written") > k * np.log(k)
+    assert _language_term(tilted, "shannon") > -np.log(k)
 
 
 def test_language_term_hand_values():
     p = np.array([0.5, 0.5])
-    assert language_term(p, "as_written") == pytest.approx(2 * np.log(2))
-    assert language_term(p, "shannon") == pytest.approx(-np.log(2))
+    assert _language_term(p, "as_written") == pytest.approx(2 * np.log(2))
+    assert _language_term(p, "shannon") == pytest.approx(-np.log(2))
     with pytest.raises(ValueError, match="unknown"):
-        language_term(p, "renyi")
-
-
-def test_entropy_max_loss_composition():
-    task_p = np.array([0.2, 0.8])
-    lang_p = np.array([0.3, 0.7])
-    w = 0.4
-    expect = 0.6 * cross_entropy(task_p, 1) + 0.4 * language_term(lang_p)
-    assert entropy_max_loss(task_p, 1, lang_p, w) == pytest.approx(expect)
-    shan = 0.6 * cross_entropy(task_p, 1) + 0.4 * language_term(lang_p,
-                                                                "shannon")
-    assert entropy_max_loss(task_p, 1, lang_p, w, "shannon") == pytest.approx(
-        shan)
-    with pytest.raises(ValueError, match="w must be"):
-        entropy_max_loss(task_p, 1, lang_p, 1.5)
+        _language_term(p, "renyi")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def test_ce_loss_is_mean_of_rows():
     logits = rng.normal(size=(5, 4))
     golds = rng.integers(0, 4, size=5)
     loss, _ = ce_loss_and_dlogits(logits, golds)
-    rows = [cross_entropy(softmax(logits[i]), int(golds[i])) for i in range(5)]
+    rows = [_cross_entropy(softmax(logits[i]), int(golds[i])) for i in range(5)]
     assert loss == pytest.approx(np.mean(rows), rel=1e-12)
 
 
@@ -194,7 +192,7 @@ def test_language_term_is_mean_of_rows():
     logits = rng.normal(size=(6, 5))
     for variant in ("as_written", "shannon"):
         loss, _ = language_term_and_dlogits(logits, variant)
-        rows = [language_term(softmax(logits[i]), variant) for i in range(6)]
+        rows = [_language_term(softmax(logits[i]), variant) for i in range(6)]
         assert loss == pytest.approx(np.mean(rows), rel=1e-12)
     with pytest.raises(ValueError, match="unknown"):
         language_term_and_dlogits(logits, "renyi")

@@ -620,8 +620,11 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
 @pytest.mark.parametrize("bad, message", [
     ({"regime": "bogus"}, "unknown regime 'bogus'"),
     ({"grl_lambda": 0.1}, "grl_lambda is set iff regime is grad_reversal"),
-    ({"d_model": 60, "n_heads": 7}, "d_model 60 not divisible by n_heads 7")],
-    ids=["unknown-regime", "misplaced-weight", "encoder-heads"])
+    ({"d_model": 60, "n_heads": 7}, "d_model 60 not divisible by n_heads 7"),
+    ({"language_term_variant": "renyi"},
+     "unknown language term variant 'renyi'")],
+    ids=["unknown-regime", "misplaced-weight", "encoder-heads",
+         "unknown-term-variant"])
 def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
                                                           command, bad, message):
     path, cfg = cli_cfg_path

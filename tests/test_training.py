@@ -20,7 +20,7 @@ from langlab.training.batching import (
     make_batch,
     task_spec_for,
 )
-from langlab.training.evaluate import bag_of_tokens_lid_f1, evaluate_lid
+from langlab.training.evaluate import evaluate_lid
 from langlab.training import regimes
 from langlab.training.network import (
     StepResult,
@@ -281,6 +281,8 @@ def test_experiment_config_validation():
         ExperimentConfig(regime="grad_reversal", grl_lambda=-0.1, **ok)
     with pytest.raises(ValueError, match="in \\[0,1\\]"):
         ExperimentConfig(regime="entropy_max", w=1.5, **ok)
+    with pytest.raises(ValueError, match="unknown language term variant 'renyi'"):
+        ExperimentConfig(regime="finetune", language_term_variant="renyi", **ok)
 
 
 def test_select_best_earliest_max():
@@ -480,17 +482,6 @@ def test_pretraining_helps_language_probe(small_pretrained, tiny_encoder,
                                     "text", lang_to_id)
     assert scores["pretrained"] >= 0.9
     assert scores["pretrained"] > scores["random"]
-
-
-def test_bag_of_tokens_baseline(tiny_lid_split, tiny_vocab):
-    lang_to_id = {"aa": 0, "ab": 1, "ac": 2}
-    f1 = bag_of_tokens_lid_f1(tiny_lid_split, len(tiny_vocab), lang_to_id,
-                              epochs=2)
-    # languages differ lexically, so token counts alone solve LID
-    assert f1 == 1.0
-    again = bag_of_tokens_lid_f1(tiny_lid_split, len(tiny_vocab), lang_to_id,
-                                 epochs=2)
-    assert f1 == again
 
 
 # ---------------------------------------------------------------------------
