@@ -33,8 +33,9 @@ from langlab.pipeline import (
     run_pretraining,
 )
 
-# ExperimentConfig fields exposed as flag overrides on config-driven
-# subcommands; flags mirror config field names.
+# PipelineConfig fields exposed as flag overrides on config-driven
+# subcommands: the regime settings plus out_dir and encoder_checkpoint;
+# flags mirror config field names.
 _OVERRIDE_FLAGS = (
     ("regime", str), ("task", str), ("pivot-language", str),
     ("init-std", float), ("batch-size", int), ("head-lr", float),

@@ -18,12 +18,17 @@ from pathlib import Path
 from langlab.analysis.sampling import DEFAULT_QUOTAS as SAMPLE_QUOTAS
 from langlab.data.synthetic import DEFAULT_N_CONCEPTS, DEFAULT_OVERLAP
 from langlab.encoder import EncoderConfig
-from langlab.training.regimes import ExperimentConfig
+from langlab.heads import LANGUAGE_TERM_VARIANTS
+from langlab.training.regimes import REGIMES, TASKS
 
-# least accepted value of each count field; checked at construction so a
-# bad config fails before pretraining instead of writing NaN or nothing
-_MINIMUMS = {"epochs": 1, "mlm_steps": 0, "quota_task": 1, "quota_lid": 1,
-             "kmeans_runs": 1, "tsne_iterations": 0}
+# least accepted value of each bounded field; checked at construction so
+# a bad config fails before pretraining instead of writing NaN or nothing
+_MINIMUMS = {"epochs": 1, "batch_size": 1, "mlm_steps": 0, "quota_task": 1,
+             "quota_lid": 1, "kmeans_runs": 1, "tsne_iterations": 0,
+             "grl_lambda": 0}
+# the accepted values of each named-choice field
+_CHOICES = {"regime": REGIMES, "task": TASKS,
+            "language_term_variant": LANGUAGE_TERM_VARIANTS}
 # what each declared field type accepts; bool is refused for both numbers,
 # and null only where the type says "| None"
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
@@ -96,21 +101,26 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name, known in _CHOICES.items():
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name.replace('_', ' ')} "
+                                 f"{getattr(self, name)!r}")
+        if (self.grl_lambda is not None) != (self.regime == "grad_reversal"):
+            raise ValueError("grl_lambda is set iff regime is grad_reversal")
+        if (self.w is not None) != (self.regime == "entropy_max"):
+            raise ValueError("w is set iff regime is entropy_max")
+        if self.w is not None and not 0.0 <= self.w <= 1.0:
+            raise ValueError("w must be in [0,1]")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def _sub_config(self, cls, **given):
-        """A cls built from this config's fields of the same names."""
-        return cls(**{f.name: getattr(self, f.name)
-                      for f in dataclasses.fields(cls) if f.name not in given},
-                   **given)
-
-    def experiment_config(self) -> ExperimentConfig:
-        return self._sub_config(ExperimentConfig)
-
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return self._sub_config(EncoderConfig, vocab_size=vocab_size)
+        """An EncoderConfig built from this config's fields of the same
+        names."""
+        return EncoderConfig(vocab_size=vocab_size, **{
+            f.name: getattr(self, f.name) for f in dataclasses.fields(EncoderConfig)
+            if f.name != "vocab_size"})
 
 
 # Selected hyperparameters shipped as named presets: task + regime plus

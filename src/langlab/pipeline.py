@@ -12,12 +12,15 @@ stages; the CLI only parses arguments and prints what these return:
     analyze    reanalyze              analyze, corpus, checkpoints,
                                       evaluate, analyze, bundle
 
-The config stage checks every setting before any corpus work or output;
-the corpus stage builds the corpora, splits and indexes (prepare_data);
-the pretrain stage loads the configured checkpoint or pretrains a fresh
-encoder (pretrain_encoder).  Artifacts go under the configured output
-directory.  Any stage failure raises StageError carrying the stage
-name; artifacts written before the failure stay on disk for inspection.
+A PipelineConfig checks its own values when it is built.  The config
+stage runs the checks that live elsewhere, before any corpus work or
+output: EncoderConfig's rules on the encoder shape, and hpsearch's
+sample count.  The corpus stage builds the corpora, splits and indexes
+(prepare_data); the pretrain stage loads the configured checkpoint or
+pretrains a fresh encoder (pretrain_encoder).  Artifacts go under the
+configured output directory.  Any stage failure raises StageError
+carrying the stage name; artifacts written before the failure stay on
+disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -54,7 +57,6 @@ from langlab.training.batching import TaskSpec
 from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
 from langlab.training.network import embed_examples
 from langlab.training.regimes import (
-    ExperimentConfig,
     ProbeRun,
     corpus_languages,
     language_index,
@@ -207,17 +209,15 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
     return reports, projection
 
 
-def check_config(cfg: PipelineConfig,
-                 n_samples: int | None = None) -> ExperimentConfig:
-    """The config stage: run the experiment and encoder checks, and the
-    search size check when given one, before any corpus work or output;
-    return the ExperimentConfig."""
+def check_config(cfg: PipelineConfig, n_samples: int | None = None) -> None:
+    """The config stage: the checks a PipelineConfig cannot make when it
+    is built, run before any corpus work or output.  These are the
+    encoder's shape and, when given one, the search size."""
     with _stage("config"):
         # the vocabulary size is known only once the corpus is built
         cfg.encoder_config(vocab_size=1)
         if n_samples is not None and n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        return cfg.experiment_config()
 
 
 def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
@@ -257,29 +257,29 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
 def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
     """Retrain the language probe against cfg.encoder_checkpoint; writes
     nothing.  Returns the ProbeRun and the corpus languages."""
-    exp_cfg = check_config(cfg)
+    check_config(cfg)
     if not cfg.encoder_checkpoint:
         raise StageError("probe", "probe-lid needs --encoder-checkpoint "
                                   "(or encoder_checkpoint in the config)")
     data, encoder, _ = _corpus_and_encoder(cfg)
     with _stage("probe"):
-        probe = retrain_language_probe(encoder, data.lid_split, exp_cfg)
+        probe = retrain_language_probe(encoder, data.lid_split, cfg)
     return probe, data.languages
 
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
-    exp_cfg = check_config(cfg)
+    check_config(cfg)
     out = Path(cfg.out_dir)
     data, encoder, mlm_losses = _corpus_and_encoder(cfg, out, save=True)
     cfg_dict = cfg.to_dict()
     mid = manifest_id(cfg_dict)
 
     with _stage("train"):
-        run = run_regime(encoder, data.task_split, data.lid_split, exp_cfg)
+        run = run_regime(encoder, data.task_split, data.lid_split, cfg)
         save_encoder(out / "encoder-final.ckpt", run.encoder)
 
     with _stage("probe"):
-        probe = retrain_language_probe(run.encoder, data.lid_split, exp_cfg)
+        probe = retrain_language_probe(run.encoder, data.lid_split, cfg)
         heads = {"task/w": run.task_head.w, "task/b": run.task_head.b,
                  "probe/w": probe.head.w, "probe/b": probe.head.b}
         if run.lang_head is not None:
@@ -504,21 +504,20 @@ def export_plot_data(bundle: ResultsBundle, which: str,
     return dest
 
 
-def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
-                          seed: int | None = None) -> dict:
+def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
     """Random search for cfg.regime; candidates ranked by dev-set task F1.
 
     Corpus and pretraining are shared across candidates; only the
     regime-level hyperparameters vary.  Only the task head's score ranks
-    candidates.
+    candidates; cfg.seed seeds the draws and every candidate's training.
     """
-    exp_cfg = check_config(cfg, n_samples)
+    check_config(cfg, n_samples)
     out = Path(cfg.out_dir)
     data, encoder, _ = _corpus_and_encoder(cfg, out)
 
     def evaluate(sample: dict) -> float:
-        exp = replace(exp_cfg, **sample)
-        run = run_regime(encoder, data.task_split, data.lid_split, exp)
+        run = run_regime(encoder, data.task_split, data.lid_split,
+                         replace(cfg, **sample))
         scores = evaluate_task(run.encoder, run.task_head, data.task_split.dev,
                                data.task_spec, data.lang_to_id)
         return scores["overall"]
@@ -526,7 +525,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20,
     with _stage("search"):
         grids = grids_for_regime(cfg.regime)
         result = random_search(grids, evaluate, n_samples=n_samples,
-                               seed=cfg.seed if seed is None else seed)
+                               seed=cfg.seed)
         report = {
             "regime": cfg.regime,
             "grids": {k: list(v) for k, v in grids.items()},

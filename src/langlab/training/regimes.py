@@ -17,6 +17,11 @@ the language head that grad_reversal and entropy_max train against.
 The LID probe on the final encoder is retrain_language_probe's job, run
 once per experiment by the pipeline.
 
+run_regime and retrain_language_probe read their settings (regime,
+task, pivot language, init_std, batch size, rates, regime weight,
+epochs, seed) from the run's PipelineConfig, which checks them when it
+is built.
+
 Task-head training and task validation consume pivot-language examples
 only, in every regime (zero-shot contract); language-head training sees
 all languages.
@@ -25,16 +30,11 @@ all languages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from langlab.data.split import filter_language
 from langlab.encoder import EncoderModel, dropout_mask
-from langlab.heads import (
-    LANGUAGE_TERM_VARIANTS,
-    ClassifierHead,
-    ce_loss_and_dlogits,
-    head_backward,
-    head_logits,
-)
+from langlab.heads import ClassifierHead, ce_loss_and_dlogits, head_backward, head_logits
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
 from langlab.training.batching import (
@@ -47,45 +47,11 @@ from langlab.training.batching import (
 from langlab.training.evaluate import cached_task_f1, head_predictions, macro_f1_ids
 from langlab.training.network import composite_step, embed_examples
 
+if TYPE_CHECKING:   # config.py imports this module
+    from langlab.config import PipelineConfig
+
 REGIMES = ("frozen_probe", "finetune", "grad_reversal", "entropy_max")
 TASKS = ("token_tag", "pair_inference")
-
-
-@dataclass
-class ExperimentConfig:
-    regime: str
-    task: str
-    pivot_language: str
-    init_std: float = 1e-2
-    batch_size: int = 32
-    head_lr: float = 1e-2
-    encoder_lr: float = 1e-4
-    grl_lambda: float | None = None
-    w: float | None = None
-    language_term_variant: str = "as_written"
-    epochs: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if (self.grl_lambda is not None) != (self.regime == "grad_reversal"):
-            raise ValueError("grl_lambda is set iff regime is grad_reversal")
-        if (self.w is not None) != (self.regime == "entropy_max"):
-            raise ValueError("w is set iff regime is entropy_max")
-        if self.grl_lambda is not None and self.grl_lambda < 0:
-            raise ValueError("grl_lambda must be >= 0")
-        if self.w is not None and not 0.0 <= self.w <= 1.0:
-            raise ValueError("w must be in [0,1]")
-        if self.language_term_variant not in LANGUAGE_TERM_VARIANTS:
-            raise ValueError(f"unknown language term variant "
-                             f"{self.language_term_variant!r}")
 
 
 @dataclass
@@ -122,7 +88,7 @@ def task_spec_from_split(task: str, task_split) -> TaskSpec:
     return task_spec_for(task, every)
 
 
-def _pivot_train_val(task_split, cfg: ExperimentConfig):
+def _pivot_train_val(task_split, cfg: PipelineConfig):
     train = filter_language(task_split.train, cfg.pivot_language)
     val = filter_language(task_split.val, cfg.pivot_language)
     if not train or not val:
@@ -196,7 +162,7 @@ def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
 
 
 def retrain_language_probe(encoder: EncoderModel, lid_split,
-                           cfg: ExperimentConfig) -> ProbeRun:
+                           cfg: PipelineConfig) -> ProbeRun:
     """Fresh language head on the frozen encoder, best epoch by LID val F1."""
     languages = corpus_languages(lid_split)
     lang_to_id = language_index(languages)
@@ -210,7 +176,7 @@ def retrain_language_probe(encoder: EncoderModel, lid_split,
 
 
 def train_frozen_probe(encoder: EncoderModel, task_split, lid_split,
-                       cfg: ExperimentConfig) -> TrainingRun:
+                       cfg: PipelineConfig) -> TrainingRun:
     """A task head trained over the unchanged encoder."""
     task_spec = task_spec_from_split(cfg.task, task_split)
     lang_to_id = language_index(corpus_languages(lid_split))
@@ -243,7 +209,7 @@ def _val_task_f1(encoder, task_head, val_examples, task_spec, lang_to_id) -> flo
 
 
 def _fine_tune(encoder: EncoderModel, task_split, lid_split,
-               cfg: ExperimentConfig) -> TrainingRun:
+               cfg: PipelineConfig) -> TrainingRun:
     """Encoder + task head under composite_step, best epoch by pivot val F1.
 
     finetune trains the two alone.  grad_reversal adds a cycled
@@ -329,7 +295,7 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
 
 
 def run_regime(encoder: EncoderModel, task_split, lid_split,
-               cfg: ExperimentConfig) -> TrainingRun:
+               cfg: PipelineConfig) -> TrainingRun:
     """Train one regime: the one entry point for all four."""
     trainer = train_frozen_probe if cfg.regime == "frozen_probe" else _fine_tune
     return trainer(encoder, task_split, lid_split, cfg)

@@ -60,14 +60,6 @@ class SearchResult:
     dev_scores: list[float]
     ranking: list[int]
 
-    @property
-    def best(self) -> dict:
-        return self.samples[self.ranking[0]]
-
-    @property
-    def best_score(self) -> float:
-        return self.dev_scores[self.ranking[0]]
-
 
 def random_search(grids: dict[str, tuple],
                   evaluate: Callable[[dict], float],

@@ -48,9 +48,6 @@ class Vocabulary:
             raise UnknownTokenError(token)
         return idx
 
-    def token(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def encode(self, tokens: Iterable[str], allow_unk: bool = True) -> list[int]:
         return [self.id(t, allow_unk=allow_unk) for t in tokens]
 

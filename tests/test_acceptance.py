@@ -65,7 +65,6 @@ from langlab.training.network import (
     read_index,
 )
 from langlab.training.regimes import (
-    ExperimentConfig,
     corpus_languages,
     language_index,
     retrain_language_probe,
@@ -440,7 +439,7 @@ def protocol():
             kw["grl_lambda"] = 0.1
         if regime == "entropy_max":
             kw["w"] = 0.7
-        return ExperimentConfig(regime=regime, **kw)
+        return PipelineConfig(regime=regime, **kw)
 
     def vmeasure_pair(encoder, seed):
         emb = embed_examples(encoder, task_split.test, "token", lang_to_id,

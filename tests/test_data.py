@@ -58,7 +58,7 @@ def test_special_token_slots():
     v = Vocabulary(["b", "a"])
     assert (PAD_ID, UNK_ID, SEP_ID, MASK_ID) == (0, 1, 2, 3)
     for i, tok in enumerate(SPECIAL_TOKENS):
-        assert v.token(i) == tok
+        assert v.decode([i])[0] == tok
     # regular ids sorted after the specials
     assert v.id("a") == 4 and v.id("b") == 5
     assert len(v) == 6
@@ -88,7 +88,7 @@ def test_vocab_save_load_roundtrip(tmp_path):
     v.save(path)
     w = Vocabulary.load(path)
     assert len(w) == len(v)
-    assert all(w.token(i) == v.token(i) for i in range(len(v)))
+    assert all(w.decode([i])[0] == v.decode([i])[0] for i in range(len(v)))
 
 
 def test_vocab_load_rejects_missing_specials(tmp_path):
@@ -178,7 +178,7 @@ def test_token_tag_corpus_labels(tiny_specs, tiny_vocab, tiny_task_corpus):
         assert len(ex.task_labels) == len(ex.sequence)
         # the label of each token is the universal tag of its concept
         for tok_id, tag in zip(ex.sequence.tokens, ex.task_labels):
-            form = tiny_vocab.token(tok_id)
+            form = tiny_vocab.decode([tok_id])[0]
             concept = int(form.rsplit("_", 1)[1])
             assert tag == tag_of_concept(concept)
     assert set(per_lang.values()) == {40}

@@ -1,10 +1,11 @@
 """Static checks over src/: every imported name is used, and every
-top-level function or class is referenced outside its own definition.
+top-level function or class, and every method or property of a class, is
+referenced outside its own definition.
 
 No linter ships with the project, so unused imports and dead code are
 caught here with the standard library's ast.  __future__ imports are
-skipped.  A public function or class with no reference in src/ is dead
-unless KEPT_UNREFERENCED names it.
+skipped.  A public definition with no reference in src/ is dead unless
+KEPT_UNREFERENCED names it.
 """
 
 from __future__ import annotations
@@ -62,40 +63,64 @@ def test_no_unused_imports_in_src():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def definitions(source: str) -> set[str]:
-    """Top-level functions and classes (dunder names excluded)."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("__")}
+    """Top-level functions and classes, and each class's methods and
+    properties as Class.name (dunder names excluded)."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, FUNCTIONS)}
+    return {name for name in found
+            if not name.rpartition(".")[2].startswith("__")}
+
+
+def references(node) -> set[str]:
+    """Names read, reached as attributes, or imported under node, leaving
+    out each function's, method's or class's references to itself.  An
+    attribute is also recorded as ".name": a method is reached only so."""
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.decorator_list, *node.bases, *node.keywords, *node.body]
+        return set().union(*map(references, parts)) - {node.name}
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names |= {child.attr, "." + child.attr}
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+    if isinstance(node, FUNCTIONS):
+        names -= {node.name, "." + node.name}
+    return names
 
 
 def referenced_names(source: str) -> set[str]:
-    """Names read, reached as attributes, or imported anywhere in source,
-    leaving out each top-level definition's references to itself."""
-    found = set()
-    for statement in ast.parse(source).body:
-        names = set()
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-            names.discard(statement.name)
-        found |= names
-    return found
+    return set().union(*map(references, ast.parse(source).body))
+
+
+def reference_key(definition: str) -> str:
+    """How a definition is referenced: f as "f", Class.m as ".m"."""
+    name, dot, member = definition.partition(".")
+    return dot + member if dot else name
 
 
 def dead_definitions(sources: dict[str, str]) -> dict[str, list[str]]:
-    """Per file, the top-level definitions no source references."""
+    """Per file, the definitions no source references."""
     referenced = set().union(*(referenced_names(s) for s in sources.values()))
-    dead = {name: sorted(definitions(source) - referenced)
+    dead = {name: sorted(d for d in definitions(source)
+                         if reference_key(d) not in referenced)
             for name, source in sources.items()}
     return {name: names for name, names in dead.items() if names}
+
+
+def is_private(definition: str) -> bool:
+    return definition.rpartition(".")[2].startswith("_")
 
 
 def test_private_checker_sees_definitions_and_references():
@@ -118,17 +143,35 @@ def test_private_checker_sees_definitions_and_references():
         "    def child(self): return Node()\n"
     )
     assert dead_definitions({"m.py": source}) == {
-        "m.py": ["Node", "entry", "recursive"]}
+        "m.py": ["Node", "Node.child", "entry", "recursive"]}
+
+
+def test_checker_sees_methods_reached_only_as_attributes():
+    source = (
+        "class Box:\n"
+        "    def __len__(self): return self.size()\n"
+        "    def size(self): return 1\n"
+        "    @property\n"
+        "    def empty(self): return self.empty\n"
+        "    def _spare(self): pass\n"
+        "def entry(empty): return Box(), empty\n"
+    )
+    assert definitions(source) == {"Box", "Box.size", "Box.empty",
+                                   "Box._spare", "entry"}
+    # a bare name is no method call, and a method's use of itself is no use
+    assert dead_definitions({"m.py": source}) == {
+        "m.py": ["Box._spare", "Box.empty", "entry"]}
+    assert is_private("Box._spare") and not is_private("Box.size")
 
 
 def test_no_dead_private_helpers_in_src():
-    dead = {name: [n for n in names if n.startswith("_")]
+    dead = {name: [n for n in names if is_private(n)]
             for name, names in dead_definitions(src_sources()).items()}
     assert {name: names for name, names in dead.items() if names} == {}
 
 
 def test_no_dead_public_definitions_in_src():
-    dead = {name: [n for n in names if not n.startswith("_")]
+    dead = {name: [n for n in names if not is_private(n)]
             for name, names in dead_definitions(src_sources()).items()}
     unlisted = {name: [n for n in names if n not in KEPT_UNREFERENCED]
                 for name, names in dead.items()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from langlab.config import PipelineConfig
 from langlab.encoder import EncoderConfig, EncoderModel, forward_batch
 from langlab.heads import ce_loss_and_dlogits, head_logits, language_term_and_dlogits
 from langlab.rng import stream
@@ -30,7 +31,6 @@ from langlab.training.network import (
     read_index,
 )
 from langlab.training.regimes import (
-    ExperimentConfig,
     _pivot_train_val,
     _select_best,
     corpus_languages,
@@ -253,36 +253,36 @@ def test_composite_step_argument_validation(fd_setup):
 
 
 # ---------------------------------------------------------------------------
-# experiment config and regime plumbing
+# regime settings and regime plumbing
 
 
-def test_experiment_config_validation():
+def test_pipeline_config_regime_validation():
     ok = dict(task="token_tag", pivot_language="aa")
-    ExperimentConfig(regime="finetune", **ok)
-    ExperimentConfig(regime="grad_reversal", grl_lambda=0.1, **ok)
-    ExperimentConfig(regime="entropy_max", w=0.5, **ok)
+    PipelineConfig(regime="finetune", **ok)
+    PipelineConfig(regime="grad_reversal", grl_lambda=0.1, **ok)
+    PipelineConfig(regime="entropy_max", w=0.5, **ok)
     with pytest.raises(ValueError, match="unknown regime"):
-        ExperimentConfig(regime="adapter", **ok)
+        PipelineConfig(regime="adapter", **ok)
     with pytest.raises(ValueError, match="unknown task"):
-        ExperimentConfig(regime="finetune", task="parsing", pivot_language="aa")
+        PipelineConfig(regime="finetune", task="parsing", pivot_language="aa")
     with pytest.raises(ValueError, match="epochs"):
-        ExperimentConfig(regime="finetune", epochs=0, **ok)
+        PipelineConfig(regime="finetune", epochs=0, **ok)
     with pytest.raises(ValueError, match="batch_size"):
-        ExperimentConfig(regime="finetune", batch_size=0, **ok)
+        PipelineConfig(regime="finetune", batch_size=0, **ok)
     with pytest.raises(ValueError, match="iff"):
-        ExperimentConfig(regime="finetune", grl_lambda=0.1, **ok)
+        PipelineConfig(regime="finetune", grl_lambda=0.1, **ok)
     with pytest.raises(ValueError, match="iff"):
-        ExperimentConfig(regime="grad_reversal", **ok)
+        PipelineConfig(regime="grad_reversal", **ok)
     with pytest.raises(ValueError, match="iff"):
-        ExperimentConfig(regime="finetune", w=0.5, **ok)
+        PipelineConfig(regime="finetune", w=0.5, **ok)
     with pytest.raises(ValueError, match="iff"):
-        ExperimentConfig(regime="entropy_max", **ok)
+        PipelineConfig(regime="entropy_max", **ok)
     with pytest.raises(ValueError, match=">= 0"):
-        ExperimentConfig(regime="grad_reversal", grl_lambda=-0.1, **ok)
+        PipelineConfig(regime="grad_reversal", grl_lambda=-0.1, **ok)
     with pytest.raises(ValueError, match="in \\[0,1\\]"):
-        ExperimentConfig(regime="entropy_max", w=1.5, **ok)
+        PipelineConfig(regime="entropy_max", w=1.5, **ok)
     with pytest.raises(ValueError, match="unknown language term variant 'renyi'"):
-        ExperimentConfig(regime="finetune", language_term_variant="renyi", **ok)
+        PipelineConfig(regime="finetune", language_term_variant="renyi", **ok)
 
 
 def test_select_best_earliest_max():
@@ -293,13 +293,13 @@ def test_select_best_earliest_max():
 
 
 def test_pivot_filtering(tiny_task_split):
-    cfg = ExperimentConfig(regime="finetune", task="token_tag",
-                           pivot_language="aa")
+    cfg = PipelineConfig(regime="finetune", task="token_tag",
+                         pivot_language="aa")
     train, val = _pivot_train_val(tiny_task_split, cfg)
     assert train and val
     assert all(ex.language == "aa" for ex in train + val)
-    missing = ExperimentConfig(regime="finetune", task="token_tag",
-                               pivot_language="zz")
+    missing = PipelineConfig(regime="finetune", task="token_tag",
+                             pivot_language="zz")
     with pytest.raises(ValueError, match="no pivot-language"):
         _pivot_train_val(tiny_task_split, missing)
 
@@ -348,7 +348,7 @@ def tiny_cfg(regime, **kw):
     base = dict(task="token_tag", pivot_language="aa", init_std=1e-2,
                 batch_size=16, head_lr=1e-2, encoder_lr=1e-3, epochs=2, seed=0)
     base.update(kw)
-    return ExperimentConfig(regime=regime, **base)
+    return PipelineConfig(regime=regime, **base)
 
 
 def params_equal(a: EncoderModel, b: EncoderModel) -> bool:
@@ -507,8 +507,7 @@ def test_random_search_samples_on_grid():
     for s in result.samples:
         assert s["a"] in grids["a"] and s["b"] in grids["b"]
     scores = result.dev_scores
-    assert result.best_score == max(scores)
-    assert result.best == result.samples[result.ranking[0]]
+    assert scores[result.ranking[0]] == max(scores)
     # ranking is by descending score with draw order breaking ties
     for i, j in zip(result.ranking, result.ranking[1:]):
         assert (scores[i], -i) >= (scores[j], -j)
