@@ -1,11 +1,26 @@
 """Lloyd's k-means with k-means++ seeding.
 
-Each assignment step writes the squared distances to one center at a
-time into an (N, k) array allocated once per call, through an (N, d)
-difference buffer that is also reused; no (N, k, d) array is formed.
-Every distance is the same row reduction over d as a broadcast would
-give, so assignments, centers and the SSE trace do not depend on the
-layout.
+The reference distance from point x to center c is the row reduction
+``ref = ((x - c) ** 2).sum()``. Each assignment step estimates all
+N x k distances from one matrix product, center-major (k, N):
+
+    est = (-2 C) @ X.T + |c|^2 + |x|^2
+
+By the gamma_n bounds for dot products and for sums of non-negative
+terms, which hold in any summation order (so BLAS blocking and thread
+count do not matter), |est - ref| <= 4 (d + 3) eps (|x|^2 + |c|^2)
+while nothing underflows or overflows. So a point is settled when
+exactly one center has
+
+    est <= min(est) + 8 (d + 3) (eps (|x|^2 + max |c|^2) + tiny)
+
+where tiny, the least normal float, covers products that underflow:
+every other center's ref is then strictly larger, and that center is
+the reference argmin. The other points (near ties, or any non-finite
+estimate) take the reference reduction over all k centers, the lowest
+index winning a tie. Each point's distance to its assigned center is
+the reference reduction too. Assignments, centers and the SSE trace
+are therefore bit-identical to computing ref for every pair.
 """
 
 from __future__ import annotations
@@ -17,6 +32,8 @@ import numpy as np
 from langlab.rng import stream
 
 MAX_ITERS = 300
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -42,6 +59,36 @@ def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _assign(points, sq, centers, diff):
+    """Each point's nearest center and its reference distance to it."""
+    k, d = centers.shape
+    # an estimate that overflows is re-checked below, so it warns nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        csq = np.einsum("ij,ij->i", centers, centers)
+        est = (-2.0 * centers) @ points.T
+        est += csq[:, None]
+        est += sq
+        cutoff = est.min(axis=0)
+        cutoff += 8 * (d + 3) * (_EPS * (sq + csq.max()) + _TINY)
+    near = est <= cutoff
+    assign = near.argmax(axis=0)
+    # past overflow the bound fails: NaN leaves a row no candidate, but
+    # an estimate of -inf could leave it exactly one
+    unsettled = np.flatnonzero((near.sum(axis=0) != 1)
+                               | ~np.isfinite(est).all(axis=0))
+    if unsettled.size:
+        rows = points[unsettled]
+        ref = np.empty((k, unsettled.size))
+        for j in range(k):
+            ref[j] = ((rows - centers[j]) ** 2).sum(axis=1)
+        assign[unsettled] = ref.argmin(axis=0)
+    # assign is in range, so mode="clip" only skips take's checked copy
+    np.take(centers, assign, axis=0, out=diff, mode="clip")
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return assign, diff.sum(axis=1)
+
+
 def kmeans(points, k: int, seed: int = 0, max_iters: int = MAX_ITERS) -> KMeansResult:
     """Cluster points into k groups; SSE is non-increasing across iterations.
 
@@ -57,16 +104,11 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = MAX_ITERS) -> KMeansR
 
     assignments = None
     sse_trace: list[float] = []
-    d2 = np.empty((n, k))
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->i", points, points)
     diff = np.empty(points.shape)
-    rows = np.arange(n)
     for it in range(max_iters):
-        for j in range(k):
-            np.subtract(points, centers[j], out=diff)
-            np.square(diff, out=diff)
-            d2[:, j] = diff.sum(axis=1)
-        new_assign = d2.argmin(axis=1)
-        point_d2 = d2[rows, new_assign]
+        new_assign, point_d2 = _assign(points, sq, centers, diff)
 
         # reseeding can orphan the donor's cluster, so rescan until stable;
         # a reseed moves the farthest point's cost to 0, never raising SSE

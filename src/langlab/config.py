@@ -26,6 +26,9 @@ from langlab.training.regimes import REGIMES, TASKS
 _MINIMUMS = {"epochs": 1, "batch_size": 1, "mlm_steps": 0, "quota_task": 1,
              "quota_lid": 1, "kmeans_runs": 1, "tsne_iterations": 0,
              "grl_lambda": 0}
+# fields that must be > 0: a zero or negative rate trains nothing or
+# trains by gradient ascent, and a negative init_std fails mid-run
+_POSITIVE = ("init_std", "head_lr", "encoder_lr", "mlm_lr")
 # the accepted values of each named-choice field
 _CHOICES = {"regime": REGIMES, "task": TASKS,
             "language_term_variant": LANGUAGE_TERM_VARIANTS}
@@ -101,6 +104,12 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not 0.0 < self.mask_rate < 1.0:
+            raise ValueError(f"mask_rate must be in (0,1), got {self.mask_rate}")
         for name, known in _CHOICES.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name.replace('_', ' ')} "

@@ -342,6 +342,89 @@ def test_kmeans_matches_broadcast_reference():
         assert got.sse_trace == sse_trace, trial
 
 
+def assert_kmeans_matches_reference(points, k, seed):
+    got = kmeans(points, k, seed=seed)
+    assignments, centers, sse_trace, _ = reference_kmeans(points, k, seed=seed)
+    assert np.array_equal(got.assignments, assignments), (k, seed)
+    assert np.array_equal(got.centers, centers, equal_nan=True), (k, seed)
+    assert got.sse_trace == sse_trace, (k, seed)
+
+
+def _workload_shape(rng):
+    # the frozen-analysis sample: about 1000 points, d=64, 8 languages
+    means = rng.normal(size=(8, 64))
+    return means[rng.integers(8, size=992)] + 0.8 * rng.normal(size=(992, 64))
+
+
+def _offset(rng):
+    # |x|^2 - 2 x.c + |c|^2 cancels all but the last few bits of est
+    d = int(rng.choice([2, 16, 64]))
+    means = 1e-3 * rng.normal(size=(4, d))
+    labels = rng.integers(4, size=300)
+    return 1e6 + means[labels] + 1e-3 * rng.normal(size=(300, d))
+
+
+def _lattice(rng):
+    # small integers: many points lie exactly midway between two centers
+    d = int(rng.integers(1, 5))
+    return rng.integers(-2, 3, size=(200, d)).astype(float)
+
+
+def _rounded(rng):
+    # rounded duplicate points, at the workload's width and at d=3
+    d = int(rng.choice([3, 64]))
+    return np.round(rng.normal(size=(400, d)), 1 if d == 3 else 0)
+
+
+@pytest.mark.parametrize("make", [_workload_shape, _offset, _lattice, _rounded])
+def test_kmeans_screen_matches_reference(make):
+    rng = np.random.default_rng(23)
+    for trial in range(10):
+        points = make(rng)
+        assert_kmeans_matches_reference(points, int(rng.integers(2, 10)), trial)
+
+
+def test_kmeans_exact_midpoints_take_lowest_center(monkeypatch):
+    # each of the last 20 points is exactly equidistant from centers 0
+    # and 1, so the first assignment step must break 20 ties by index
+    rng = np.random.default_rng(24)
+    a, b = np.round(rng.normal(size=(2, 64)) * 8)
+    points = np.concatenate([a + rng.normal(size=(30, 64)),
+                             b + rng.normal(size=(30, 64)),
+                             np.tile((a + b) / 2, (20, 1))])
+    monkeypatch.setattr(kmeans_module, "_plus_plus_init",
+                        lambda pts, k, rng: np.stack([a, b]))
+    assert_kmeans_matches_reference(points, 2, 0)
+    d2 = ((points[-1] - np.stack([a, b])) ** 2).sum(axis=1)
+    assert d2[0] == d2[1]
+
+
+@pytest.mark.parametrize("scale", [1e155, -1e155])
+def test_kmeans_non_finite_estimates_match_reference(scale):
+    # |x|^2 overflows to inf while (x - c)^2 does not, so every estimate
+    # is NaN and every row takes the reference reduction
+    rng = np.random.default_rng(25)
+    for trial in range(4):
+        means = rng.normal(size=(3, 3))
+        unit = means[rng.integers(3, size=60)] + 0.3 * rng.normal(size=(60, 3))
+        points = scale * (1.0 + 1e-3 * unit)
+        assert np.isinf(np.einsum("ij,ij->i", points, points)).all()
+        assert np.isfinite(((points - points[0]) ** 2).sum(axis=1)).all()
+        assert_kmeans_matches_reference(points, 3, trial)
+
+
+def test_kmeans_underflowing_estimates_match_reference():
+    # near 1e-162 the squares are subnormal, so rounding error is absolute
+    # and only the slack's floor covers it
+    rng = np.random.default_rng(26)
+    for trial in range(10):
+        d = int(rng.integers(1, 20))
+        means = rng.normal(size=(3, d))
+        unit = means[rng.integers(3, size=80)] + 0.5 * rng.normal(size=(80, d))
+        points = 10.0 ** rng.uniform(-163, -161) * unit
+        assert_kmeans_matches_reference(points, int(rng.integers(2, 6)), trial)
+
+
 def test_kmeans_reseeds_empty_cluster_like_reference(monkeypatch):
     # k-means++ never picks a point twice, so start from two equal
     # centers: the second owns no point and must be re-seeded

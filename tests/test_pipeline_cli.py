@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -115,6 +116,19 @@ def test_config_quota_follows_task():
     ("epochs", 0), ("quota_lid", 0), ("quota_task", 0)])
 def test_config_rejects_bad_counts_by_name(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be >= "):
+        PipelineConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("head_lr", -0.5, "head_lr must be > 0, got -0.5"),
+    ("encoder_lr", 0.0, "encoder_lr must be > 0, got 0.0"),
+    ("mlm_lr", -1.0, "mlm_lr must be > 0, got -1.0"),
+    ("init_std", -0.1, "init_std must be > 0, got -0.1"),
+    ("init_std", float("nan"), "init_std must be > 0, got nan"),
+    ("mask_rate", 0.0, "mask_rate must be in (0,1), got 0.0"),
+    ("mask_rate", 1.0, "mask_rate must be in (0,1), got 1.0")])
+def test_config_rejects_bad_rates_by_name(field, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         PipelineConfig(**{field: bad})
 
 
@@ -610,9 +624,13 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
     ({"d_model": 60, "n_heads": 7}, "config",
      "d_model 60 not divisible by n_heads 7"),
     ({"language_term_variant": "renyi"}, "cli",
-     "unknown language term variant 'renyi'")],
+     "unknown language term variant 'renyi'"),
+    ({"head_lr": -0.5}, "cli", "head_lr must be > 0, got -0.5"),
+    ({"init_std": -0.1}, "cli", "init_std must be > 0, got -0.1"),
+    ({"mask_rate": 0.0}, "cli", "mask_rate must be in (0,1), got 0.0")],
     ids=["unknown-regime", "misplaced-weight", "encoder-heads",
-         "unknown-term-variant"])
+         "unknown-term-variant", "negative-head-lr", "negative-init-std",
+         "zero-mask-rate"])
 def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
                                                           command, bad, tag,
                                                           message):

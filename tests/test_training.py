@@ -7,6 +7,8 @@ against plain fine-tuning.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -498,6 +500,16 @@ def test_grids_for_regime():
     assert TABLE_GRIDS["frozen_probe"]["init_std"]   # caller got a copy
     with pytest.raises(ValueError, match="unknown regime"):
         grids_for_regime("adapters")
+
+
+def test_every_grid_value_builds_a_config():
+    for regime, grid in TABLE_GRIDS.items():
+        base = PipelineConfig(regime=regime,
+                              **{name: values[0] for name, values in grid.items()})
+        for name, values in grid.items():
+            for value in values:
+                assert getattr(dataclasses.replace(base, **{name: value}),
+                               name) == value
 
 
 def test_random_search_samples_on_grid():
