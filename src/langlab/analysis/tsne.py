@@ -39,7 +39,7 @@ sign-based gains over many iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class TsneResult:
     kl_initial: float
     kl_final: float
     row_perplexities: np.ndarray
-    settings: dict = field(default_factory=dict)
 
 
 def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray,
@@ -274,12 +273,4 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
         raise FloatingPointError("non-finite t-SNE coordinates")
     return TsneResult(
         coords=y, kl_initial=kl_initial, kl_final=kl_final,
-        row_perplexities=row_perps,
-        settings={
-            "perplexity": perplexity, "iterations": iterations,
-            "learning_rate": learning_rate,
-            "early_exaggeration": early_exaggeration,
-            "exaggeration_iters": EXAGGERATION_ITERS,
-            "momentum_switch": MOMENTUM_SWITCH, "seed": seed,
-        },
-    )
+        row_perplexities=row_perps)

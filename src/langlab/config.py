@@ -120,6 +120,9 @@ class PipelineConfig:
             raise ValueError("w is set iff regime is entropy_max")
         if self.w is not None and not 0.0 <= self.w <= 1.0:
             raise ValueError("w must be in [0,1]")
+        # EncoderConfig's shape rules; the vocabulary size is known only
+        # once the corpus is built
+        self.encoder_config(vocab_size=1)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,11 +1,9 @@
 """Stratified corpus splitting.
 
-The LID corpus is split 70/10/10/10 into train/val/dev/test; task corpora
-reuse the same splitter (the original protocol also carves a 90/10
-train/val split out of a training pool, so the fraction list is free).
-Within each language the per-split counts follow the largest remainder
-method, so totals are exact and every language is spread across splits as
-evenly as integer counts allow.
+Every corpus, LID and task alike, is split 70/10/10/10 into
+train/val/dev/test.  Within each language the per-split counts follow
+the largest remainder method, so totals are exact and every language is
+spread across splits as evenly as integer counts allow.
 """
 
 from __future__ import annotations
@@ -18,68 +16,56 @@ from langlab.rng import stream
 SPLIT_FRACTIONS = (0.70, 0.10, 0.10, 0.10)
 
 
-def _largest_remainder_counts(n: int, fractions) -> list[int]:
+def _largest_remainder_counts(n: int) -> list[int]:
     """Integer counts per split summing exactly to n.
 
-    Floors of n*f are topped up in order of descending fractional
-    remainder; remainder ties go to the earlier split.
+    Floors of n*f over SPLIT_FRACTIONS are topped up in order of
+    descending fractional remainder; remainder ties go to the earlier
+    split.
     """
-    exact = [n * f for f in fractions]
+    exact = [n * f for f in SPLIT_FRACTIONS]
     counts = [int(np.floor(e)) for e in exact]
     shortfall = n - sum(counts)
     remainders = sorted(
-        range(len(fractions)), key=lambda i: (-(exact[i] - counts[i]), i)
+        range(len(exact)), key=lambda i: (-(exact[i] - counts[i]), i)
     )
     for i in remainders[:shortfall]:
         counts[i] += 1
     return counts
 
 
-def stratified_split(examples, seed: int, fractions=SPLIT_FRACTIONS):
-    """Shuffle and split examples into parts by language.
+def stratified_split(examples, seed: int) -> CorpusSplit:
+    """Shuffle and split examples into train/val/dev/test by language.
 
     Each language's examples are shuffled with a language-keyed stream and
-    dealt to the splits with largest-remainder counts.  Within a split,
-    examples keep language-block order (languages in first-appearance
-    order).  Returns a CorpusSplit for the default 4-way fractions; any
-    other fraction count returns a plain tuple of parts.
+    dealt to the splits with largest-remainder counts over
+    SPLIT_FRACTIONS.  Within a split, examples keep language-block order
+    (languages in first-appearance order).
     """
-    if not fractions or any(f <= 0 for f in fractions):
-        raise ValueError("split fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {sum(fractions)}")
-
     by_lang: dict[str, list] = {}
     for ex in examples:
         by_lang.setdefault(ex.language, []).append(ex)
 
-    starved = sorted(l for l, items in by_lang.items() if len(items) < len(fractions))
+    starved = sorted(l for l, items in by_lang.items()
+                     if len(items) < len(SPLIT_FRACTIONS))
     if starved:
         raise ValueError(
             f"languages with fewer examples than splits: {', '.join(starved)}"
         )
 
-    parts = tuple([] for _ in fractions)
+    parts = tuple([] for _ in SPLIT_FRACTIONS)
     for lang, items in by_lang.items():
         rng = stream(seed, "split", lang)
         order = rng.permutation(len(items))
         shuffled = [items[i] for i in order]
-        counts = _largest_remainder_counts(len(items), fractions)
+        counts = _largest_remainder_counts(len(items))
         offset = 0
         for part, count in zip(parts, counts):
             part.extend(shuffled[offset:offset + count])
             offset += count
-
-    parts = tuple(tuple(p) for p in parts)
-    if len(parts) == 4:
-        return CorpusSplit(*parts)
-    return parts
+    return CorpusSplit(*(tuple(p) for p in parts))
 
 
-def filter_language(examples, languages) -> tuple:
-    """Keep examples whose language is in ``languages``, preserving order."""
-    if isinstance(languages, str):
-        languages = {languages}
-    else:
-        languages = set(languages)
-    return tuple(ex for ex in examples if ex.language in languages)
+def filter_language(examples, language: str) -> tuple:
+    """Keep the examples of one language, preserving order."""
+    return tuple(ex for ex in examples if ex.language == language)

@@ -74,7 +74,6 @@ class SyntheticLanguageSpec:
     lexicon: dict            # concept id -> surface form
     function_words: tuple    # surface forms of FUNC concepts
     order_rule: int          # index into the word-order permutation rules
-    tag_inventory: tuple = TAG_INVENTORY
 
     @property
     def n_concepts(self) -> int:

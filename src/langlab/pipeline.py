@@ -3,20 +3,21 @@
 Every command that touches the encoder runs here as a sequence of named
 stages; the CLI only parses arguments and prints what these return:
 
-    train      run_experiment         config, corpus, pretrain, train,
-                                      probe, manifest, evaluate, analyze,
-                                      bundle
-    pretrain   run_pretraining        config, corpus, pretrain, manifest
-    probe-lid  run_language_probe     config, corpus, pretrain, probe
-    hpsearch   hyperparameter_search  config, corpus, pretrain, search
+    train      run_experiment         corpus, pretrain, train, probe,
+                                      manifest, evaluate, analyze, bundle
+    pretrain   run_pretraining        corpus, pretrain, manifest
+    probe-lid  run_language_probe     corpus, pretrain, probe
+    hpsearch   hyperparameter_search  corpus, pretrain, search
     analyze    reanalyze              analyze, corpus, checkpoints,
                                       evaluate, analyze, bundle
 
-A PipelineConfig checks its own values when it is built.  The config
-stage runs the checks that live elsewhere, before any corpus work or
-output: EncoderConfig's rules on the encoder shape, and hpsearch's
-sample count.  The corpus stage builds the corpora, splits and indexes
-(prepare_data); the pretrain stage loads the configured checkpoint or
+A PipelineConfig checks its own values, the encoder shape included,
+when it is built; hpsearch checks its sample count before any stage.
+The corpus stage (prepare_data) builds the corpora and splits and works
+out, once per run, every corpus fact the later stages share: the
+language index, the task spec and the pivot-language train/val, failing
+on a pivot language the task corpus lacks.  Only then is the output
+directory made.  The pretrain stage loads the configured checkpoint or
 pretrains a fresh encoder (pretrain_encoder).  Artifacts go under the
 configured output directory.  Any stage failure raises StageError
 carrying the stage name; artifacts written before the failure stay on
@@ -48,22 +49,15 @@ from langlab.analysis.tsne import tsne
 from langlab.checkpoint import load_checkpoint, load_encoder, save_checkpoint, save_encoder
 from langlab.config import PipelineConfig, config_from_dict, manifest_id
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
-from langlab.data.split import stratified_split
+from langlab.data.split import filter_language, stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
 from langlab.heads import ClassifierHead
-from langlab.training.batching import TaskSpec
+from langlab.training.batching import TaskSpec, task_spec_for
 from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
 from langlab.training.network import embed_examples
-from langlab.training.regimes import (
-    ProbeRun,
-    corpus_languages,
-    language_index,
-    retrain_language_probe,
-    run_regime,
-    task_spec_from_split,
-)
+from langlab.training.regimes import ProbeRun, retrain_language_probe, run_regime
 from langlab.training.search import grids_for_regime, random_search
 from langlab.vocab import Vocabulary
 
@@ -151,25 +145,37 @@ def load_corpora(cfg: PipelineConfig):
 
 
 class RunData(NamedTuple):
-    """What the corpus stage hands every later stage."""
+    """What the corpus stage hands every later stage: the corpus facts
+    every regime, probe and evaluation of the run shares."""
     vocab: Vocabulary
     task_split: CorpusSplit
     lid_split: CorpusSplit
-    task_spec: TaskSpec
-    languages: tuple[str, ...]
+    task_spec: TaskSpec              # labels over every task example
+    languages: tuple[str, ...]       # sorted LID-corpus languages
     lang_to_id: dict[str, int]
+    pivot_train: tuple               # pivot-language task train
+    pivot_val: tuple                 # pivot-language task val
 
 
 def prepare_data(cfg: PipelineConfig) -> RunData:
     """Corpora, stratified splits and their indexes (split seed ties to
-    the corpus, not the run, so paired runs see identical partitions)."""
+    the corpus, not the run, so paired runs see identical partitions).
+    A pivot language with no task train or val examples fails here."""
     vocab, task_examples, lid_examples = load_corpora(cfg)
     task_split = stratified_split(task_examples, seed=cfg.corpus_seed)
     lid_split = stratified_split(lid_examples, seed=cfg.corpus_seed + 1)
-    languages = corpus_languages(lid_split)
-    return RunData(vocab, task_split, lid_split,
-                   task_spec_from_split(cfg.task, task_split), languages,
-                   language_index(languages))
+    languages = tuple(sorted({ex.language for part in lid_split.parts
+                              for ex in part}))
+    task_spec = task_spec_for(cfg.task, [ex for part in task_split.parts
+                                         for ex in part])
+    pivot_train = filter_language(task_split.train, cfg.pivot_language)
+    pivot_val = filter_language(task_split.val, cfg.pivot_language)
+    if not pivot_train or not pivot_val:
+        raise ValueError(f"no pivot-language ({cfg.pivot_language!r}) "
+                         f"examples in task train/val")
+    return RunData(vocab, task_split, lid_split, task_spec, languages,
+                   {lang: i for i, lang in enumerate(languages)},
+                   pivot_train, pivot_val)
 
 
 def pretrain_encoder(cfg: PipelineConfig, data: RunData):
@@ -209,26 +215,16 @@ def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
     return reports, projection
 
 
-def check_config(cfg: PipelineConfig, n_samples: int | None = None) -> None:
-    """The config stage: the checks a PipelineConfig cannot make when it
-    is built, run before any corpus work or output.  These are the
-    encoder's shape and, when given one, the search size."""
-    with _stage("config"):
-        # the vocabulary size is known only once the corpus is built
-        cfg.encoder_config(vocab_size=1)
-        if n_samples is not None and n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-
-
 def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
                         save: bool = False):
-    """What every command does after its config stage: make out (when
-    given), then the corpus and pretrain stages; with save set, the
-    encoder is saved as out / PRETRAINED_CHECKPOINT."""
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    """The first stages of train, pretrain, probe-lid and hpsearch: the
+    corpus stage, then out is made (when given), then the pretrain
+    stage; with save set, the encoder is saved as
+    out / PRETRAINED_CHECKPOINT."""
     with _stage("corpus"):
         data = prepare_data(cfg)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     with _stage("pretrain"):
         encoder, losses = pretrain_encoder(cfg, data)
         if save:
@@ -239,7 +235,6 @@ def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
 def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
     """Pretrain (or load) the encoder, save it with pretrain-manifest.json;
     return the checkpoint path and the MLM losses."""
-    check_config(cfg)
     out = Path(cfg.out_dir)
     _, _, losses = _corpus_and_encoder(cfg, out, save=True)
     with _stage("manifest"):
@@ -257,29 +252,27 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
 def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
     """Retrain the language probe against cfg.encoder_checkpoint; writes
     nothing.  Returns the ProbeRun and the corpus languages."""
-    check_config(cfg)
     if not cfg.encoder_checkpoint:
         raise StageError("probe", "probe-lid needs --encoder-checkpoint "
                                   "(or encoder_checkpoint in the config)")
     data, encoder, _ = _corpus_and_encoder(cfg)
     with _stage("probe"):
-        probe = retrain_language_probe(encoder, data.lid_split, cfg)
+        probe = retrain_language_probe(encoder, data, cfg)
     return probe, data.languages
 
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
-    check_config(cfg)
     out = Path(cfg.out_dir)
     data, encoder, mlm_losses = _corpus_and_encoder(cfg, out, save=True)
     cfg_dict = cfg.to_dict()
     mid = manifest_id(cfg_dict)
 
     with _stage("train"):
-        run = run_regime(encoder, data.task_split, data.lid_split, cfg)
+        run = run_regime(encoder, data, cfg)
         save_encoder(out / "encoder-final.ckpt", run.encoder)
 
     with _stage("probe"):
-        probe = retrain_language_probe(run.encoder, data.lid_split, cfg)
+        probe = retrain_language_probe(run.encoder, data, cfg)
         heads = {"task/w": run.task_head.w, "task/b": run.task_head.b,
                  "probe/w": probe.head.w, "probe/b": probe.head.b}
         if run.lang_head is not None:
@@ -317,11 +310,13 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
     Each test split goes through the encoder once; F1 scores and plot
     samples are all read off those embeddings.
     """
-    _, task_split, lid_split, task_spec, languages, lang_to_id = data
+    task_spec, languages = data.task_spec, data.languages
     with _stage("evaluate"):
-        emb_task = embed_examples(encoder, task_split.test, task_spec.level,
-                                  lang_to_id, task_spec.label_to_id)
-        emb_lid = embed_examples(encoder, lid_split.test, "text", lang_to_id)
+        emb_task = embed_examples(encoder, data.task_split.test,
+                                  task_spec.level, data.lang_to_id,
+                                  task_spec.label_to_id)
+        emb_lid = embed_examples(encoder, data.lid_split.test, "text",
+                                 data.lang_to_id)
         task_f1 = per_language_task_f1(task_head, emb_task,
                                        task_spec.n_classes, languages)
         lid_task = cached_lid_f1(probe_head, emb_task, len(languages))
@@ -511,15 +506,15 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
     regime-level hyperparameters vary.  Only the task head's score ranks
     candidates; cfg.seed seeds the draws and every candidate's training.
     """
-    check_config(cfg, n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     out = Path(cfg.out_dir)
     data, encoder, _ = _corpus_and_encoder(cfg, out)
 
     def evaluate(sample: dict) -> float:
-        run = run_regime(encoder, data.task_split, data.lid_split,
-                         replace(cfg, **sample))
+        run = run_regime(encoder, data, replace(cfg, **sample))
         scores = evaluate_task(run.encoder, run.task_head, data.task_split.dev,
-                               data.task_spec, data.lang_to_id)
+                               data)
         return scores["overall"]
 
     with _stage("search"):

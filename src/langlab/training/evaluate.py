@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from langlab.analysis.metrics import macro_f1
 from langlab.heads import ClassifierHead, head_logits
 from langlab.training.network import EmbeddedData, embed_examples
+
+if TYPE_CHECKING:   # pipeline.py imports this module
+    from langlab.pipeline import RunData
 
 
 def macro_f1_ids(preds, golds, n_classes: int) -> float:
@@ -37,12 +42,13 @@ def per_language_task_f1(head: ClassifierHead, emb: EmbeddedData,
     return report
 
 
-def evaluate_task(encoder, head: ClassifierHead, examples, task_spec,
-                  lang_to_id: dict) -> dict[str, float]:
-    emb = embed_examples(encoder, examples, task_spec.level, lang_to_id,
-                         task_spec.label_to_id)
-    languages = [l for l, _ in sorted(lang_to_id.items(), key=lambda kv: kv[1])]
-    return per_language_task_f1(head, emb, task_spec.n_classes, languages)
+def evaluate_task(encoder, head: ClassifierHead, examples,
+                  data: RunData) -> dict[str, float]:
+    """Task F1 per language and overall, under the run's corpus indexes."""
+    spec = data.task_spec
+    emb = embed_examples(encoder, examples, spec.level, data.lang_to_id,
+                         spec.label_to_id)
+    return per_language_task_f1(head, emb, spec.n_classes, data.languages)
 
 
 def evaluate_lid(encoder, head: ClassifierHead, examples, level: str,

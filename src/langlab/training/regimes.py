@@ -17,10 +17,11 @@ the language head that grad_reversal and entropy_max train against.
 The LID probe on the final encoder is retrain_language_probe's job, run
 once per experiment by the pipeline.
 
-run_regime and retrain_language_probe read their settings (regime,
-task, pivot language, init_std, batch size, rates, regime weight,
-epochs, seed) from the run's PipelineConfig, which checks them when it
-is built.
+run_regime and retrain_language_probe read the run's corpus facts (the
+splits, the language index, the task spec, the pivot-language train and
+val) from the RunData the pipeline's corpus stage prepared, and their
+settings (regime, init_std, batch size, rates, regime weight, epochs,
+seed) from the run's PipelineConfig, which checks them when it is built.
 
 Task-head training and task validation consume pivot-language examples
 only, in every regime (zero-shot contract); language-head training sees
@@ -32,23 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from langlab.data.split import filter_language
 from langlab.encoder import EncoderModel, dropout_mask
 from langlab.heads import ClassifierHead, ce_loss_and_dlogits, head_backward, head_logits
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
-from langlab.training.batching import (
-    CyclingBatches,
-    TaskSpec,
-    epoch_batches,
-    make_batch,
-    task_spec_for,
-)
+from langlab.training.batching import CyclingBatches, epoch_batches, make_batch
 from langlab.training.evaluate import cached_task_f1, head_predictions, macro_f1_ids
 from langlab.training.network import composite_step, embed_examples
 
-if TYPE_CHECKING:   # config.py imports this module
+if TYPE_CHECKING:   # config.py and pipeline.py import this module
     from langlab.config import PipelineConfig
+    from langlab.pipeline import RunData
 
 REGIMES = ("frozen_probe", "finetune", "grad_reversal", "entropy_max")
 TASKS = ("token_tag", "pair_inference")
@@ -64,7 +59,6 @@ class ProbeRun:
 
 @dataclass
 class TrainingRun:
-    regime: str
     epoch_val_f1: list[float]
     selected_epoch: int
     encoder: EncoderModel
@@ -73,29 +67,6 @@ class TrainingRun:
     task_losses: list[float] = field(default_factory=list)
     lang_losses: list[float] = field(default_factory=list)
     lang_terms: list[float] = field(default_factory=list)
-
-
-def corpus_languages(lid_split) -> tuple[str, ...]:
-    return tuple(sorted({ex.language for part in lid_split.parts for ex in part}))
-
-
-def language_index(languages) -> dict[str, int]:
-    return {lang: i for i, lang in enumerate(languages)}
-
-
-def task_spec_from_split(task: str, task_split) -> TaskSpec:
-    every = [ex for part in task_split.parts for ex in part]
-    return task_spec_for(task, every)
-
-
-def _pivot_train_val(task_split, cfg: PipelineConfig):
-    train = filter_language(task_split.train, cfg.pivot_language)
-    val = filter_language(task_split.val, cfg.pivot_language)
-    if not train or not val:
-        raise ValueError(
-            f"no pivot-language ({cfg.pivot_language!r}) examples in task train/val"
-        )
-    return train, val
 
 
 def _select_best(scores: list[float]) -> int:
@@ -161,38 +132,34 @@ def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
                     selected_epoch=best, losses=losses)
 
 
-def retrain_language_probe(encoder: EncoderModel, lid_split,
+def retrain_language_probe(encoder: EncoderModel, data: RunData,
                            cfg: PipelineConfig) -> ProbeRun:
     """Fresh language head on the frozen encoder, best epoch by LID val F1."""
-    languages = corpus_languages(lid_split)
-    lang_to_id = language_index(languages)
-    emb_train = embed_examples(encoder, lid_split.train, "text", lang_to_id)
-    emb_val = embed_examples(encoder, lid_split.val, "text", lang_to_id)
+    emb_train = embed_examples(encoder, data.lid_split.train, "text",
+                               data.lang_to_id)
+    emb_val = embed_examples(encoder, data.lid_split.val, "text",
+                             data.lang_to_id)
     return _train_head_on_cached(
         emb_train.X, emb_train.lang_y, emb_val.X, emb_val.lang_y,
-        len(languages), init_std=cfg.init_std, head_lr=cfg.head_lr,
+        len(data.languages), init_std=cfg.init_std, head_lr=cfg.head_lr,
         batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
         dropout=encoder.config.dropout, tag="lid-probe")
 
 
-def train_frozen_probe(encoder: EncoderModel, task_split, lid_split,
+def train_frozen_probe(encoder: EncoderModel, data: RunData,
                        cfg: PipelineConfig) -> TrainingRun:
     """A task head trained over the unchanged encoder."""
-    task_spec = task_spec_from_split(cfg.task, task_split)
-    lang_to_id = language_index(corpus_languages(lid_split))
-    train, val = _pivot_train_val(task_split, cfg)
-
-    emb_train = embed_examples(encoder, train, task_spec.level, lang_to_id,
-                               task_spec.label_to_id)
-    emb_val = embed_examples(encoder, val, task_spec.level, lang_to_id,
-                             task_spec.label_to_id)
+    task_spec = data.task_spec
+    emb_train = embed_examples(encoder, data.pivot_train, task_spec.level,
+                               data.lang_to_id, task_spec.label_to_id)
+    emb_val = embed_examples(encoder, data.pivot_val, task_spec.level,
+                             data.lang_to_id, task_spec.label_to_id)
     task_probe = _train_head_on_cached(
         emb_train.X, emb_train.task_y, emb_val.X, emb_val.task_y,
         task_spec.n_classes, init_std=cfg.init_std, head_lr=cfg.head_lr,
         batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
         dropout=encoder.config.dropout, tag="task-probe")
     return TrainingRun(
-        regime=cfg.regime,
         epoch_val_f1=task_probe.epoch_val_f1,
         selected_epoch=task_probe.selected_epoch,
         encoder=encoder,
@@ -202,13 +169,14 @@ def train_frozen_probe(encoder: EncoderModel, task_split, lid_split,
     )
 
 
-def _val_task_f1(encoder, task_head, val_examples, task_spec, lang_to_id) -> float:
-    emb = embed_examples(encoder, val_examples, task_spec.level, lang_to_id,
-                         task_spec.label_to_id)
-    return cached_task_f1(task_head, emb, task_spec.n_classes)
+def _val_task_f1(encoder, task_head, data: RunData) -> float:
+    spec = data.task_spec
+    emb = embed_examples(encoder, data.pivot_val, spec.level, data.lang_to_id,
+                         spec.label_to_id)
+    return cached_task_f1(task_head, emb, spec.n_classes)
 
 
-def _fine_tune(encoder: EncoderModel, task_split, lid_split,
+def _fine_tune(encoder: EncoderModel, data: RunData,
                cfg: PipelineConfig) -> TrainingRun:
     """Encoder + task head under composite_step, best epoch by pivot val F1.
 
@@ -220,13 +188,11 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
     task epoch under the combined confusion loss with that head frozen.
     Each epoch snapshots the encoder and both heads together.
     """
-    task_spec = task_spec_from_split(cfg.task, task_split)
-    languages = corpus_languages(lid_split)
-    lang_to_id = language_index(languages)
-    train, val = _pivot_train_val(task_split, cfg)
+    task_spec, lang_to_id = data.task_spec, data.lang_to_id
+    train, lid_train = data.pivot_train, data.lid_split.train
     reversal = cfg.regime == "grad_reversal"
     entropy = cfg.regime == "entropy_max"
-    if entropy and not lid_split.train:
+    if entropy and not lid_train:
         raise ValueError("empty language-data training split")
 
     enc = encoder.copy()
@@ -237,12 +203,13 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
     params["task/b"] = task_head.b
     lang_head = lid_batch = lid_drop_rng = None
     if reversal or entropy:
-        lang_head = ClassifierHead.init(enc.config.d_model, len(languages),
-                                        cfg.init_std, seed=cfg.seed, tag="lang")
+        lang_head = ClassifierHead.init(enc.config.d_model,
+                                        len(data.languages), cfg.init_std,
+                                        seed=cfg.seed, tag="lang")
     if reversal:
         params["lang/w"] = lang_head.w
         params["lang/b"] = lang_head.b
-        cycler = CyclingBatches(len(lid_split.train), stream(cfg.seed, "lid-batches"))
+        cycler = CyclingBatches(len(lid_train), stream(cfg.seed, "lid-batches"))
         lid_drop_rng = stream(cfg.seed, "lid-dropout")
     if entropy:
         lang_params = {"w": lang_head.w, "b": lang_head.b}
@@ -255,13 +222,13 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
     batch_rng = stream(cfg.seed, "task-batches")
     drop_rng = stream(cfg.seed, "task-dropout")
 
-    run = TrainingRun(regime=cfg.regime, epoch_val_f1=[], selected_epoch=0,
-                      encoder=enc, task_head=task_head, lang_head=lang_head)
+    run = TrainingRun(epoch_val_f1=[], selected_epoch=0, encoder=enc,
+                      task_head=task_head, lang_head=lang_head)
     snapshots = []
     for _ in range(cfg.epochs):
         if entropy:
             # language phase: head alone against the frozen current encoder
-            emb = embed_examples(enc, lid_split.train, "text", lang_to_id)
+            emb = embed_examples(enc, lid_train, "text", lang_to_id)
             _head_epoch(lang_head, lang_params, lang_state, emb.X, emb.lang_y,
                         batch_size=cfg.batch_size, lr=cfg.head_lr,
                         dropout=enc.config.dropout, batch_rng=lang_batch_rng,
@@ -272,7 +239,7 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
                                lang_to_id, task_spec.level)
             if reversal:
                 lid_idx = cycler.take(len(idx))
-                lid_batch = make_batch([lid_split.train[i] for i in lid_idx],
+                lid_batch = make_batch([lid_train[i] for i in lid_idx],
                                        None, lang_to_id, "text")
             res = composite_step(enc, task_head, batch, drop_rng,
                                  lang_head=lang_head, w=cfg.w,
@@ -285,8 +252,7 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
                 run.lang_losses.append(res.lang_loss)
             if res.lang_term is not None:
                 run.lang_terms.append(res.lang_term)
-        run.epoch_val_f1.append(_val_task_f1(enc, task_head, val, task_spec,
-                                             lang_to_id))
+        run.epoch_val_f1.append(_val_task_f1(enc, task_head, data))
         snapshots.append((enc.copy(), task_head.copy(),
                           lang_head.copy() if lang_head is not None else None))
     run.selected_epoch = _select_best(run.epoch_val_f1)
@@ -294,8 +260,8 @@ def _fine_tune(encoder: EncoderModel, task_split, lid_split,
     return run
 
 
-def run_regime(encoder: EncoderModel, task_split, lid_split,
+def run_regime(encoder: EncoderModel, data: RunData,
                cfg: PipelineConfig) -> TrainingRun:
     """Train one regime: the one entry point for all four."""
     trainer = train_frozen_probe if cfg.regime == "frozen_probe" else _fine_tune
-    return trainer(encoder, task_split, lid_split, cfg)
+    return trainer(encoder, data, cfg)

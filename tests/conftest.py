@@ -8,12 +8,22 @@ from __future__ import annotations
 
 import pytest
 
-from langlab.data.split import stratified_split
-from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
+from langlab.config import PipelineConfig
+from langlab.data.synthetic import generate_corpus, make_language_specs
 from langlab.encoder import EncoderConfig, EncoderModel, mlm_pretrain
+from langlab.pipeline import prepare_data
 
 N_LANGS = 3
 N_CONCEPTS = 30
+
+
+@pytest.fixture(scope="session")
+def tiny_data():
+    """The corpus stage's RunData for a 3-language synthetic world (the
+    one tiny_specs builds): token tagging, pivot language "aa"."""
+    return prepare_data(PipelineConfig(
+        n_languages=N_LANGS, n_concepts=N_CONCEPTS,
+        task_examples_per_language=40, lid_examples_per_language=40))
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +32,8 @@ def tiny_specs():
 
 
 @pytest.fixture(scope="session")
-def tiny_vocab(tiny_specs):
-    return build_vocabulary(tiny_specs)
+def tiny_vocab(tiny_data):
+    return tiny_data.vocab
 
 
 @pytest.fixture(scope="session")
@@ -43,18 +53,13 @@ def tiny_lid_corpus(tiny_specs, tiny_vocab):
 
 
 @pytest.fixture(scope="session")
-def tiny_task_split(tiny_task_corpus):
-    return stratified_split(tiny_task_corpus, seed=0)
+def tiny_task_split(tiny_data):
+    return tiny_data.task_split
 
 
 @pytest.fixture(scope="session")
-def tiny_pair_split(tiny_pair_corpus):
-    return stratified_split(tiny_pair_corpus, seed=0)
-
-
-@pytest.fixture(scope="session")
-def tiny_lid_split(tiny_lid_corpus):
-    return stratified_split(tiny_lid_corpus, seed=1)
+def tiny_lid_split(tiny_data):
+    return tiny_data.lid_split
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,6 @@ from langlab.encoder import (
     EncoderModel,
     backward_batch,
     forward_batch,
-    mlm_pretrain,
 )
 from langlab.heads import (
     ClassifierHead,
@@ -54,7 +53,7 @@ from langlab.heads import (
     language_term_and_dlogits,
     softmax,
 )
-from langlab.pipeline import run_experiment
+from langlab.pipeline import prepare_data, pretrain_encoder, run_experiment
 from langlab.rng import stream
 from langlab.training.batching import make_batch, task_spec_for
 from langlab.training.evaluate import evaluate_lid, evaluate_task
@@ -64,13 +63,7 @@ from langlab.training.network import (
     embed_examples,
     read_index,
 )
-from langlab.training.regimes import (
-    corpus_languages,
-    language_index,
-    retrain_language_probe,
-    run_regime,
-    task_spec_from_split,
-)
+from langlab.training.regimes import retrain_language_probe, run_regime
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -410,25 +403,17 @@ def test_criterion_06_tsne_behavior():
 def protocol():
     timings = {}
     t0 = time.time()
-    specs = make_language_specs(8, 60, 0.25, seed=0)
-    vocab = build_vocabulary(specs)
-    task_corpus = generate_corpus(specs, 480, "token_tag", seed=0, vocab=vocab)
-    lid_corpus = generate_corpus(specs, 240, "lid", seed=1, vocab=vocab)
-    task_split = stratified_split(task_corpus, seed=0)
-    lid_split = stratified_split(lid_corpus, seed=1)
-    task_spec = task_spec_from_split("token_tag", task_split)
-    languages = corpus_languages(lid_split)
-    lang_to_id = language_index(languages)
+    # the CLI defaults: 8 languages x 60 concepts, 480 token-tagging and
+    # 240 LID examples per language, pivot "aa", a 64-wide 2-layer
+    # encoder pretrained for 1500 masked-token steps
+    base = PipelineConfig()
+    data = prepare_data(base)
+    task_split, task_spec = data.task_split, data.task_spec
+    languages, lang_to_id = data.languages, data.lang_to_id
     timings["data"] = time.time() - t0
 
     t0 = time.time()
-    pretrained, _ = mlm_pretrain(
-        EncoderModel.init(
-            EncoderConfig(vocab_size=len(vocab), d_model=64, n_layers=2,
-                          n_heads=4, d_ff=256, max_len=128, dropout=0.1),
-            seed=0),
-        lid_split.train, mask_rate=0.15, steps=1500, batch_size=32, lr=1e-3,
-        seed=0)
+    pretrained, _ = pretrain_encoder(base, data)
     timings["pretrain"] = time.time() - t0
 
     def experiment(regime, seed):
@@ -458,12 +443,11 @@ def protocol():
         for regime in REGIMES:
             cfg = experiment(regime, seed)
             t0 = time.time()
-            run = run_regime(pretrained, task_split, lid_split, cfg)
-            probe = retrain_language_probe(run.encoder, lid_split, cfg).head
+            run = run_regime(pretrained, data, cfg)
+            probe = retrain_language_probe(run.encoder, data, cfg).head
             row = {
                 "task_f1": evaluate_task(run.encoder, run.task_head,
-                                         task_split.test, task_spec,
-                                         lang_to_id)["overall"],
+                                         task_split.test, data)["overall"],
                 "lid_f1": evaluate_lid(run.encoder, probe, task_split.test,
                                        task_spec.level, lang_to_id),
             }
@@ -537,8 +521,7 @@ def test_criterion_09_stratified_splitter():
 
     ok = True
     for seed in range(100):
-        split = stratified_split(corpus, seed=seed,
-                                 fractions=(0.70, 0.10, 0.10, 0.10))
+        split = stratified_split(corpus, seed=seed)
         for part, want in zip(split.parts, (3500, 500, 500, 500)):
             counts = Counter(ex.language for ex in part)
             ok = ok and all(counts[l] == want for l in languages)

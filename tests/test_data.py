@@ -359,19 +359,6 @@ def test_split_starved_language_raises(tiny_lid_corpus):
         stratified_split(few, seed=0)
 
 
-def test_split_fraction_validation(tiny_lid_corpus):
-    with pytest.raises(ValueError, match="sum to 1"):
-        stratified_split(tiny_lid_corpus, seed=0, fractions=(0.5, 0.1))
-    with pytest.raises(ValueError, match="positive"):
-        stratified_split(tiny_lid_corpus, seed=0, fractions=(1.5, -0.5))
-
-
-def test_split_non_default_fraction_count(tiny_lid_corpus):
-    parts = stratified_split(tiny_lid_corpus, seed=0, fractions=(0.9, 0.1))
-    assert isinstance(parts, tuple) and len(parts) == 2
-    assert len(parts[0]) + len(parts[1]) == len(tiny_lid_corpus)
-
-
 def test_default_fractions():
     assert SPLIT_FRACTIONS == (0.70, 0.10, 0.10, 0.10)
 
@@ -379,8 +366,7 @@ def test_default_fractions():
 def test_filter_language(tiny_lid_corpus):
     aa = filter_language(tiny_lid_corpus, "aa")
     assert aa and all(ex.language == "aa" for ex in aa)
-    both = filter_language(tiny_lid_corpus, ["aa", "ab"])
-    assert {ex.language for ex in both} == {"aa", "ab"}
+    assert filter_language(tiny_lid_corpus, "zz") == ()
 
 
 # ---------------------------------------------------------------------------

@@ -616,12 +616,11 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
 
 @pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
                                      "probe-lid"])
-# PipelineConfig's own checks fail at load ([cli]); the encoder shape is
-# checked by EncoderConfig in the config stage
+# PipelineConfig's own checks, the encoder shape included, fail at load
 @pytest.mark.parametrize("bad, tag, message", [
     ({"regime": "bogus"}, "cli", "unknown regime 'bogus'"),
     ({"grl_lambda": 0.1}, "cli", "grl_lambda is set iff regime is grad_reversal"),
-    ({"d_model": 60, "n_heads": 7}, "config",
+    ({"d_model": 60, "n_heads": 7}, "cli",
      "d_model 60 not divisible by n_heads 7"),
     ({"language_term_variant": "renyi"}, "cli",
      "unknown language term variant 'renyi'"),
@@ -648,8 +647,19 @@ def test_cli_hpsearch_rejects_bad_sample_count_before_any_stage(
     path, cfg = cli_cfg_path
     assert main(["hpsearch", "--config", str(path), "--samples", samples]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error [config]") and "n_samples must be >= 1" in err
+    assert err.startswith("error [cli]") and "n_samples must be >= 1" in err
     assert not Path(cfg.out_dir).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain"])
+def test_cli_bad_pivot_fails_in_corpus_stage_and_writes_nothing(
+        cli_cfg_path, capsys, command):
+    path, cfg = cli_cfg_path
+    path.write_text(json.dumps(cfg.to_dict() | {"pivot_language": "zz"}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [corpus] no pivot-language ('zz') ")
+    assert not Path(cfg.out_dir).exists()    # no checkpoint, no run dir
 
 
 def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
@@ -677,7 +687,7 @@ def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
         assert main(argv) == 0
         capsys.readouterr()
         stages[name] = list(entered)
-    head = ["config", "corpus", "pretrain"]
+    head = ["corpus", "pretrain"]
     assert stages == {
         "train": head + ["train", "probe", "manifest", "evaluate", "analyze",
                          "bundle"],

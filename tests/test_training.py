@@ -15,6 +15,7 @@ import pytest
 from langlab.config import PipelineConfig
 from langlab.encoder import EncoderConfig, EncoderModel, forward_batch
 from langlab.heads import ce_loss_and_dlogits, head_logits, language_term_and_dlogits
+from langlab.pipeline import prepare_data
 from langlab.rng import stream
 from langlab.training.batching import (
     CyclingBatches,
@@ -32,15 +33,7 @@ from langlab.training.network import (
     embed_examples,
     read_index,
 )
-from langlab.training.regimes import (
-    _pivot_train_val,
-    _select_best,
-    corpus_languages,
-    language_index,
-    retrain_language_probe,
-    run_regime,
-    task_spec_from_split,
-)
+from langlab.training.regimes import _select_best, retrain_language_probe, run_regime
 from langlab.training.search import TABLE_GRIDS, grids_for_regime, random_search
 
 FD_H = 1e-5
@@ -294,34 +287,36 @@ def test_select_best_earliest_max():
     assert _select_best([0.5, 0.5, 0.5]) == 0
 
 
-def test_pivot_filtering(tiny_task_split):
-    cfg = PipelineConfig(regime="finetune", task="token_tag",
-                         pivot_language="aa")
-    train, val = _pivot_train_val(tiny_task_split, cfg)
-    assert train and val
-    assert all(ex.language == "aa" for ex in train + val)
-    missing = PipelineConfig(regime="finetune", task="token_tag",
+def test_pivot_filtering(tiny_data):
+    # the corpus stage keeps the pivot language's task train and val
+    assert tiny_data.pivot_train and tiny_data.pivot_val
+    assert all(ex.language == "aa"
+               for ex in tiny_data.pivot_train + tiny_data.pivot_val)
+    assert list(map(id, tiny_data.pivot_train)) == [
+        id(ex) for ex in tiny_data.task_split.train if ex.language == "aa"]
+    missing = PipelineConfig(n_languages=3, n_concepts=30,
+                             task_examples_per_language=40,
+                             lid_examples_per_language=40,
                              pivot_language="zz")
-    with pytest.raises(ValueError, match="no pivot-language"):
-        _pivot_train_val(tiny_task_split, missing)
+    with pytest.raises(ValueError, match="no pivot-language \\('zz'\\)"):
+        prepare_data(missing)
 
 
-def test_corpus_languages_and_index(tiny_lid_split):
-    langs = corpus_languages(tiny_lid_split)
-    assert langs == ("aa", "ab", "ac")
-    assert language_index(langs) == {"aa": 0, "ab": 1, "ac": 2}
+def test_corpus_languages_and_index(tiny_data):
+    assert tiny_data.languages == ("aa", "ab", "ac")
+    assert tiny_data.lang_to_id == {"aa": 0, "ab": 1, "ac": 2}
+    assert tiny_data.task_spec.labels == ("FUNC", "NOUN", "VERB")
 
 
 # ---------------------------------------------------------------------------
 # embedding cache
 
 
-def test_embed_examples_token_level(small_pretrained, tiny_task_split):
+def test_embed_examples_token_level(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
-    examples = tiny_task_split.val
-    spec = task_spec_from_split("token_tag", tiny_task_split)
-    emb = embed_examples(encoder, examples, "token", {"aa": 0, "ab": 1, "ac": 2},
-                         spec.label_to_id, batch_size=5)
+    examples = tiny_data.task_split.val
+    emb = embed_examples(encoder, examples, "token", tiny_data.lang_to_id,
+                         tiny_data.task_spec.label_to_id, batch_size=5)
     n_tokens = sum(len(ex.sequence) for ex in examples)
     assert emb.X.shape == (n_tokens, encoder.config.d_model)
     assert emb.task_y.shape == emb.lang_y.shape == (n_tokens,)
@@ -358,11 +353,10 @@ def params_equal(a: EncoderModel, b: EncoderModel) -> bool:
 
 
 def test_frozen_probe_leaves_encoder_untouched(small_pretrained,
-                                               tiny_task_split, tiny_lid_split):
+                                               tiny_data):
     encoder, _ = small_pretrained
     before = {k: v.copy() for k, v in encoder.params.items()}
-    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                     tiny_cfg("frozen_probe"))
+    run = run_regime(encoder, tiny_data, tiny_cfg("frozen_probe"))
     assert run.encoder is encoder
     assert all(np.array_equal(encoder.params[k], before[k]) for k in before)
     assert run.lang_head is None    # the LID probe is the pipeline's job
@@ -376,46 +370,39 @@ def test_frozen_probe_leaves_encoder_untouched(small_pretrained,
     ("grad_reversal", {"grl_lambda": 0.5}, True),
     ("entropy_max", {"w": 0.5}, True)],
     ids=["frozen_probe", "finetune", "grad_reversal", "entropy_max"])
-def test_regimes_return_only_what_they_train(small_pretrained, tiny_task_split,
-                                             tiny_lid_split, regime, weights,
+def test_regimes_return_only_what_they_train(small_pretrained, tiny_data, regime, weights,
                                              trains_lang_head):
     encoder, _ = small_pretrained
-    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                     tiny_cfg(regime, epochs=1, **weights))
+    run = run_regime(encoder, tiny_data, tiny_cfg(regime, epochs=1, **weights))
     assert (run.lang_head is not None) == trains_lang_head
 
 
-def test_run_regime_deterministic(small_pretrained, tiny_task_split,
-                                  tiny_lid_split):
+def test_run_regime_deterministic(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
-    a = run_regime(encoder, tiny_task_split, tiny_lid_split, tiny_cfg("finetune"))
-    b = run_regime(encoder, tiny_task_split, tiny_lid_split, tiny_cfg("finetune"))
+    a = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
+    b = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
     assert params_equal(a.encoder, b.encoder)
     assert np.array_equal(a.task_head.w, b.task_head.w)
     assert a.epoch_val_f1 == b.epoch_val_f1
     assert a.task_losses == b.task_losses
 
 
-def test_finetune_moves_encoder(small_pretrained, tiny_task_split,
-                                tiny_lid_split):
+def test_finetune_moves_encoder(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
-    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                     tiny_cfg("finetune"))
+    run = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
     assert run.encoder is not encoder
     assert not params_equal(run.encoder, encoder)
     assert run.epoch_val_f1[run.selected_epoch] == max(run.epoch_val_f1)
 
 
 def test_reduction_identities_match_finetune(small_pretrained,
-                                             tiny_task_split, tiny_lid_split):
+                                             tiny_data):
     # lambda=0 and w=0 must retrace plain fine-tuning bitwise
     encoder, _ = small_pretrained
-    ft = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                    tiny_cfg("finetune"))
-    gr = run_regime(encoder, tiny_task_split, tiny_lid_split,
+    ft = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
+    gr = run_regime(encoder, tiny_data,
                     tiny_cfg("grad_reversal", grl_lambda=0.0))
-    em = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                    tiny_cfg("entropy_max", w=0.0))
+    em = run_regime(encoder, tiny_data, tiny_cfg("entropy_max", w=0.0))
     for other in (gr, em):
         assert params_equal(ft.encoder, other.encoder)
         assert np.array_equal(ft.task_head.w, other.task_head.w)
@@ -425,35 +412,31 @@ def test_reduction_identities_match_finetune(small_pretrained,
 
 
 def test_grad_reversal_with_positive_lambda_diverges(small_pretrained,
-                                                     tiny_task_split,
-                                                     tiny_lid_split):
+                                                     tiny_data):
     encoder, _ = small_pretrained
-    ft = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                    tiny_cfg("finetune"))
-    gr = run_regime(encoder, tiny_task_split, tiny_lid_split,
+    ft = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
+    gr = run_regime(encoder, tiny_data,
                     tiny_cfg("grad_reversal", grl_lambda=0.5))
     assert not params_equal(ft.encoder, gr.encoder)
     assert gr.lang_losses    # the language CE is tracked
 
 
-def test_entropy_max_tracks_language_term(small_pretrained, tiny_task_split,
-                                          tiny_lid_split):
+def test_entropy_max_tracks_language_term(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
-    em = run_regime(encoder, tiny_task_split, tiny_lid_split,
-                    tiny_cfg("entropy_max", w=0.5))
+    em = run_regime(encoder, tiny_data, tiny_cfg("entropy_max", w=0.5))
     assert em.lang_terms and all(np.isfinite(t) for t in em.lang_terms)
     assert em.lang_losses
 
 
 def test_entropy_max_returns_the_selected_epochs_language_head(
-        small_pretrained, tiny_task_split, tiny_lid_split, monkeypatch):
+        small_pretrained, tiny_data, monkeypatch):
     # encoder, task head and language head all come from the selected epoch
     encoder, _ = small_pretrained
-    one = run_regime(encoder, tiny_task_split, tiny_lid_split,
+    one = run_regime(encoder, tiny_data,
                      tiny_cfg("entropy_max", w=0.5, epochs=1))
     scores = iter([1.0, 0.0, 0.0])
     monkeypatch.setattr(regimes, "_val_task_f1", lambda *args: next(scores))
-    run = run_regime(encoder, tiny_task_split, tiny_lid_split,
+    run = run_regime(encoder, tiny_data,
                      tiny_cfg("entropy_max", w=0.5, epochs=3))
     assert run.selected_epoch == 0 and run.epoch_val_f1 == [1.0, 0.0, 0.0]
     assert params_equal(run.encoder, one.encoder)
@@ -462,26 +445,25 @@ def test_entropy_max_returns_the_selected_epochs_language_head(
     assert np.array_equal(run.lang_head.b, one.lang_head.b)
 
 
-def test_retrain_language_probe_deterministic(small_pretrained, tiny_lid_split):
+def test_retrain_language_probe_deterministic(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
     cfg = tiny_cfg("frozen_probe")
-    a = retrain_language_probe(encoder, tiny_lid_split, cfg)
-    b = retrain_language_probe(encoder, tiny_lid_split, cfg)
+    a = retrain_language_probe(encoder, tiny_data, cfg)
+    b = retrain_language_probe(encoder, tiny_data, cfg)
     assert np.array_equal(a.head.w, b.head.w)
     assert a.epoch_val_f1 == b.epoch_val_f1
     assert a.epoch_val_f1[a.selected_epoch] == max(a.epoch_val_f1)
 
 
 def test_pretraining_helps_language_probe(small_pretrained, tiny_encoder,
-                                          tiny_lid_split):
+                                          tiny_data):
     pretrained, _ = small_pretrained
     cfg = tiny_cfg("frozen_probe")
-    lang_to_id = language_index(corpus_languages(tiny_lid_split))
     scores = {}
     for name, enc in (("random", tiny_encoder), ("pretrained", pretrained)):
-        probe = retrain_language_probe(enc, tiny_lid_split, cfg)
-        scores[name] = evaluate_lid(enc, probe.head, tiny_lid_split.test,
-                                    "text", lang_to_id)
+        probe = retrain_language_probe(enc, tiny_data, cfg)
+        scores[name] = evaluate_lid(enc, probe.head, tiny_data.lid_split.test,
+                                    "text", tiny_data.lang_to_id)
     assert scores["pretrained"] >= 0.9
     assert scores["pretrained"] > scores["random"]
 
