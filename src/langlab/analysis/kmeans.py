@@ -48,15 +48,26 @@ def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = points[rng.integers(n)]
-        else:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    # D^2 may overflow to inf; the draw then takes rescaled weights
+    with np.errstate(over="ignore"):
+        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0.0:
+                centers[j] = points[rng.integers(n)]
+            else:
+                w = d2 if np.isfinite(total) else _d2_in_range(points, centers[:j])
+                centers[j] = points[rng.choice(n, p=w / w.sum())]
+            d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
+
+
+def _d2_in_range(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """D^2 to the nearest of centers, on points scaled by a power of two
+    into [-1, 1]: the same weights up to that scale, but a finite sum."""
+    scale = np.ldexp(1.0, -np.frexp(np.abs(points).max())[1])
+    diff = (points * scale)[:, None, :] - (centers * scale)[None, :, :]
+    return (diff ** 2).sum(axis=2).min(axis=1)
 
 
 def _assign(points, sq, centers, diff):

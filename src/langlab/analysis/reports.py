@@ -1,10 +1,9 @@
 """Sample containers, clustering reports, and the interop file formats.
 
 Embedding dump: header ``dim=<d>``, then one line per point with d
-space-separated floats, a tab, the task label (``-`` when absent), a
-tab, and the language.  Projection output: CSV with x, y, label,
-language columns.  Floats are written with repr so loads round-trip
-exactly.
+space-separated floats, a tab, the task label, a tab, and the language.
+Projection output: CSV with x, y, label, language columns.  Floats are
+written with repr so loads round-trip exactly.
 """
 
 from __future__ import annotations
@@ -21,16 +20,18 @@ from langlab.rng import stream
 
 @dataclass
 class EmbeddingSample:
+    """Annotated points: embeddings, or their 2-d t-SNE projection.  An
+    LID paragraph's label is its language."""
     vectors: np.ndarray                 # (N, d)
     languages: list[str]
-    labels: list[str] | None = None    # None for LID data
+    labels: list[str]
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
         n = self.vectors.shape[0]
         if len(self.languages) != n:
             raise ValueError("language annotations not aligned with vectors")
-        if self.labels is not None and len(self.labels) != n:
+        if len(self.labels) != n:
             raise ValueError("label annotations not aligned with vectors")
 
     def __len__(self) -> int:
@@ -40,58 +41,33 @@ class EmbeddingSample:
         if which == "language":
             return self.languages
         if which == "label":
-            if self.labels is None:
-                raise ValueError("sample has no task labels")
             return self.labels
         raise ValueError(f"unknown annotation {which!r}")
 
 
-@dataclass
-class ClusterReport:
-    annotation: str
-    k: int
-    per_run: list[float]
-    mean: float
-    degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "annotation": self.annotation, "k": self.k,
-            "per_run": list(self.per_run), "mean": self.mean,
-            "degenerate": self.degenerate,
-        }
-
-
-@dataclass
-class Projection2D:
-    coords: np.ndarray                  # (N, 2)
-    languages: list[str]
-    labels: list[str] | None
-
-
 def clustering_report(sample: EmbeddingSample, annotation: str,
-                      n_runs: int = 10, seed: int = 0) -> ClusterReport:
-    """k-means with k = distinct annotation values; V averaged over runs."""
+                      n_runs: int = 10, seed: int = 0) -> dict:
+    """k-means with k = distinct annotation values; V averaged over runs.
+
+    Returns the bundle's cluster-report cell: annotation, k, per_run,
+    mean and degenerate (k == 1).
+    """
     values = sample.annotation(annotation)
     k = len(set(values))
     if len(sample) < k:
         raise ValueError(f"sample has {len(sample)} points but k={k}")
-    degenerate = k == 1
     per_run = []
     for run in range(n_runs):
         run_seed = int(stream(seed, "clustering", annotation, run).integers(2**32))
         result = kmeans(sample.vectors, k, seed=run_seed)
         per_run.append(v_measure(values, result.assignments.tolist()))
-    return ClusterReport(
-        annotation=annotation, k=k, per_run=per_run,
-        mean=float(np.mean(per_run)), degenerate=degenerate,
-    )
+    return {"annotation": annotation, "k": k, "per_run": per_run,
+            "mean": float(np.mean(per_run)), "degenerate": k == 1}
 
 
 def write_embedding_dump(path, sample: EmbeddingSample) -> None:
     lines = [f"dim={sample.vectors.shape[1]}"]
-    labels = sample.labels if sample.labels is not None else ["-"] * len(sample)
-    for row, label, lang in zip(sample.vectors.tolist(), labels,
+    for row, label, lang in zip(sample.vectors.tolist(), sample.labels,
                                 sample.languages, strict=True):
         lines.append(f"{' '.join(map(repr, row))}\t{label}\t{lang}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -115,25 +91,19 @@ def load_embedding_dump(path) -> EmbeddingSample:
         vectors.append(vec)
         labels.append(parts[1])
         languages.append(parts[2])
-    has_labels = any(l != "-" for l in labels)
-    return EmbeddingSample(
-        vectors=np.array(vectors), languages=languages,
-        labels=labels if has_labels else None,
-    )
+    return EmbeddingSample(np.array(vectors), languages, labels)
 
 
-def write_projection_csv(path, projection: Projection2D) -> None:
+def write_projection_csv(path, sample: EmbeddingSample) -> None:
+    """One CSV row per point of a sample whose vectors are 2-d coordinates."""
     lines = ["x,y,label,language"]
-    coords = projection.coords.tolist()
-    labels = (projection.labels if projection.labels is not None
-              else ["-"] * len(coords))
-    for (x, y), label, lang in zip(coords, labels, projection.languages,
-                                   strict=True):
+    for (x, y), label, lang in zip(sample.vectors.tolist(), sample.labels,
+                                   sample.languages, strict=True):
         lines.append(f"{x!r},{y!r},{label},{lang}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_projection_csv(path) -> Projection2D:
+def load_projection_csv(path) -> EmbeddingSample:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "x,y,label,language":
         raise ValueError(f"{path}: expected an x,y,label,language header")
@@ -145,8 +115,4 @@ def load_projection_csv(path) -> Projection2D:
         coords.append((float(x), float(y)))
         labels.append(label)
         languages.append(lang)
-    has_labels = any(l != "-" for l in labels)
-    return Projection2D(
-        coords=np.array(coords), languages=languages,
-        labels=labels if has_labels else None,
-    )
+    return EmbeddingSample(np.array(coords), languages, labels)

@@ -26,7 +26,7 @@ def plot_sample(sample: EmbeddingSample, by: str, quota: int,
     if quota < 1:
         raise ValueError(f"quota must be >= 1, got {quota}")
     if by == "label_language":
-        keys = list(zip(sample.annotation("label"), sample.languages))
+        keys = list(zip(sample.labels, sample.languages))
     elif by == "language":
         keys = [(lang,) for lang in sample.languages]
     else:
@@ -51,6 +51,5 @@ def plot_sample(sample: EmbeddingSample, by: str, quota: int,
     return EmbeddingSample(
         vectors=sample.vectors[idx],
         languages=[sample.languages[i] for i in chosen],
-        labels=None if sample.labels is None
-        else [sample.labels[i] for i in chosen],
+        labels=[sample.labels[i] for i in chosen],
     )

@@ -235,8 +235,6 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
          seed: int = 0) -> TsneResult:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    if perplexity >= n:
-        raise ValueError(f"perplexity {perplexity} must be < n points {n}")
     if perplexity > n - 1:
         raise ValueError(f"row perplexity {perplexity} unreachable with {n} points")
     if not early_exaggeration > 0.0:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from langlab.data.synthetic import truncate_pair
+from langlab.data.synthetic import pair_sequence
 from langlab.data.types import LabeledExample, TokenSequence, MAX_LEN
-from langlab.vocab import SEP_ID, UNK_ID, Vocabulary
+from langlab.vocab import UNK_ID, Vocabulary
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 
@@ -137,13 +137,8 @@ def load_nli_tsv(
             h_ids = _encode(hypothesis.split(), vocab, filter_unknown)
             if p_ids is None or h_ids is None:
                 continue
-            p_ids, h_ids = truncate_pair(p_ids, h_ids)
-            seq = TokenSequence(
-                p_ids + [SEP_ID] + h_ids, is_pair=True, pair_boundary=len(p_ids)
-            )
-            examples.append(
-                LabeledExample(sequence=seq, task_labels=(label,), language=lang)
-            )
+            examples.append(LabeledExample(sequence=pair_sequence(p_ids, h_ids),
+                                           task_labels=(label,), language=lang))
     return examples
 
 

@@ -68,11 +68,10 @@ def build_antonym_map(n_concepts: int) -> dict:
 
 @dataclass(frozen=True)
 class SyntheticLanguageSpec:
-    """One synthetic language: lexicon, function words and word order."""
+    """One synthetic language: lexicon and word order."""
 
     language: str
     lexicon: dict            # concept id -> surface form
-    function_words: tuple    # surface forms of FUNC concepts
     order_rule: int          # index into the word-order permutation rules
 
     @property
@@ -113,17 +112,8 @@ def make_language_specs(
         lexicon = {}
         for c in range(n_concepts):
             lexicon[c] = f"xx_{c}" if c in overlap else f"{lang}_{c}"
-        function_words = tuple(
-            lexicon[c] for c in range(n_concepts) if tag_of_concept(c) == FUNC
-        )
-        specs.append(
-            SyntheticLanguageSpec(
-                language=lang,
-                lexicon=lexicon,
-                function_words=function_words,
-                order_rule=i % N_ORDER_RULES,
-            )
-        )
+        specs.append(SyntheticLanguageSpec(language=lang, lexicon=lexicon,
+                                           order_rule=i % N_ORDER_RULES))
     return specs
 
 
@@ -204,18 +194,18 @@ def truncate_pair(premise: list, hypothesis: list, max_len: int = MAX_LEN):
     return p, h
 
 
-def _pair_sequence(premise_ids, hyp_ids) -> TokenSequence:
+def pair_sequence(premise_ids, hyp_ids) -> TokenSequence:
+    """Premise and hypothesis ids joined by the separator, truncated to fit."""
     p, h = truncate_pair(premise_ids, hyp_ids)
     return TokenSequence(p + [SEP_ID] + h, is_pair=True, pair_boundary=len(p))
 
 
-def _render_hypothesis(concepts: list, spec, rng) -> list:
+def _render_hypothesis(concepts: list, pools: _ConceptPools, spec, rng) -> list:
     slots = [(tag_of_concept(c), c) for c in concepts]
     perm = rng.permutation(len(slots))
     slots = [slots[i] for i in perm]
     if rng.random() < 0.5:
-        pools_func = [c for c in spec.lexicon if tag_of_concept(c) == FUNC]
-        slots.insert(0, (FUNC, pools_func[rng.integers(len(pools_func))]))
+        slots.insert(0, (FUNC, pools.sample(FUNC, rng)))
     slots = _apply_order_rule(slots, spec.order_rule)
     return [spec.lexicon[c] for _, c in slots]
 
@@ -250,8 +240,8 @@ def _pair_example(pools, spec, vocab, rng, amap) -> LabeledExample:
             fresh = fresh_pool[rng.integers(len(fresh_pool))]
             chosen[rng.integers(len(chosen))] = fresh
         premise_tokens = [spec.lexicon[c] for _, c in slots]
-        hyp_tokens = _render_hypothesis(chosen, spec, rng)
-        seq = _pair_sequence(
+        hyp_tokens = _render_hypothesis(chosen, pools, spec, rng)
+        seq = pair_sequence(
             vocab.encode(premise_tokens, allow_unk=False),
             vocab.encode(hyp_tokens, allow_unk=False),
         )

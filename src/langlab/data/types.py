@@ -72,7 +72,3 @@ class CorpusSplit:
     @property
     def parts(self) -> list[list[LabeledExample]]:
         return [self.train, self.val, self.dev, self.test]
-
-    def __iter__(self):
-        return iter(self.parts)
-

@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 from langlab.analysis.reports import (
     EmbeddingSample,
-    Projection2D,
     clustering_report,
     write_embedding_dump,
     write_projection_csv,
@@ -55,7 +54,7 @@ from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
 from langlab.heads import ClassifierHead
 from langlab.training.batching import TaskSpec, task_spec_for
-from langlab.training.evaluate import cached_lid_f1, evaluate_task, per_language_task_f1
+from langlab.training.evaluate import evaluate_task, head_f1, per_language_task_f1
 from langlab.training.network import embed_examples
 from langlab.training.regimes import ProbeRun, retrain_language_probe, run_regime
 from langlab.training.search import grids_for_regime, random_search
@@ -73,7 +72,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.message = message
 
 
 @contextmanager
@@ -200,19 +198,14 @@ def _cell(value: float, mid: str) -> dict:
 
 
 def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
-    reports = {}
-    for annotation in ("label", "language"):
-        rep = clustering_report(sample, annotation, n_runs=cfg.kmeans_runs,
-                                seed=cfg.seed).to_dict()
-        rep["manifest"] = mid
-        reports[annotation] = rep
+    reports = {a: clustering_report(sample, a, n_runs=cfg.kmeans_runs,
+                                    seed=cfg.seed) | {"manifest": mid}
+               for a in ("label", "language")}
     # perplexity must stay below the sample size; small toy samples clamp
     perplexity = min(cfg.tsne_perplexity, max(1.0, (len(sample) - 1) / 3.0))
     result = tsne(sample.vectors, perplexity=perplexity,
                   iterations=cfg.tsne_iterations, seed=cfg.seed)
-    projection = Projection2D(coords=result.coords, languages=sample.languages,
-                              labels=sample.labels)
-    return reports, projection
+    return reports, replace(sample, vectors=result.coords)
 
 
 def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
@@ -319,8 +312,9 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                                  data.lang_to_id)
         task_f1 = per_language_task_f1(task_head, emb_task,
                                        task_spec.n_classes, languages)
-        lid_task = cached_lid_f1(probe_head, emb_task, len(languages))
-        lid_lid = cached_lid_f1(probe_head, emb_lid, len(languages))
+        lid_task = head_f1(probe_head, emb_task.X, emb_task.lang_y,
+                           len(languages))
+        lid_lid = head_f1(probe_head, emb_lid.X, emb_lid.lang_y, len(languages))
 
     with _stage("analyze"):
         task_langs = [languages[int(y)] for y in emb_task.lang_y]

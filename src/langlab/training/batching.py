@@ -19,7 +19,6 @@ TASK_LEVELS = {"token_tag": "token", "pair_inference": "text", "lid": "text"}
 
 @dataclass(frozen=True)
 class TaskSpec:
-    task: str
     level: str
     labels: tuple[str, ...]
 
@@ -38,7 +37,7 @@ def task_spec_for(task: str, examples) -> TaskSpec:
     labels: set[str] = set()
     for ex in examples:
         labels.update(ex.task_labels)
-    return TaskSpec(task=task, level=TASK_LEVELS[task], labels=tuple(sorted(labels)))
+    return TaskSpec(level=TASK_LEVELS[task], labels=tuple(sorted(labels)))
 
 
 @dataclass

@@ -14,31 +14,21 @@ if TYPE_CHECKING:   # pipeline.py imports this module
     from langlab.pipeline import RunData
 
 
-def macro_f1_ids(preds, golds, n_classes: int) -> float:
-    return macro_f1(list(preds), list(golds), list(range(n_classes)))
-
-
-def head_predictions(head: ClassifierHead, X: np.ndarray) -> np.ndarray:
-    return head_logits(head, X).argmax(axis=-1)
-
-
-def cached_task_f1(head: ClassifierHead, emb: EmbeddedData, n_classes: int) -> float:
-    return macro_f1_ids(head_predictions(head, emb.X), emb.task_y, n_classes)
-
-
-def cached_lid_f1(head: ClassifierHead, emb: EmbeddedData, n_languages: int) -> float:
-    return macro_f1_ids(head_predictions(head, emb.X), emb.lang_y, n_languages)
+def head_f1(head: ClassifierHead, X: np.ndarray, y, n_classes: int) -> float:
+    """Macro F1 of the head's argmax over ids 0..n_classes-1."""
+    return macro_f1(head_logits(head, X).argmax(axis=-1), y, range(n_classes))
 
 
 def per_language_task_f1(head: ClassifierHead, emb: EmbeddedData,
                          n_classes: int, languages) -> dict[str, float]:
     """Task F1 per language plus the overall pooled score."""
-    preds = head_predictions(head, emb.X)
-    report = {"overall": macro_f1_ids(preds, emb.task_y, n_classes)}
+    preds = head_logits(head, emb.X).argmax(axis=-1)
+    classes = range(n_classes)
+    report = {"overall": macro_f1(preds, emb.task_y, classes)}
     for lang_id, lang in enumerate(languages):
         rows = emb.lang_y == lang_id
         if rows.any():
-            report[lang] = macro_f1_ids(preds[rows], emb.task_y[rows], n_classes)
+            report[lang] = macro_f1(preds[rows], emb.task_y[rows], classes)
     return report
 
 
@@ -55,4 +45,4 @@ def evaluate_lid(encoder, head: ClassifierHead, examples, level: str,
                  lang_to_id: dict) -> float:
     """Macro F1 of language prediction at the dataset's granularity."""
     emb = embed_examples(encoder, examples, level, lang_to_id)
-    return cached_lid_f1(head, emb, len(lang_to_id))
+    return head_f1(head, emb.X, emb.lang_y, len(lang_to_id))

@@ -38,7 +38,7 @@ from langlab.heads import ClassifierHead, ce_loss_and_dlogits, head_backward, he
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
 from langlab.training.batching import CyclingBatches, epoch_batches, make_batch
-from langlab.training.evaluate import cached_task_f1, head_predictions, macro_f1_ids
+from langlab.training.evaluate import head_f1
 from langlab.training.network import composite_step, embed_examples
 
 if TYPE_CHECKING:   # config.py and pipeline.py import this module
@@ -124,8 +124,7 @@ def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
         _head_epoch(head, params, state, X_train, y_train,
                     batch_size=batch_size, lr=head_lr, dropout=dropout,
                     batch_rng=batch_rng, drop_rng=drop_rng, losses=losses)
-        scores.append(macro_f1_ids(head_predictions(head, X_val), y_val,
-                                   n_classes))
+        scores.append(head_f1(head, X_val, y_val, n_classes))
         snapshots.append(head.copy())
     best = _select_best(scores)
     return ProbeRun(head=snapshots[best], epoch_val_f1=scores,
@@ -167,13 +166,6 @@ def train_frozen_probe(encoder: EncoderModel, data: RunData,
         lang_head=None,
         task_losses=task_probe.losses,
     )
-
-
-def _val_task_f1(encoder, task_head, data: RunData) -> float:
-    spec = data.task_spec
-    emb = embed_examples(encoder, data.pivot_val, spec.level, data.lang_to_id,
-                         spec.label_to_id)
-    return cached_task_f1(task_head, emb, spec.n_classes)
 
 
 def _fine_tune(encoder: EncoderModel, data: RunData,
@@ -252,7 +244,10 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
                 run.lang_losses.append(res.lang_loss)
             if res.lang_term is not None:
                 run.lang_terms.append(res.lang_term)
-        run.epoch_val_f1.append(_val_task_f1(enc, task_head, data))
+        val = embed_examples(enc, data.pivot_val, task_spec.level, lang_to_id,
+                             task_spec.label_to_id)
+        run.epoch_val_f1.append(head_f1(task_head, val.X, val.task_y,
+                                        task_spec.n_classes))
         snapshots.append((enc.copy(), task_head.copy(),
                           lang_head.copy() if lang_head is not None else None))
     run.selected_epoch = _select_best(run.epoch_val_f1)

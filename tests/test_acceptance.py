@@ -434,9 +434,9 @@ def protocol():
                             [languages[int(y)] for y in emb.lang_y],
                             [task_spec.labels[int(y)] for y in emb.task_y]),
             "label_language", 10, seed=seed)
-        return (clustering_report(sample, "label", n_runs=10, seed=seed).mean,
+        return (clustering_report(sample, "label", n_runs=10, seed=seed)["mean"],
                 clustering_report(sample, "language", n_runs=10,
-                                  seed=seed).mean)
+                                  seed=seed)["mean"])
 
     rows = {}
     for seed in (0, 1, 2):

@@ -22,9 +22,7 @@ import pytest
 from langlab.analysis.kmeans import kmeans
 from langlab.analysis.metrics import macro_f1, v_measure
 from langlab.analysis.reports import (
-    ClusterReport,
     EmbeddingSample,
-    Projection2D,
     clustering_report,
     load_embedding_dump,
     load_projection_csv,
@@ -413,6 +411,35 @@ def test_kmeans_non_finite_estimates_match_reference(scale):
         assert_kmeans_matches_reference(points, 3, trial)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_kmeans_plus_plus_draws_past_overflowing_distances():
+    # the squared distances from the 40 points near 0 to the 20 near
+    # 1e155 overflow, so their sum is inf; the seeding must still draw
+    rng = np.random.default_rng(27)
+    points = np.concatenate([1e155 * (1.0 + 1e-3 * rng.normal(size=(20, 3))),
+                             rng.normal(size=(40, 3))])
+    groups = [0] * 20 + [1] * 40
+    for trial in range(4):
+        got = kmeans(points, 2, seed=trial)
+        assert v_measure(groups, got.assignments.tolist()) == 1.0, trial
+        assert np.isfinite(got.sse_trace).all(), trial
+        assert_kmeans_matches_reference(points, 2, trial)
+
+
+def test_kmeans_plus_plus_finite_draws_unchanged():
+    # with a finite D^2 sum, the draws are rng.choice over D^2 / sum
+    rng = np.random.default_rng(28)
+    points = rng.normal(size=(50, 4))
+    centers = kmeans_module._plus_plus_init(points, 4, stream(3, "kmeans"))
+    draw = stream(3, "kmeans")
+    want = [points[draw.integers(50)]]
+    d2 = ((points - want[0]) ** 2).sum(axis=1)
+    for _ in range(3):
+        want.append(points[draw.choice(50, p=d2 / d2.sum())])
+        d2 = np.minimum(d2, ((points - want[-1]) ** 2).sum(axis=1))
+    assert np.array_equal(centers, np.stack(want))
+
+
 def test_kmeans_underflowing_estimates_match_reference():
     # near 1e-162 the squares are subnormal, so rounding error is absolute
     # and only the slack's floor covers it
@@ -602,38 +629,39 @@ def test_tsne_early_exaggeration_must_be_positive():
 def test_embedding_sample_validation():
     vecs = np.zeros((3, 2))
     with pytest.raises(ValueError, match="language annotations"):
-        EmbeddingSample(vecs, ["a", "b"])
+        EmbeddingSample(vecs, ["a", "b"], ["x", "y", "z"])
     with pytest.raises(ValueError, match="label annotations"):
         EmbeddingSample(vecs, ["a", "b", "c"], labels=["x"])
-    sample = EmbeddingSample(vecs, ["a", "b", "c"])
+    sample = EmbeddingSample(vecs, ["a", "b", "c"], ["x", "y", "z"])
     assert sample.annotation("language") == ["a", "b", "c"]
-    with pytest.raises(ValueError, match="no task labels"):
-        sample.annotation("label")
+    assert sample.annotation("label") == ["x", "y", "z"]
     with pytest.raises(ValueError, match="unknown annotation"):
         sample.annotation("speaker")
 
 
 def test_clustering_report_separated_languages():
     points, labels = blobs(10, centers=(0.0, 10.0, 20.0), seed=9)
-    sample = EmbeddingSample(points, [f"l{i}" for i in labels])
+    sample = EmbeddingSample(points, [f"l{i}" for i in labels],
+                             ["X"] * len(labels))
     report = clustering_report(sample, "language", n_runs=10, seed=0)
-    assert report.k == 3
-    assert len(report.per_run) == 10
-    assert report.mean == pytest.approx(np.mean(report.per_run))
-    assert report.mean >= 0.95
-    assert not report.degenerate
-    assert report.to_dict()["annotation"] == "language"
+    assert set(report) == {"annotation", "k", "per_run", "mean", "degenerate"}
+    assert report["annotation"] == "language"
+    assert report["k"] == 3
+    assert len(report["per_run"]) == 10
+    assert report["mean"] == pytest.approx(np.mean(report["per_run"]))
+    assert report["mean"] >= 0.95
+    assert not report["degenerate"]
     again = clustering_report(sample, "language", n_runs=10, seed=0)
-    assert report.per_run == again.per_run
+    assert report["per_run"] == again["per_run"]
 
 
 def test_clustering_report_single_value_is_degenerate():
     sample = EmbeddingSample(np.random.default_rng(10).normal(size=(8, 3)),
-                             ["aa"] * 8)
+                             ["aa"] * 8, ["X", "Y"] * 4)
     report = clustering_report(sample, "language", n_runs=3)
-    assert report.degenerate and report.k == 1
+    assert report["degenerate"] and report["k"] == 1
     # one class, one cluster: h = c = 1 by convention
-    assert report.per_run == [1.0, 1.0, 1.0]
+    assert report["per_run"] == [1.0, 1.0, 1.0]
 
 
 def test_plot_sample_quota_and_small_cells():
@@ -655,7 +683,7 @@ def test_plot_sample_quota_and_small_cells():
 
 def test_plot_sample_deterministic_and_validated():
     rng = np.random.default_rng(12)
-    sample = EmbeddingSample(rng.normal(size=(30, 2)), ["aa"] * 30)
+    sample = EmbeddingSample(rng.normal(size=(30, 2)), ["aa"] * 30, ["X"] * 30)
     a = plot_sample(sample, "language", quota=5, seed=0)
     b = plot_sample(sample, "language", quota=5, seed=0)
     assert np.array_equal(a.vectors, b.vectors)
@@ -665,8 +693,6 @@ def test_plot_sample_deterministic_and_validated():
         plot_sample(sample, "language", quota=0)
     with pytest.raises(ValueError, match="unknown grouping"):
         plot_sample(sample, "speaker", quota=5)
-    with pytest.raises(ValueError, match="no task labels"):
-        plot_sample(sample, "label_language", quota=5)
 
 
 def test_default_quotas_cover_all_tasks():
@@ -690,14 +716,6 @@ def test_embedding_dump_round_trip(tmp_path):
     assert loaded.labels == sample.labels
 
 
-def test_embedding_dump_no_labels(tmp_path):
-    sample = EmbeddingSample(np.ones((2, 3)), ["aa", "ab"])
-    path = tmp_path / "dump.txt"
-    write_embedding_dump(path, sample)
-    assert "\t-\t" in path.read_text()
-    assert load_embedding_dump(path).labels is None
-
-
 def test_embedding_dump_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0 2.0\tX\taa\n")
@@ -713,16 +731,13 @@ def test_embedding_dump_malformed(tmp_path):
 
 def test_projection_csv_round_trip(tmp_path):
     rng = np.random.default_rng(14)
-    proj = Projection2D(rng.normal(size=(5, 2)), ["aa"] * 5, ["X"] * 5)
+    proj = EmbeddingSample(rng.normal(size=(5, 2)), ["aa"] * 5, ["X"] * 5)
     path = tmp_path / "proj.csv"
     write_projection_csv(path, proj)
     loaded = load_projection_csv(path)
-    assert np.array_equal(loaded.coords, proj.coords)
+    assert np.array_equal(loaded.vectors, proj.vectors)
     assert loaded.languages == proj.languages
     assert loaded.labels == proj.labels
-    bare = Projection2D(np.zeros((1, 2)), ["aa"], None)
-    write_projection_csv(path, bare)
-    assert load_projection_csv(path).labels is None
 
 
 def test_writers_match_per_value_repr(tmp_path):
@@ -733,11 +748,11 @@ def test_writers_match_per_value_repr(tmp_path):
         " ".join(repr(float(v)) for v in row) + f"\t{label}\t{lang}\n"
         for row, label, lang in zip(values, ["X", "Y"], ["aa", "ab"]))
     assert (tmp_path / "dump.txt").read_text() == want
-    proj = Projection2D(values[:, :2], ["aa", "ab"], None)
+    proj = EmbeddingSample(values[:, :2], ["aa", "ab"], ["X", "Y"])
     write_projection_csv(tmp_path / "proj.csv", proj)
     want = "x,y,label,language\n" + "".join(
-        f"{float(x)!r},{float(y)!r},-,{lang}\n"
-        for (x, y), lang in zip(values[:, :2], ["aa", "ab"]))
+        f"{float(x)!r},{float(y)!r},{label},{lang}\n"
+        for (x, y), label, lang in zip(values[:, :2], ["X", "Y"], ["aa", "ab"]))
     assert (tmp_path / "proj.csv").read_text() == want
 
 

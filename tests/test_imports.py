@@ -1,11 +1,14 @@
-"""Static checks over src/: every imported name is used, and every
+"""Static checks over src/: every imported name is used; every
 top-level function or class, and every method or property of a class, is
-referenced outside its own definition.
+referenced outside its own definition; and every dataclass or NamedTuple
+field is read somewhere.
 
 No linter ships with the project, so unused imports and dead code are
 caught here with the standard library's ast.  __future__ imports are
 skipped.  A public definition with no reference in src/ is dead unless
-KEPT_UNREFERENCED names it.
+KEPT_UNREFERENCED names it.  A field counts as read when its name is
+loaded as an attribute, or named by getattr, anywhere in src/; an unread
+field fails unless KEPT_UNREAD names it.
 """
 
 from __future__ import annotations
@@ -178,3 +181,91 @@ def test_no_dead_public_definitions_in_src():
     assert {name: names for name, names in unlisted.items() if names} == {}
     # a kept name that gains a caller in src/ leaves the list
     assert KEPT_UNREFERENCED <= set().union(*dead.values())
+
+
+# Dataclass and NamedTuple fields that stay although nothing in src/
+# reads them.
+KEPT_UNREAD = {
+    # the benchmark's taps read the t-SNE KL divergences
+    "TsneResult.kl_initial", "TsneResult.kl_final",
+    # criterion 06 checks every row's perplexity against the target
+    "TsneResult.row_perplexities",
+    # the tests and the benchmark's tracer read these
+    "KMeansResult.centers", "KMeansResult.sse_trace", "KMeansResult.n_iter",
+    # the chunking tests check which example each row came from
+    "EmbeddedData.example_index",
+}
+
+
+def is_record(node: ast.ClassDef) -> bool:
+    """A @dataclass (called or not) or a NamedTuple subclass."""
+    marks = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list] + node.bases
+    names = {getattr(m, "id", None) or getattr(m, "attr", None) for m in marks}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def record_fields(source: str) -> set[str]:
+    """Each annotated field of a dataclass or NamedTuple, as Class.field."""
+    return {f"{node.name}.{item.target.id}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and is_record(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)}
+
+
+def read_attributes(source: str) -> set[str]:
+    """Attribute names loaded, and getattr's constant attribute names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def unread_fields(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per file, the record fields no source reads."""
+    read = set().union(*(read_attributes(s) for s in sources.values()))
+    unread = {name: sorted(f for f in record_fields(source)
+                           if f.partition(".")[2] not in read)
+              for name, source in sources.items()}
+    return {name: fields for name, fields in unread.items() if fields}
+
+
+def test_field_checker_sees_records_and_reads():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    y: float\n"
+        "    label: str = ''\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Plain:\n"
+        "    size: int\n"
+        "def use(p, q):\n"
+        "    p.label = 'a'\n"
+        "    return p.x, getattr(q, 'right'), getattr(q, p.y)\n"
+    )
+    assert record_fields(source) == {"Point.x", "Point.y", "Point.label",
+                                     "Pair.left", "Pair.right"}
+    # a store is no read, nor is a getattr with a computed name
+    assert unread_fields({"m.py": source}) == {
+        "m.py": ["Pair.left", "Point.label"]}
+
+
+def test_no_unread_record_fields_in_src():
+    unread = unread_fields(src_sources())
+    unlisted = {name: [f for f in fields if f not in KEPT_UNREAD]
+                for name, fields in unread.items()}
+    assert {name: fields for name, fields in unlisted.items() if fields} == {}
+    # a kept field that gains a reader in src/ leaves the list
+    assert KEPT_UNREAD <= set().union(*unread.values())

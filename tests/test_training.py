@@ -435,7 +435,7 @@ def test_entropy_max_returns_the_selected_epochs_language_head(
     one = run_regime(encoder, tiny_data,
                      tiny_cfg("entropy_max", w=0.5, epochs=1))
     scores = iter([1.0, 0.0, 0.0])
-    monkeypatch.setattr(regimes, "_val_task_f1", lambda *args: next(scores))
+    monkeypatch.setattr(regimes, "head_f1", lambda *args: next(scores))
     run = run_regime(encoder, tiny_data,
                      tiny_cfg("entropy_max", w=0.5, epochs=3))
     assert run.selected_epoch == 0 and run.epoch_val_f1 == [1.0, 0.0, 0.0]
