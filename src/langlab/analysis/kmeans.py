@@ -87,20 +87,22 @@ def _assign(points, sq, centers, diff):
     # an estimate of -inf could leave it exactly one
     unsettled = np.flatnonzero((near.sum(axis=0) != 1)
                                | ~np.isfinite(est).all(axis=0))
-    if unsettled.size:
-        rows = points[unsettled]
-        ref = np.empty((k, unsettled.size))
-        for j in range(k):
-            ref[j] = ((rows - centers[j]) ** 2).sum(axis=1)
-        assign[unsettled] = ref.argmin(axis=0)
-    # assign is in range, so mode="clip" only skips take's checked copy
-    np.take(centers, assign, axis=0, out=diff, mode="clip")
-    np.subtract(points, diff, out=diff)
-    np.square(diff, out=diff)
-    return assign, diff.sum(axis=1)
+    # a reference distance that overflows is inf, the right answer
+    with np.errstate(over="ignore"):
+        if unsettled.size:
+            rows = points[unsettled]
+            ref = np.empty((k, unsettled.size))
+            for j in range(k):
+                ref[j] = ((rows - centers[j]) ** 2).sum(axis=1)
+            assign[unsettled] = ref.argmin(axis=0)
+        # assign is in range, so mode="clip" only skips take's checked copy
+        np.take(centers, assign, axis=0, out=diff, mode="clip")
+        np.subtract(points, diff, out=diff)
+        np.square(diff, out=diff)
+        return assign, diff.sum(axis=1)
 
 
-def kmeans(points, k: int, seed: int = 0, max_iters: int = MAX_ITERS) -> KMeansResult:
+def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     """Cluster points into k groups; SSE is non-increasing across iterations.
 
     An empty cluster is re-seeded at the point farthest from its current
@@ -118,7 +120,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = MAX_ITERS) -> KMeansR
     with np.errstate(over="ignore"):
         sq = np.einsum("ij,ij->i", points, points)
     diff = np.empty(points.shape)
-    for it in range(max_iters):
+    for _ in range(MAX_ITERS):
         new_assign, point_d2 = _assign(points, sq, centers, diff)
 
         # reseeding can orphan the donor's cluster, so rescan until stable;

@@ -47,6 +47,7 @@ from langlab.rng import stream
 
 P_FLOOR = 1e-12
 PERP_TOL = 1e-3
+EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
 MOMENTUM_SWITCH = 250
 AFFINITY_BLOCK = 64
@@ -231,14 +232,11 @@ def _kl(p: np.ndarray, y: np.ndarray, buffers) -> float:
 
 
 def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
-         learning_rate: float = 200.0, early_exaggeration: float = 12.0,
-         seed: int = 0) -> TsneResult:
+         learning_rate: float = 200.0, seed: int = 0) -> TsneResult:
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if perplexity > n - 1:
         raise ValueError(f"row perplexity {perplexity} unreachable with {n} points")
-    if not early_exaggeration > 0.0:
-        raise ValueError(f"early_exaggeration must be > 0, got {early_exaggeration}")
 
     p, row_perps = joint_probabilities(points, perplexity)
     np.maximum(p, P_FLOOR, out=p)
@@ -252,7 +250,7 @@ def tsne(points, perplexity: float = 30.0, iterations: int = 1000,
     kl_initial = _kl(p, y, buffers)
 
     for it in range(iterations):
-        e = early_exaggeration if it < EXAGGERATION_ITERS else 1.0
+        e = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
         grad = _gradient(p, y, e, buffers)
         if not np.isfinite(grad).all():
             raise FloatingPointError(

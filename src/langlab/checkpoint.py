@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from langlab.encoder import EncoderConfig, EncoderModel
+
 MAGIC = b"LLCP0001"
 
 
@@ -106,18 +108,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def save_encoder(path, model) -> None:
-    from langlab.encoder import EncoderModel  # local import avoids cycle
-
-    assert isinstance(model, EncoderModel)
+def save_encoder(path, model: EncoderModel) -> None:
     arrays = {f"encoder/{k}": v for k, v in model.params.items()}
     save_checkpoint(path, arrays,
                     {"encoder_config": dataclasses.asdict(model.config)})
 
 
-def load_encoder(path):
-    from langlab.encoder import EncoderConfig, EncoderModel
-
+def load_encoder(path) -> EncoderModel:
     arrays, meta = load_checkpoint(path)
     cfg = meta.get("encoder_config")
     if cfg is None:

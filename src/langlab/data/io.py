@@ -5,11 +5,14 @@
   language comes from a ``# language = xx`` comment or, failing that, from
   a ``<lang>_*.conllu`` filename convention.
 * NLI TSV: ``premise \\t hypothesis \\t label \\t language``.
-* LID TSV: ``text \\t language``.
+* LID TSV: ``text \\t language``; paragraphs under MIN_LID_CHARS
+  characters are skipped.
 
 All loaders tokenize by whitespace, truncate to the first 128 tokens
-(pairs: combined 128 including the separator) and either map unknown
-tokens to UNK or omit the example, per ``filter_unknown``.
+(pairs: combined 128 including the separator) and omit every example
+with a token outside the vocabulary.  The two TSV formats skip blank
+lines and fail by ``path:line`` on a wrong column count or an empty
+language column.
 """
 
 from __future__ import annotations
@@ -21,41 +24,28 @@ from langlab.data.types import LabeledExample, TokenSequence, MAX_LEN
 from langlab.vocab import UNK_ID, Vocabulary
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
+MIN_LID_CHARS = 100
 
 
 class CorpusFormatError(ValueError):
     """Malformed corpus file; the message names the offending line."""
 
 
-def _encode(tokens, vocab, filter_unknown):
-    """Token strings -> ids, or None when the example must be omitted."""
+def _encode(tokens, vocab):
+    """Token strings -> ids, or None when one is unknown."""
     ids = [vocab.id(t) for t in tokens]
-    if filter_unknown and UNK_ID in ids:
-        return None
-    return ids
+    return None if UNK_ID in ids else ids
 
 
-def _language_from_filename(path) -> str | None:
-    stem = Path(path).stem
-    if "_" in stem:
-        return stem.split("_", 1)[0]
-    return None
-
-
-def load_conllu(
-    path,
-    vocab: Vocabulary,
-    filter_unknown: bool = True,
-    language: str | None = None,
-) -> list[LabeledExample]:
+def load_conllu(path, vocab: Vocabulary) -> list[LabeledExample]:
     """Load token-level tagged sentences from a CoNLL-U file.
 
     One LabeledExample per sentence; sentences longer than 128 tokens are
-    truncated.  ``language`` overrides both the ``# language =`` comments
-    and the filename convention.
+    truncated.
     """
     path = Path(path)
-    default_lang = language or _language_from_filename(path)
+    # a <lang>_*.conllu name gives the language of uncommented sentences
+    default_lang = path.stem.split("_", 1)[0] if "_" in path.stem else None
     examples = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -69,7 +59,7 @@ def load_conllu(
                     f"{path}:{lineno}: no language metadata for sentence "
                     "(add a '# language = xx' comment or use a lang_*.conllu filename)"
                 )
-            ids = _encode(tokens[:MAX_LEN], vocab, filter_unknown)
+            ids = _encode(tokens[:MAX_LEN], vocab)
             if ids is not None:
                 examples.append(
                     LabeledExample(
@@ -90,8 +80,7 @@ def load_conllu(
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                # an explicit language argument beats in-file comments
-                if language is None and body.startswith("language") and "=" in body:
+                if body.startswith("language") and "=" in body:
                     sent_lang = body.split("=", 1)[1].strip()
                 continue
             cols = line.split("\t")
@@ -106,73 +95,59 @@ def load_conllu(
     return examples
 
 
-def load_nli_tsv(
-    path, vocab: Vocabulary, filter_unknown: bool = True
-) -> list[LabeledExample]:
+def _tsv_rows(path, n_cols: int, names: str):
+    """(line number, columns) of each non-blank line; the last column is
+    the language."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) != n_cols:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected {n_cols} columns "
+                    f"({names}), got {len(cols)}"
+                )
+            if not cols[-1]:
+                raise CorpusFormatError(f"{path}:{lineno}: empty language column")
+            yield lineno, cols
+
+
+def load_nli_tsv(path, vocab: Vocabulary) -> list[LabeledExample]:
     """Load premise/hypothesis pairs from a 4-column TSV.
 
     The two sides are joined with the separator id; the combined length is
     capped at 128 tokens including the separator.
     """
-    path = Path(path)
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 4 columns "
-                    f"(premise, hypothesis, label, language), got {len(cols)}"
-                )
-            premise, hypothesis, label, lang = cols
-            if label not in NLI_LABELS:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: unknown label {label!r}, "
-                    f"expected one of {NLI_LABELS}"
-                )
-            p_ids = _encode(premise.split(), vocab, filter_unknown)
-            h_ids = _encode(hypothesis.split(), vocab, filter_unknown)
-            if p_ids is None or h_ids is None:
-                continue
-            examples.append(LabeledExample(sequence=pair_sequence(p_ids, h_ids),
-                                           task_labels=(label,), language=lang))
+    for lineno, (premise, hypothesis, label, lang) in _tsv_rows(
+            path, 4, "premise, hypothesis, label, language"):
+        if label not in NLI_LABELS:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: unknown label {label!r}, "
+                f"expected one of {NLI_LABELS}"
+            )
+        p_ids = _encode(premise.split(), vocab)
+        h_ids = _encode(hypothesis.split(), vocab)
+        if p_ids is None or h_ids is None:
+            continue
+        examples.append(LabeledExample(sequence=pair_sequence(p_ids, h_ids),
+                                       task_labels=(label,), language=lang))
     return examples
 
 
-def load_lid_paragraphs(
-    path, vocab: Vocabulary, filter_unknown: bool = True, min_chars: int = 100
-) -> list[LabeledExample]:
-    """Load language-labeled paragraphs from a 2-column TSV.
-
-    Paragraphs shorter than ``min_chars`` characters are rejected; the
-    language is the only label.
-    """
-    path = Path(path)
+def load_lid_paragraphs(path, vocab: Vocabulary) -> list[LabeledExample]:
+    """Load language-labeled paragraphs from a 2-column TSV; the language
+    is the only label."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[1]:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 2 columns (text, language)"
-                )
-            text, lang = cols
-            if len(text) < min_chars:
-                continue
-            ids = _encode(text.split()[:MAX_LEN], vocab, filter_unknown)
-            if ids is None:
-                continue
-            examples.append(
-                LabeledExample(
-                    sequence=TokenSequence(ids), task_labels=(), language=lang
-                )
-            )
+    for _, (text, lang) in _tsv_rows(path, 2, "text, language"):
+        if len(text) < MIN_LID_CHARS:
+            continue
+        ids = _encode(text.split()[:MAX_LEN], vocab)
+        if ids is not None:
+            examples.append(LabeledExample(sequence=TokenSequence(ids),
+                                           task_labels=(), language=lang))
     return examples
 
 

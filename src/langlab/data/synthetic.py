@@ -85,6 +85,8 @@ def _language_code(index: int) -> str:
 
 DEFAULT_N_CONCEPTS = 60
 DEFAULT_OVERLAP = 0.25
+# a generated LID paragraph's least length, above the loader's MIN_LID_CHARS
+LID_PARAGRAPH_CHARS = 110
 
 
 def make_language_specs(
@@ -179,14 +181,14 @@ def _token_tag_example(pools, spec, vocab, rng) -> LabeledExample:
     )
 
 
-def truncate_pair(premise: list, hypothesis: list, max_len: int = MAX_LEN):
+def truncate_pair(premise: list, hypothesis: list):
     """Trim premise/hypothesis so that combined length (incl. SEP) fits.
 
     Tokens are dropped from the end of whichever side is currently longer
     (ties trim the premise), so the separator always survives.
     """
     p, h = list(premise), list(hypothesis)
-    while len(p) + len(h) + 1 > max_len:
+    while len(p) + len(h) + 1 > MAX_LEN:
         if len(p) >= len(h):
             p.pop()
         else:
@@ -249,10 +251,10 @@ def _pair_example(pools, spec, vocab, rng, amap) -> LabeledExample:
     raise RuntimeError("could not construct a pair example; lexicon too small")
 
 
-def _lid_example(pools, spec, vocab, rng, min_chars: int = 110) -> LabeledExample:
+def _lid_example(pools, spec, vocab, rng) -> LabeledExample:
     tokens = []
     text_len = 0
-    while text_len < min_chars:
+    while text_len < LID_PARAGRAPH_CHARS:
         slots = _make_sentence_slots(pools, spec, rng)
         if not _sentence_has_specific_form(slots, spec):
             continue

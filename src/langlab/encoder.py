@@ -44,6 +44,7 @@ from langlab.vocab import MASK_ID, N_SPECIAL, PAD_ID
 
 LN_EPS = 1e-6
 KEY_MASK_BIAS = -1e30
+INIT_STD = 0.02
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -75,14 +76,13 @@ class EncoderModel:
     params: dict[str, np.ndarray]
 
     @classmethod
-    def init(cls, config: EncoderConfig, seed: int = 0,
-             init_std: float = 0.02) -> "EncoderModel":
+    def init(cls, config: EncoderConfig, seed: int = 0) -> "EncoderModel":
         rng = stream(seed, "encoder-init")
         d, ff, v = config.d_model, config.d_ff, config.vocab_size
         p: dict[str, np.ndarray] = {}
 
         def w(name, *shape):
-            p[name] = rng.normal(0.0, init_std, size=shape)
+            p[name] = rng.normal(0.0, INIT_STD, size=shape)
 
         def zeros(name, *shape):
             p[name] = np.zeros(shape)
@@ -426,9 +426,9 @@ def mlm_step_loss(model, ids, lengths, mask_rate, rng):
     return loss, grads
 
 
-def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float = 0.15,
-                 steps: int = 2000, batch_size: int = 32, lr: float = 1e-3,
-                 seed: int = 0) -> tuple[EncoderModel, list[float]]:
+def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float,
+                 steps: int, batch_size: int, lr: float,
+                 seed: int) -> tuple[EncoderModel, list[float]]:
     """Masked-token pretraining; returns (trained model, per-step losses).
 
     Each step samples a batch with replacement, masks a mask_rate

@@ -151,35 +151,33 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
 # outputs instead of re-running the encoder every epoch.
 # ----------------------------------------------------------------------------
 
+EMBED_BATCH = 64
+
+
 @dataclass
 class EmbeddedData:
     X: np.ndarray                  # (M, d) one row per classified vector
     task_y: np.ndarray | None      # (M,)
     lang_y: np.ndarray             # (M,)
-    example_index: np.ndarray      # (M,) source example per row
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
 
 def embed_examples(encoder: EncoderModel, examples, level: str,
-                   lang_to_id: dict, label_to_id: dict | None = None,
-                   batch_size: int = 64) -> EmbeddedData:
+                   lang_to_id: dict, label_to_id: dict | None = None) -> EmbeddedData:
     """Eval-mode embeddings for every classified vector in the examples."""
-    xs, tys, lys, idx = [], [], [], []
-    for start in range(0, len(examples), batch_size):
-        chunk = list(examples[start:start + batch_size])
+    xs, tys, lys = [], [], []
+    for start in range(0, len(examples), EMBED_BATCH):
+        chunk = list(examples[start:start + EMBED_BATCH])
         batch = make_batch(chunk, label_to_id, lang_to_id, level)
         X, _, where = _forward(encoder, batch)
         xs.append(X)
         if batch.task_y is not None:
             tys.append(_gold_at_level(batch, where))
-        rows = where[0]
-        lys.append(batch.lang_y[rows])
-        idx.append(start + rows)
+        lys.append(batch.lang_y[where[0]])
     return EmbeddedData(
         X=np.concatenate(xs),
         task_y=np.concatenate(tys) if tys else None,
         lang_y=np.concatenate(lys),
-        example_index=np.concatenate(idx),
     )

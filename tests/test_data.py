@@ -20,6 +20,7 @@ from langlab.checkpoint import (
     save_encoder,
 )
 from langlab.data.io import (
+    MIN_LID_CHARS,
     CorpusFormatError,
     NLI_LABELS,
     load_conllu,
@@ -264,8 +265,6 @@ def test_conllu_language_sources(tmp_path, tiny_specs, tiny_vocab):
     p2 = tmp_path / "ab_file2.conllu"
     p2.write_text("# language = ac\n" + body, encoding="utf-8")
     assert load_conllu(p2, tiny_vocab)[0].language == "ac"
-    # explicit argument overrides both
-    assert load_conllu(p2, tiny_vocab, language="aa")[0].language == "aa"
     # no metadata at all is an error
     p3 = tmp_path / "nolang.conllu"
     p3.write_text(body, encoding="utf-8")
@@ -286,9 +285,6 @@ def test_nli_malformed_lines(tmp_path, tiny_vocab):
     path.write_text("aa_0\taa_2\tmaybe\taa\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="label"):
         load_nli_tsv(path, tiny_vocab)
-    path.write_text("only\ttwo\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="4 columns"):
-        load_nli_tsv(path, tiny_vocab)
 
 
 def test_lid_malformed_and_short_lines(tmp_path, tiny_vocab):
@@ -296,9 +292,37 @@ def test_lid_malformed_and_short_lines(tmp_path, tiny_vocab):
     path.write_text("three\tcolumns\there\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="2 columns"):
         load_lid_paragraphs(path, tiny_vocab)
-    # paragraphs under the length floor are skipped, not errors
-    path.write_text("aa_0 aa_2\taa\n", encoding="utf-8")
-    assert load_lid_paragraphs(path, tiny_vocab) == []
+    # paragraphs under the length floor are skipped, not errors; spaces
+    # pad a two-word paragraph to the floor exactly
+    for length, kept in ((MIN_LID_CHARS, 1), (MIN_LID_CHARS - 1, 0)):
+        text = "aa_3" + " " * (length - 8) + "aa_4"
+        assert len(text) == length
+        path.write_text(f"{text}\taa\n", encoding="utf-8")
+        assert len(load_lid_paragraphs(path, tiny_vocab)) == kept, length
+
+
+# Each TSV format's loader and a row of it: words, then the language.
+TSV_ROWS = {
+    load_nli_tsv: "{words}\t{words}\tentailment\t{lang}",
+    load_lid_paragraphs: "{words}\t{lang}",
+}
+# 124 characters of the tiny world's aa-specific form aa_3: long enough
+# for an LID row
+TSV_WORDS = " ".join(["aa_3"] * 25)
+
+
+@pytest.mark.parametrize("loader", TSV_ROWS, ids=["nli", "lid"])
+def test_tsv_bad_rows_fail_by_line(tmp_path, tiny_vocab, loader):
+    good = TSV_ROWS[loader].format(words=TSV_WORDS, lang="aa")
+    path = tmp_path / "bad.tsv"
+    for bad, message in ((good + "\textra", "columns"),
+                         (good.rpartition("\t")[0], "columns"),
+                         (good.rpartition("\t")[0] + "\t", "empty language")):
+        # blank lines are skipped but still counted
+        path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:3: ") + f".*{message}"):
+            loader(path, tiny_vocab)
 
 
 def test_unknown_token_filtering(tmp_path, tiny_specs, tiny_vocab):
@@ -311,9 +335,14 @@ def test_unknown_token_filtering(tmp_path, tiny_specs, tiny_vocab):
     )
     kept = load_conllu(path, tiny_vocab)
     assert len(kept) == 1
-    mapped = load_conllu(path, tiny_vocab, filter_unknown=False)
-    assert len(mapped) == 2
-    assert mapped[0].sequence.tokens[0] == UNK_ID
+    assert kept[0].sequence.tokens[0] != UNK_ID
+    # the TSV formats omit such rows too
+    path = tmp_path / "unk.tsv"
+    for loader, row in TSV_ROWS.items():
+        unknown = row.format(words=TSV_WORDS + " not_a_token", lang="ab")
+        path.write_text(unknown + "\n" + row.format(words=TSV_WORDS, lang="aa")
+                        + "\n", encoding="utf-8")
+        assert [ex.language for ex in loader(path, tiny_vocab)] == ["aa"]
 
 
 # ---------------------------------------------------------------------------

@@ -475,11 +475,12 @@ def test_mlm_memorizes_tiny_corpus():
 
 def test_mlm_pretrain_validation():
     model = small_model()
+    kw = dict(mask_rate=0.15, steps=1, batch_size=4, lr=1e-3, seed=0)
     with pytest.raises(ValueError, match="mask_rate"):
-        mlm_pretrain(model, [np.array([5, 6])], mask_rate=0.0, steps=1)
+        mlm_pretrain(model, [np.array([5, 6])], **{**kw, "mask_rate": 0.0})
     with pytest.raises(ValueError, match="empty"):
-        mlm_pretrain(model, [], steps=1)
-    same, losses = mlm_pretrain(model, [np.array([5, 6])], steps=0)
+        mlm_pretrain(model, [], **kw)
+    same, losses = mlm_pretrain(model, [np.array([5, 6])], **{**kw, "steps": 0})
     assert losses == []
     assert all(np.array_equal(same.params[k], model.params[k])
                for k in model.params)

@@ -1,14 +1,18 @@
 """Static checks over src/: every imported name is used; every
 top-level function or class, and every method or property of a class, is
-referenced outside its own definition; and every dataclass or NamedTuple
-field is read somewhere.
+referenced outside its own definition; every dataclass or NamedTuple
+field is read somewhere; and every keyword default is set by some call.
 
 No linter ships with the project, so unused imports and dead code are
 caught here with the standard library's ast.  __future__ imports are
 skipped.  A public definition with no reference in src/ is dead unless
 KEPT_UNREFERENCED names it.  A field counts as read when its name is
 loaded as an attribute, or named by getattr, anywhere in src/; an unread
-field fails unless KEPT_UNREAD names it.
+field fails unless KEPT_UNREAD names it.  A parameter with a default is
+set when a call in src/ of the same name passes it by keyword, by
+position, or through * or ** unpacking; calls are matched by name alone,
+so a method that shares its name with another hides the other's unset
+options.  An unset one fails unless KEPT_UNSET names it.
 """
 
 from __future__ import annotations
@@ -192,8 +196,6 @@ KEPT_UNREAD = {
     "TsneResult.row_perplexities",
     # the tests and the benchmark's tracer read these
     "KMeansResult.centers", "KMeansResult.sse_trace", "KMeansResult.n_iter",
-    # the chunking tests check which example each row came from
-    "EmbeddedData.example_index",
 }
 
 
@@ -269,3 +271,115 @@ def test_no_unread_record_fields_in_src():
     assert {name: fields for name, fields in unlisted.items() if fields} == {}
     # a kept field that gains a reader in src/ leaves the list
     assert KEPT_UNREAD <= set().union(*unread.values())
+
+
+# Keyword defaults that stay although no call in src/ sets them.
+KEPT_UNSET = {
+    # benchmark/child.py runs its t-SNE check at learning rate 50
+    "tsne.learning_rate",
+    # the benchmark and the tests call main with their own argument list
+    "main.argv",
+}
+
+
+def defaulted_parameters(source: str) -> dict[str, tuple[str, int | None]]:
+    """Each parameter with a default of a top-level function or a method,
+    as "f.param" or "Class.m.param", mapped to (called name, position).
+    A method is called by its own name and __init__ by its class's, and
+    position counts the call's arguments (None: keyword-only)."""
+    found = {}
+
+    def add(fn, called, qualname, skip_first):
+        args = [*fn.args.posonlyargs, *fn.args.args][skip_first:]
+        for pos, arg in enumerate(args[len(args) - len(fn.args.defaults):],
+                                  start=len(args) - len(fn.args.defaults)):
+            found[f"{qualname}.{arg.arg}"] = (called, pos)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[f"{qualname}.{arg.arg}"] = (called, None)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, FUNCTIONS):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    add(item, called, f"{node.name}.{item.name}", 0 if static else 1)
+    return found
+
+
+def set_parameters(source: str) -> set[tuple[str, str | int]]:
+    """(called name, keyword or position) for every argument a call
+    passes; "*" stands for every position from a *-unpacking on, and "**"
+    for every keyword."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for pos, arg in enumerate(node.args):
+            found.add((called, ("*", pos) if isinstance(arg, ast.Starred) else pos))
+        found |= {(called, kw.arg or "**") for kw in node.keywords}
+    return found
+
+
+def unset_options(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per file, the defaulted parameters no call in any source sets."""
+    calls = set().union(*(set_parameters(s) for s in sources.values()))
+    starred = {}
+    for called, key in calls:
+        if isinstance(key, tuple):
+            starred[called] = min(starred.get(called, key[1]), key[1])
+
+    def is_set(option, called, pos):
+        return ((called, option.rpartition(".")[2]) in calls
+                or (called, "**") in calls
+                or pos is not None and ((called, pos) in calls
+                                        or starred.get(called, pos + 1) <= pos))
+
+    unset = {name: sorted(option for option, (called, pos)
+                          in defaulted_parameters(source).items()
+                          if not is_set(option, called, pos))
+             for name, source in sources.items()}
+    return {name: options for name, options in unset.items() if options}
+
+
+def test_option_checker_sees_defaults_and_calls():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, size=1, *, label=''): pass\n"
+        "    def grow(self, by=1, times=1): pass\n"
+        "    @staticmethod\n"
+        "    def make(size=1): pass\n"
+        "def run(a, b=2, c=3, *, d=4, e=5, f=6): pass\n"
+        "def spread(x=0, y=0): pass\n"
+        "def entry(box, kw, args):\n"
+        "    Box(label='a')\n"
+        "    box.grow(2)\n"
+        "    Box.make(3)\n"
+        "    run(1, 2, e=0, **kw)\n"
+        "    spread(1, *args)\n"
+    )
+    assert defaulted_parameters(source) == {
+        "Box.__init__.size": ("Box", 0), "Box.__init__.label": ("Box", None),
+        "Box.grow.by": ("grow", 0), "Box.grow.times": ("grow", 1),
+        "Box.make.size": ("make", 0),
+        "run.b": ("run", 1), "run.c": ("run", 2), "run.d": ("run", None),
+        "run.e": ("run", None), "run.f": ("run", None),
+        "spread.x": ("spread", 0), "spread.y": ("spread", 1)}
+    # keyword, position, * and ** all set a parameter; an unset one is
+    # flagged
+    assert unset_options({"m.py": source}) == {
+        "m.py": ["Box.__init__.size", "Box.grow.times"]}
+
+
+def test_no_unset_options_in_src():
+    unset = unset_options(src_sources())
+    unlisted = {name: [o for o in options if o not in KEPT_UNSET]
+                for name, options in unset.items()}
+    assert {name: options for name, options in unlisted.items() if options} == {}
+    # a kept option that gains a setter in src/ leaves the list
+    assert KEPT_UNSET <= set().union(*unset.values())

@@ -27,6 +27,7 @@ from langlab.training.batching import (
 from langlab.training.evaluate import evaluate_lid
 from langlab.training import regimes
 from langlab.training.network import (
+    EMBED_BATCH,
     StepResult,
     _gold_at_level,
     composite_step,
@@ -312,29 +313,38 @@ def test_corpus_languages_and_index(tiny_data):
 # embedding cache
 
 
+def assert_rows_match_lone_embeds(emb, encoder, examples, level, *maps):
+    """Each example's rows, in order, are its own one-example embed."""
+    lone = [embed_examples(encoder, [ex], level, *maps) for ex in examples]
+    assert np.allclose(emb.X, np.concatenate([e.X for e in lone]), atol=1e-12)
+    assert np.array_equal(emb.lang_y, np.concatenate([e.lang_y for e in lone]))
+    if emb.task_y is not None:
+        assert np.array_equal(emb.task_y,
+                              np.concatenate([e.task_y for e in lone]))
+
+
 def test_embed_examples_token_level(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
-    examples = tiny_data.task_split.val
-    emb = embed_examples(encoder, examples, "token", tiny_data.lang_to_id,
-                         tiny_data.task_spec.label_to_id, batch_size=5)
+    examples = tiny_data.task_split.train
+    assert len(examples) > EMBED_BATCH          # at least two chunks
+    maps = tiny_data.lang_to_id, tiny_data.task_spec.label_to_id
+    emb = embed_examples(encoder, examples, "token", *maps)
     n_tokens = sum(len(ex.sequence) for ex in examples)
     assert emb.X.shape == (n_tokens, encoder.config.d_model)
     assert emb.task_y.shape == emb.lang_y.shape == (n_tokens,)
     assert len(emb) == n_tokens
-    # rows group by example, in order, with per-example counts = lengths
-    counts = np.bincount(emb.example_index, minlength=len(examples))
-    assert counts.tolist() == [len(ex.sequence) for ex in examples]
-    assert np.all(np.diff(emb.example_index) >= 0)
+    assert_rows_match_lone_embeds(emb, encoder, examples, "token", *maps)
 
 
 def test_embed_examples_text_level(small_pretrained, tiny_lid_split):
     encoder, _ = small_pretrained
-    examples = tiny_lid_split.val
-    emb = embed_examples(encoder, examples, "text", {"aa": 0, "ab": 1, "ac": 2},
-                         batch_size=7)
+    examples = tiny_lid_split.train
+    assert len(examples) > EMBED_BATCH
+    lang_to_id = {"aa": 0, "ab": 1, "ac": 2}
+    emb = embed_examples(encoder, examples, "text", lang_to_id)
     assert emb.X.shape == (len(examples), encoder.config.d_model)
     assert emb.task_y is None
-    assert np.array_equal(emb.example_index, np.arange(len(examples)))
+    assert_rows_match_lone_embeds(emb, encoder, examples, "text", lang_to_id)
 
 
 # ---------------------------------------------------------------------------
