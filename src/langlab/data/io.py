@@ -2,8 +2,8 @@
 
 * CoNLL-U subset: 10 tab-separated columns, FORM (col 2) and UPOS (col 4)
   consumed, ``#`` comments ignored, blank line ends a sentence.  The
-  language comes from a ``# language = xx`` comment or, failing that, from
-  a ``<lang>_*.conllu`` filename convention.
+  language comes from a ``# language = xx`` comment (an empty one fails)
+  or, failing that, from a ``<lang>_*.conllu`` filename convention.
 * NLI TSV: ``premise \\t hypothesis \\t label \\t language``.
 * LID TSV: ``text \\t language``; paragraphs under MIN_LID_CHARS
   characters are skipped.
@@ -82,6 +82,9 @@ def load_conllu(path, vocab: Vocabulary) -> list[LabeledExample]:
                 body = line[1:].strip()
                 if body.startswith("language") and "=" in body:
                     sent_lang = body.split("=", 1)[1].strip()
+                    if not sent_lang:
+                        raise CorpusFormatError(
+                            f"{path}:{lineno}: empty language comment")
                 continue
             cols = line.split("\t")
             if len(cols) < 4 or not cols[1] or not cols[3]:

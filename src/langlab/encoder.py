@@ -20,9 +20,9 @@ the attention rows, the output projection, layer norm 2, the
 feed-forward and the final layer norm only at the read rows.
 forward_batch returns those M rows as an (M, d) array in the order of
 the read index, and backward_batch takes their (M, d) gradient.
-Train-mode dropout masks are drawn at full (B, T, d) shape from the
-given stream and then gathered, so the stream moves as if every row
-were computed.
+Dropout masks (drawn only when an rng is given) are drawn at full
+(B, T, d) shape from that stream and then gathered, so the stream moves
+as if every row were computed.
 
 Parameter names: ``tok_emb``, ``pos_emb``, ``mlm_bias``,
 ``final_ln_{g,b}`` and per layer i ``L{i}_ln1_{g,b}``,
@@ -40,7 +40,7 @@ from scipy.special import ndtr
 from langlab.heads import ce_loss_and_dlogits
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
-from langlab.vocab import MASK_ID, N_SPECIAL, PAD_ID
+from langlab.vocab import MASK_ID, N_SPECIAL, pad_ids
 
 LN_EPS = 1e-6
 KEY_MASK_BIAS = -1e30
@@ -262,8 +262,7 @@ def _feed_forward_backward(dy, p, L, c, grads):
 
 
 def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
-                  *, train: bool = False, rng=None, want_tape: bool = False,
-                  read=None):
+                  *, rng=None, want_tape: bool = False, read=None):
     """Run the encoder over a padded id batch.
 
     ids: (B, T) int array padded with PAD; lengths: (B,) true lengths;
@@ -271,8 +270,8 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
     hidden state is wanted, each once and in increasing row-major order,
     or None for every real token.  Returns (out, tape or None), out the
     (M, d_model) final hidden states at the M read positions, in read
-    order.  Dropout is active only when train=True, drawing masks from
-    rng.
+    order.  Dropout is active exactly when rng is given, drawing masks
+    from it.
     """
     cfg, p = model.config, model.params
     ids = np.asarray(ids)
@@ -282,9 +281,6 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
         raise ValueError(f"sequence length {T} exceeds max {cfg.max_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
-    drop = train and cfg.dropout > 0.0
-    if drop and rng is None:
-        raise ValueError("training-mode forward needs an rng for dropout")
 
     real = np.arange(T)[None, :] < lengths[:, None]
     at = np.nonzero(real)                       # packed order: row-major
@@ -305,7 +301,8 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
 
     def mask(rows):
         """A full (B, T, d) mask from the stream, kept at rows only."""
-        m = dropout_mask((B, T, cfg.d_model), cfg.dropout, rng) if train else None
+        m = None if rng is None else dropout_mask((B, T, cfg.d_model),
+                                                  cfg.dropout, rng)
         return None if m is None else m[rows]
 
     # additive bias over keys: 0 for real positions, -1e30 for padding
@@ -385,20 +382,6 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
 # Masked-token pretraining
 # ----------------------------------------------------------------------------
 
-def _sequence_ids(sequence) -> np.ndarray:
-    tokens = getattr(sequence, "tokens", sequence)
-    return np.asarray(tokens, dtype=np.int64)
-
-
-def _pad_id_batch(seqs: list[np.ndarray]):
-    lengths = np.array([s.size for s in seqs])
-    T = int(lengths.max())
-    ids = np.full((len(seqs), T), PAD_ID, dtype=np.int64)
-    for r, s in enumerate(seqs):
-        ids[r, : s.size] = s
-    return ids, lengths
-
-
 def mlm_step_loss(model, ids, lengths, mask_rate, rng):
     """One masked-prediction forward/backward; returns (loss, grads).
 
@@ -431,17 +414,16 @@ def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float,
                  seed: int) -> tuple[EncoderModel, list[float]]:
     """Masked-token pretraining; returns (trained model, per-step losses).
 
-    Each step samples a batch with replacement, masks a mask_rate
-    fraction of non-special tokens, and minimizes cross-entropy of the
-    original ids under the tied-weight output projection.  The forward
-    pass runs in eval mode, so config.dropout does not apply here; this
-    is kept on purpose, since turning it on would move every pretrained
-    encoder and every result built on one.
+    Each step samples a batch of the corpus's LabeledExamples with
+    replacement, masks a mask_rate fraction of non-special tokens, and
+    minimizes cross-entropy of the original ids under the tied-weight
+    output projection.  The forward pass gets no rng, so config.dropout
+    does not apply here; this is kept on purpose, since turning it on
+    would move every pretrained encoder and every result built on one.
     """
     if not 0.0 < mask_rate < 1.0:
         raise ValueError(f"mask_rate must be in (0,1), got {mask_rate}")
-    seqs = [_sequence_ids(getattr(ex, "sequence", ex)) for ex in corpus]
-    if not seqs:
+    if not corpus:
         raise ValueError("empty pretraining corpus")
     if steps == 0:
         return model, []
@@ -452,8 +434,8 @@ def mlm_pretrain(model: EncoderModel, corpus, *, mask_rate: float,
     batch_rng = stream(seed, "mlm-batch")
     mask_rng = stream(seed, "mlm-mask")
     for step in range(steps):
-        pick = batch_rng.integers(len(seqs), size=min(batch_size, len(seqs)))
-        ids, lengths = _pad_id_batch([seqs[i] for i in pick])
+        pick = batch_rng.integers(len(corpus), size=min(batch_size, len(corpus)))
+        ids, lengths = pad_ids([corpus[i].sequence.tokens for i in pick])
         loss, grads = mlm_step_loss(model, ids, lengths, mask_rate, mask_rng)
         if not np.isfinite(loss):
             raise FloatingPointError(

@@ -46,10 +46,6 @@ class ClassifierHead:
             b=rng.normal(0.0, init_std, size=(n_classes,)),
         )
 
-    @property
-    def n_classes(self) -> int:
-        return self.w.shape[1]
-
     def copy(self) -> "ClassifierHead":
         return ClassifierHead(self.w.copy(), self.b.copy())
 

@@ -1,18 +1,21 @@
 """Minibatch assembly over LabeledExamples.
 
-Token-level tasks carry one label per token ((B, T) arrays padded with
--1); text-level tasks one label per example.  Language ids are always
-per example; token-level language evaluation broadcasts them.
+Token ids are padded by vocab.pad_ids.  Token-level tasks carry one
+label per token ((B, T) arrays padded with -1); text-level tasks one
+label per example.  Language ids are always per example; token-level
+language evaluation broadcasts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
+from typing import Iterator
 
 import numpy as np
 
 from langlab.data.types import LabeledExample
-from langlab.vocab import PAD_ID
+from langlab.vocab import pad_ids
 
 TASK_LEVELS = {"token_tag": "token", "pair_inference": "text", "lid": "text"}
 
@@ -53,17 +56,13 @@ def make_batch(examples: list[LabeledExample], label_to_id: dict | None,
                lang_to_id: dict, level: str) -> Batch:
     if not examples:
         raise ValueError("empty batch")
-    lengths = np.array([len(ex.sequence) for ex in examples])
-    T = int(lengths.max())
-    ids = np.full((len(examples), T), PAD_ID, dtype=np.int64)
-    for r, ex in enumerate(examples):
-        ids[r, : lengths[r]] = ex.sequence.tokens
+    ids, lengths = pad_ids([ex.sequence.tokens for ex in examples])
     lang_y = np.array([lang_to_id[ex.language] for ex in examples], dtype=np.int64)
 
     task_y = None
     if label_to_id is not None:
         if level == "token":
-            task_y = np.full((len(examples), T), -1, dtype=np.int64)
+            task_y = np.full(ids.shape, -1, dtype=np.int64)
             for r, ex in enumerate(examples):
                 task_y[r, : lengths[r]] = [label_to_id[l] for l in ex.task_labels]
         else:
@@ -79,28 +78,9 @@ def epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-class CyclingBatches:
-    """Endless same-size batches over a dataset, reshuffling each pass.
-
-    Used for the language-data minibatch that accompanies every task
-    minibatch in gradient-reversal training.
-    """
-
-    def __init__(self, n: int, rng):
-        if n < 1:
-            raise ValueError("cannot cycle over an empty dataset")
-        self.n = n
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
-
-    def take(self, size: int) -> np.ndarray:
-        out = []
-        while len(out) < size:
-            if self._pos >= self.n:
-                self._order = self.rng.permutation(self.n)
-                self._pos = 0
-            take = min(size - len(out), self.n - self._pos)
-            out.extend(self._order[self._pos:self._pos + take])
-            self._pos += take
-        return np.array(out, dtype=int)
+def cycling_indices(n: int, rng) -> Iterator[int]:
+    """Endless rng.permutation(n) passes, one index at a time: the
+    language-data minibatches of gradient reversal.  n < 1 fails here."""
+    if n < 1:
+        raise ValueError("cannot cycle over an empty dataset")
+    return chain.from_iterable(rng.permutation(n) for _ in count())

@@ -65,8 +65,7 @@ def _train_forward(encoder: EncoderModel, batch: Batch, rng):
     Returns (tape, where, mask, X after mask); mask is None when the
     encoder has no dropout.
     """
-    X, tape, where = _forward(encoder, batch, train=True, rng=rng,
-                              want_tape=True)
+    X, tape, where = _forward(encoder, batch, rng=rng, want_tape=True)
     mask = dropout_mask(X.shape, encoder.config.dropout, rng)
     return tape, where, mask, (X * mask if mask is not None else X)
 

@@ -12,6 +12,9 @@ Every head over fixed feature rows (task probe, LID probe, the
 entropy-max language phase) trains one epoch at a time through
 _head_epoch.
 
+Both best-epoch loops copy out what they train only when an epoch's
+validation F1 beats the best so far, so the earliest best epoch wins.
+
 A regime returns only what it trains: the encoder, the task head, and
 the language head that grad_reversal and entropy_max train against.
 The LID probe on the final encoder is retrain_language_probe's job, run
@@ -33,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from langlab.encoder import EncoderModel, dropout_mask
 from langlab.heads import ClassifierHead, ce_loss_and_dlogits, head_backward, head_logits
 from langlab.optim import AdamState, adam_step
 from langlab.rng import stream
-from langlab.training.batching import CyclingBatches, epoch_batches, make_batch
+from langlab.training.batching import cycling_indices, epoch_batches, make_batch
 from langlab.training.evaluate import head_f1
 from langlab.training.network import composite_step, embed_examples
 
@@ -69,15 +74,6 @@ class TrainingRun:
     lang_terms: list[float] = field(default_factory=list)
 
 
-def _select_best(scores: list[float]) -> int:
-    """Index of the maximum score, earliest on ties."""
-    best = 0
-    for i, s in enumerate(scores):
-        if s > scores[best]:
-            best = i
-    return best
-
-
 def _head_epoch(head: ClassifierHead, params, state: AdamState, X, y, *,
                 batch_size: int, lr: float, dropout: float, batch_rng,
                 drop_rng, losses: list[float]) -> None:
@@ -97,38 +93,37 @@ def _head_epoch(head: ClassifierHead, params, state: AdamState, X, y, *,
         losses.append(loss)
 
 
-def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int, *,
-                          init_std: float, head_lr: float, batch_size: int,
-                          epochs: int, seed: int, dropout: float,
+def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int,
+                          cfg: PipelineConfig, dropout: float,
                           tag: str) -> ProbeRun:
     """Best-epoch training of a fresh head over fixed feature rows.
 
     Minibatches are rows of X_train (tokens for token-level tasks), with
-    output dropout applied in training mode; the head with the best
-    macro F1 on (X_val, y_val) is kept.  tag names the head's RNG streams.
+    output dropout; cfg gives init_std, head_lr, batch_size, epochs and
+    seed.  The head with the earliest best macro F1 on (X_val, y_val) is
+    kept.  tag names the head's RNG streams.
     """
     if len(y_train) == 0 or len(y_val) == 0:
         raise ValueError(f"empty {tag} corpus for head training")
 
-    head = ClassifierHead.init(X_train.shape[1], n_classes, init_std,
-                               seed=seed, tag=tag)
+    head = ClassifierHead.init(X_train.shape[1], n_classes, cfg.init_std,
+                               seed=cfg.seed, tag=tag)
     params = {"w": head.w, "b": head.b}
     state = AdamState()
-    batch_rng = stream(seed, tag, "batches")
-    drop_rng = stream(seed, tag, "dropout")
+    batch_rng = stream(cfg.seed, tag, "batches")
+    drop_rng = stream(cfg.seed, tag, "dropout")
 
-    losses: list[float] = []
-    scores: list[float] = []
-    snapshots: list[ClassifierHead] = []
-    for _ in range(epochs):
+    run = ProbeRun(head=head, epoch_val_f1=[], selected_epoch=0, losses=[])
+    for epoch in range(cfg.epochs):
         _head_epoch(head, params, state, X_train, y_train,
-                    batch_size=batch_size, lr=head_lr, dropout=dropout,
-                    batch_rng=batch_rng, drop_rng=drop_rng, losses=losses)
-        scores.append(head_f1(head, X_val, y_val, n_classes))
-        snapshots.append(head.copy())
-    best = _select_best(scores)
-    return ProbeRun(head=snapshots[best], epoch_val_f1=scores,
-                    selected_epoch=best, losses=losses)
+                    batch_size=cfg.batch_size, lr=cfg.head_lr,
+                    dropout=dropout, batch_rng=batch_rng, drop_rng=drop_rng,
+                    losses=run.losses)
+        f1 = head_f1(head, X_val, y_val, n_classes)
+        if epoch == 0 or f1 > run.epoch_val_f1[run.selected_epoch]:
+            run.head, run.selected_epoch = head.copy(), epoch
+        run.epoch_val_f1.append(f1)
+    return run
 
 
 def retrain_language_probe(encoder: EncoderModel, data: RunData,
@@ -140,9 +135,7 @@ def retrain_language_probe(encoder: EncoderModel, data: RunData,
                              data.lang_to_id)
     return _train_head_on_cached(
         emb_train.X, emb_train.lang_y, emb_val.X, emb_val.lang_y,
-        len(data.languages), init_std=cfg.init_std, head_lr=cfg.head_lr,
-        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
-        dropout=encoder.config.dropout, tag="lid-probe")
+        len(data.languages), cfg, encoder.config.dropout, "lid-probe")
 
 
 def train_frozen_probe(encoder: EncoderModel, data: RunData,
@@ -155,9 +148,7 @@ def train_frozen_probe(encoder: EncoderModel, data: RunData,
                              data.lang_to_id, task_spec.label_to_id)
     task_probe = _train_head_on_cached(
         emb_train.X, emb_train.task_y, emb_val.X, emb_val.task_y,
-        task_spec.n_classes, init_std=cfg.init_std, head_lr=cfg.head_lr,
-        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
-        dropout=encoder.config.dropout, tag="task-probe")
+        task_spec.n_classes, cfg, encoder.config.dropout, "task-probe")
     return TrainingRun(
         epoch_val_f1=task_probe.epoch_val_f1,
         selected_epoch=task_probe.selected_epoch,
@@ -178,7 +169,8 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
     one optimizer.  entropy_max opens every epoch with a language-head
     epoch against the current encoder (its own optimizer), then runs the
     task epoch under the combined confusion loss with that head frozen.
-    Each epoch snapshots the encoder and both heads together.
+    The encoder and both heads are copied out together when an epoch's
+    F1 beats the best so far.
     """
     task_spec, lang_to_id = data.task_spec, data.lang_to_id
     train, lid_train = data.pivot_train, data.lid_split.train
@@ -201,7 +193,7 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
     if reversal:
         params["lang/w"] = lang_head.w
         params["lang/b"] = lang_head.b
-        cycler = CyclingBatches(len(lid_train), stream(cfg.seed, "lid-batches"))
+        cycler = cycling_indices(len(lid_train), stream(cfg.seed, "lid-batches"))
         lid_drop_rng = stream(cfg.seed, "lid-dropout")
     if entropy:
         lang_params = {"w": lang_head.w, "b": lang_head.b}
@@ -216,8 +208,7 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
 
     run = TrainingRun(epoch_val_f1=[], selected_epoch=0, encoder=enc,
                       task_head=task_head, lang_head=lang_head)
-    snapshots = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         if entropy:
             # language phase: head alone against the frozen current encoder
             emb = embed_examples(enc, lid_train, "text", lang_to_id)
@@ -230,7 +221,7 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
             batch = make_batch([train[i] for i in idx], task_spec.label_to_id,
                                lang_to_id, task_spec.level)
             if reversal:
-                lid_idx = cycler.take(len(idx))
+                lid_idx = np.fromiter(cycler, dtype=int, count=len(idx))
                 lid_batch = make_batch([lid_train[i] for i in lid_idx],
                                        None, lang_to_id, "text")
             res = composite_step(enc, task_head, batch, drop_rng,
@@ -246,12 +237,12 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
                 run.lang_terms.append(res.lang_term)
         val = embed_examples(enc, data.pivot_val, task_spec.level, lang_to_id,
                              task_spec.label_to_id)
-        run.epoch_val_f1.append(head_f1(task_head, val.X, val.task_y,
-                                        task_spec.n_classes))
-        snapshots.append((enc.copy(), task_head.copy(),
-                          lang_head.copy() if lang_head is not None else None))
-    run.selected_epoch = _select_best(run.epoch_val_f1)
-    run.encoder, run.task_head, run.lang_head = snapshots[run.selected_epoch]
+        f1 = head_f1(task_head, val.X, val.task_y, task_spec.n_classes)
+        if epoch == 0 or f1 > run.epoch_val_f1[run.selected_epoch]:
+            run.selected_epoch = epoch
+            run.encoder, run.task_head = enc.copy(), task_head.copy()
+            run.lang_head = lang_head.copy() if lang_head is not None else None
+        run.epoch_val_f1.append(f1)
     return run
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 PAD_ID = 0
 UNK_ID = 1
 SEP_ID = 2
@@ -17,6 +19,15 @@ MASK_ID = 3
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[SEP]", "[MASK]")
 N_SPECIAL = len(SPECIAL_TOKENS)
+
+
+def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Id sequences as (B, T) int64 ids padded with PAD_ID, and lengths."""
+    lengths = np.array([len(s) for s in seqs])
+    ids = np.full((len(seqs), int(lengths.max())), PAD_ID, dtype=np.int64)
+    for r, s in enumerate(seqs):
+        ids[r, : lengths[r]] = s
+    return ids, lengths
 
 
 class UnknownTokenError(KeyError):

@@ -280,6 +280,20 @@ def test_conllu_malformed_line_reports_position(tmp_path, tiny_vocab):
         load_conllu(path, tiny_vocab)
 
 
+def test_conllu_empty_language_comment_fails_by_line(tmp_path, tiny_vocab):
+    # an empty comment must not hand its sentence the language '', even
+    # where the filename names one
+    for name in ("aa_empty.conllu", "empty.conllu"):
+        path = tmp_path / name
+        path.write_text("# language = ab\n"
+                        "1\taa_3\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
+                        "# language =\n1\taa_3\t_\tNOUN\t_\t_\t_\t_\t_\t_\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:4: ") + "empty language"):
+            load_conllu(path, tiny_vocab)
+
+
 def test_nli_malformed_lines(tmp_path, tiny_vocab):
     path = tmp_path / "bad.tsv"
     path.write_text("aa_0\taa_2\tmaybe\taa\n", encoding="utf-8")

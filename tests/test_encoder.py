@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, ndtr
 
+from langlab.data.types import LabeledExample, TokenSequence
 from langlab.encoder import (
     LN_EPS,
     EncoderConfig,
@@ -146,17 +147,14 @@ def test_forward_validation():
     long_ids = np.zeros((1, 17), dtype=int)
     with pytest.raises(ValueError, match="exceeds max"):
         forward_batch(model, long_ids, np.array([17]))
-    drop_model = small_model(dropout=0.1)
-    with pytest.raises(ValueError, match="rng"):
-        forward_batch(drop_model, ids, lengths, train=True)
 
 
 def test_train_mode_dropout_reproducible():
     model = small_model(dropout=0.2)
     ids, lengths, _ = small_batch()
-    h1, _ = forward_batch(model, ids, lengths, train=True, rng=stream(0, "d"))
-    h2, _ = forward_batch(model, ids, lengths, train=True, rng=stream(0, "d"))
-    h3, _ = forward_batch(model, ids, lengths, train=True, rng=stream(1, "d"))
+    h1, _ = forward_batch(model, ids, lengths, rng=stream(0, "d"))
+    h2, _ = forward_batch(model, ids, lengths, rng=stream(0, "d"))
+    h3, _ = forward_batch(model, ids, lengths, rng=stream(1, "d"))
     assert np.array_equal(h1, h2)
     assert not np.array_equal(h1, h3)
 
@@ -169,10 +167,10 @@ def test_padding_content_is_invisible():
     ids_b = np.where(real, ids, 7)
     for train in (False, True):
         for read in (None, ([0, 1, 1], [4, 0, 3])):
-            ha, _ = forward_batch(model, ids, lengths, train=train,
-                                  rng=stream(2, "pad"), read=read)
-            hb, _ = forward_batch(model, ids_b, lengths, train=train,
-                                  rng=stream(2, "pad"), read=read)
+            ha, _ = forward_batch(model, ids, lengths, read=read,
+                                  rng=stream(2, "pad") if train else None)
+            hb, _ = forward_batch(model, ids_b, lengths, read=read,
+                                  rng=stream(2, "pad") if train else None)
             assert np.array_equal(ha, hb)
 
 
@@ -237,7 +235,7 @@ def test_read_rows_match_full_forward_and_keep_rng_stream(kind, train):
     ids, lengths, real = small_batch()
     read = read_rows(kind, real)
     rng, ref_rng = stream(6, "rows"), stream(6, "rows")
-    hidden, _ = forward_batch(model, ids, lengths, train=train,
+    hidden, _ = forward_batch(model, ids, lengths,
                               rng=rng if train else None, read=read)
     ref = reference_forward(model, ids, lengths, ref_rng if train else None)
     at = np.nonzero(real) if read is None else read
@@ -316,15 +314,14 @@ def projection_loss(ids, lengths, W, *, train=False, drop_seed=0):
     """Scalar loss: fixed random projection of all real-position outputs."""
     def loss(model):
         rng = stream(drop_seed, "fd-dropout") if train else None
-        hidden, _ = forward_batch(model, ids, lengths, train=train, rng=rng)
+        hidden, _ = forward_batch(model, ids, lengths, rng=rng)
         return float((hidden * W).sum())
     return loss
 
 
 def projection_grads(model, ids, lengths, W, *, train=False, drop_seed=0):
     rng = stream(drop_seed, "fd-dropout") if train else None
-    hidden, tape = forward_batch(model, ids, lengths, train=train, rng=rng,
-                                 want_tape=True)
+    hidden, tape = forward_batch(model, ids, lengths, rng=rng, want_tape=True)
     return backward_batch(model, tape, np.broadcast_to(W, hidden.shape))
 
 
@@ -461,7 +458,8 @@ def test_mlm_memorizes_tiny_corpus():
     rng = np.random.default_rng(0)
     seqs = [rng.integers(4, 12, size=8) for _ in range(6)]
     model = small_model(d_model=32, n_heads=4, d_ff=64)
-    trained, losses = mlm_pretrain(model, seqs, mask_rate=0.2, steps=400,
+    corpus = [LabeledExample(TokenSequence(s)) for s in seqs]
+    trained, losses = mlm_pretrain(model, corpus, mask_rate=0.2, steps=400,
                                    batch_size=6, lr=3e-3, seed=0)
     assert len(losses) == 400
     assert losses[-1] < 0.5 * losses[0]
@@ -476,11 +474,12 @@ def test_mlm_memorizes_tiny_corpus():
 def test_mlm_pretrain_validation():
     model = small_model()
     kw = dict(mask_rate=0.15, steps=1, batch_size=4, lr=1e-3, seed=0)
+    corpus = [LabeledExample(TokenSequence([5, 6]))]
     with pytest.raises(ValueError, match="mask_rate"):
-        mlm_pretrain(model, [np.array([5, 6])], **{**kw, "mask_rate": 0.0})
+        mlm_pretrain(model, corpus, **{**kw, "mask_rate": 0.0})
     with pytest.raises(ValueError, match="empty"):
         mlm_pretrain(model, [], **kw)
-    same, losses = mlm_pretrain(model, [np.array([5, 6])], **{**kw, "steps": 0})
+    same, losses = mlm_pretrain(model, corpus, **{**kw, "steps": 0})
     assert losses == []
     assert all(np.array_equal(same.params[k], model.params[k])
                for k in model.params)

@@ -6,7 +6,10 @@ field is read somewhere; and every keyword default is set by some call.
 No linter ships with the project, so unused imports and dead code are
 caught here with the standard library's ast.  __future__ imports are
 skipped.  A public definition with no reference in src/ is dead unless
-KEPT_UNREFERENCED names it.  A field counts as read when its name is
+KEPT_UNREFERENCED names it.  A method or property is matched by its
+attribute name alone, so one whose name another class also defines or
+holds is never flagged: an unread ClassifierHead.n_classes property
+passed because TaskSpec.n_classes is read.  A field counts as read when its name is
 loaded as an attribute, or named by getattr, anywhere in src/; an unread
 field fails unless KEPT_UNREAD names it.  A parameter with a default is
 set when a call in src/ of the same name passes it by keyword, by

@@ -18,8 +18,8 @@ from langlab.heads import ce_loss_and_dlogits, head_logits, language_term_and_dl
 from langlab.pipeline import prepare_data
 from langlab.rng import stream
 from langlab.training.batching import (
-    CyclingBatches,
     TaskSpec,
+    cycling_indices,
     epoch_batches,
     make_batch,
     task_spec_for,
@@ -34,7 +34,11 @@ from langlab.training.network import (
     embed_examples,
     read_index,
 )
-from langlab.training.regimes import _select_best, retrain_language_probe, run_regime
+from langlab.training.regimes import (
+    _train_head_on_cached,
+    retrain_language_probe,
+    run_regime,
+)
 from langlab.training.search import TABLE_GRIDS, grids_for_regime, random_search
 
 FD_H = 1e-5
@@ -99,16 +103,23 @@ def test_epoch_batches_cover_everything():
     assert all(np.array_equal(a, b) for a, b in zip(batches, again))
 
 
-def test_cycling_batches():
-    cyc = CyclingBatches(5, stream(0, "cyc"))
-    first = cyc.take(5)
-    assert sorted(first.tolist()) == list(range(5))
-    drawn = np.concatenate([cyc.take(3) for _ in range(5)])
-    assert len(drawn) == 15
-    # two full passes follow the first; every element appears each pass
-    assert sorted(drawn[:5].tolist()) == list(range(5))
+def test_cycling_indices():
+    # passes are rng.permutation(n) draws from the same stream, and a take
+    # may cross from one pass into the next
+    cyc, ref = cycling_indices(5, stream(0, "cyc")), stream(0, "cyc")
+    assert np.array_equal(np.fromiter(cyc, dtype=int, count=10),
+                          np.concatenate([ref.permutation(5),
+                                          ref.permutation(5)]))
+    drawn = np.concatenate([np.fromiter(cyc, dtype=int, count=3)
+                            for _ in range(5)])
+    assert np.array_equal(drawn, np.concatenate(
+        [ref.permutation(5) for _ in range(3)]))
+    # an empty dataset fails when the iterator is made, before any draw
+    rng = stream(0, "cyc")
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match="empty"):
-        CyclingBatches(0, stream(0, "cyc"))
+        cycling_indices(0, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +292,6 @@ def test_pipeline_config_regime_validation():
         PipelineConfig(regime="finetune", language_term_variant="renyi", **ok)
 
 
-def test_select_best_earliest_max():
-    assert _select_best([0.2]) == 0
-    assert _select_best([0.3, 0.5, 0.4]) == 1
-    assert _select_best([0.3, 0.5, 0.5]) == 1
-    assert _select_best([0.5, 0.5, 0.5]) == 0
-
-
 def test_pivot_filtering(tiny_data):
     # the corpus stage keeps the pivot language's task train and val
     assert tiny_data.pivot_train and tiny_data.pivot_val
@@ -453,6 +457,61 @@ def test_entropy_max_returns_the_selected_epochs_language_head(
     assert np.array_equal(run.task_head.w, one.task_head.w)
     assert np.array_equal(run.lang_head.w, one.lang_head.w)
     assert np.array_equal(run.lang_head.b, one.lang_head.b)
+
+
+def script_head_f1(monkeypatch, scores):
+    """Make regimes.head_f1 return scores in turn; returns the list of
+    the heads it was handed, each copied as it was when scored."""
+    scored, it = [], iter(scores)
+
+    def head_f1(head, X, y, n_classes):
+        scored.append(head.copy())
+        return next(it)
+
+    monkeypatch.setattr(regimes, "head_f1", head_f1)
+    return scored
+
+
+@pytest.mark.parametrize("scores, best", [
+    ([0.3, 0.5, 0.5, 0.4], 1), ([np.nan, 0.5, 0.6], 0),
+    ([0.3, np.nan, 0.5], 2), ([0.2, 0.2], 0)],
+    ids=["tie", "nan-first", "nan-between", "all-equal"])
+def test_head_training_keeps_the_earliest_best_epoch(monkeypatch, scores,
+                                                     best):
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(40, 8)), np.arange(40) % 3
+    scored = script_head_f1(monkeypatch, scores)
+    run = _train_head_on_cached(X, y, X[:9], y[:9], 3,
+                                tiny_cfg("frozen_probe", epochs=len(scores)),
+                                0.1, "t")
+    assert run.selected_epoch == best
+    assert run.epoch_val_f1 == scores     # the same objects, NaN included
+    assert np.array_equal(run.head.w, scored[best].w)
+    assert np.array_equal(run.head.b, scored[best].b)
+    if best < len(scores) - 1:              # the last epoch's head moved on
+        assert not np.array_equal(run.head.w, scored[-1].w)
+
+
+def test_fine_tune_returns_the_selected_epochs_encoder_and_heads(
+        small_pretrained, tiny_data, monkeypatch):
+    # the tie at epochs 1 and 2 keeps epoch 1: a two-epoch run that ends
+    # there trains the same encoder and heads
+    encoder, _ = small_pretrained
+    cfg = lambda epochs: tiny_cfg("grad_reversal", grl_lambda=0.5,
+                                  epochs=epochs)
+    script_head_f1(monkeypatch, [0.3, 0.5])
+    two = run_regime(encoder, tiny_data, cfg(2))
+    scored = script_head_f1(monkeypatch, [0.3, 0.5, 0.5, 0.4])
+    run = run_regime(encoder, tiny_data, cfg(4))
+    assert run.selected_epoch == 1
+    assert run.epoch_val_f1 == [0.3, 0.5, 0.5, 0.4]
+    assert params_equal(run.encoder, two.encoder)
+    for head, ref in ((run.task_head, two.task_head),
+                      (run.lang_head, two.lang_head),
+                      (run.task_head, scored[1])):
+        assert np.array_equal(head.w, ref.w)
+        assert np.array_equal(head.b, ref.b)
+    assert not np.array_equal(run.task_head.w, scored[-1].w)
 
 
 def test_retrain_language_probe_deterministic(small_pretrained, tiny_data):
