@@ -19,7 +19,8 @@ from langlab.analysis.sampling import DEFAULT_QUOTAS as SAMPLE_QUOTAS
 from langlab.data.synthetic import DEFAULT_N_CONCEPTS, DEFAULT_OVERLAP
 from langlab.encoder import EncoderConfig
 from langlab.heads import LANGUAGE_TERM_VARIANTS
-from langlab.training.regimes import REGIMES, TASKS
+from langlab.training.batching import TASK_LEVELS
+from langlab.training.regimes import REGIMES
 
 # least accepted value of each bounded field; checked at construction so
 # a bad config fails before pretraining instead of writing NaN or nothing
@@ -30,7 +31,7 @@ _MINIMUMS = {"epochs": 1, "batch_size": 1, "mlm_steps": 0, "quota_task": 1,
 # trains by gradient ascent, and a negative init_std fails mid-run
 _POSITIVE = ("init_std", "head_lr", "encoder_lr", "mlm_lr")
 # the accepted values of each named-choice field
-_CHOICES = {"regime": REGIMES, "task": TASKS,
+_CHOICES = {"regime": REGIMES, "task": TASK_LEVELS,
             "language_term_variant": LANGUAGE_TERM_VARIANTS}
 # what each declared field type accepts; bool is refused for both numbers,
 # and null only where the type says "| None"
@@ -75,8 +76,8 @@ class PipelineConfig:
     lid_examples_per_language: int = 240
     corpus_seed: int = 0
 
-    # inputs (null task/lid corpus path -> synthesize; null checkpoint
-    # -> pretrain in-run); corpus files additionally need vocab_path
+    # inputs (null corpus paths -> synthesize; the three paths come all
+    # together or not at all; null checkpoint -> pretrain in-run)
     task_corpus_path: str | None = None
     lid_corpus_path: str | None = None
     vocab_path: str | None = None
@@ -120,6 +121,10 @@ class PipelineConfig:
             raise ValueError("w is set iff regime is entropy_max")
         if self.w is not None and not 0.0 <= self.w <= 1.0:
             raise ValueError("w must be in [0,1]")
+        paths = (self.task_corpus_path, self.lid_corpus_path, self.vocab_path)
+        if any(paths) and not all(paths):
+            raise ValueError("file-based corpora need task_corpus_path, "
+                             "lid_corpus_path and vocab_path together")
         # EncoderConfig's shape rules; the vocabulary size is known only
         # once the corpus is built
         self.encoder_config(vocab_size=1)

@@ -105,10 +105,6 @@ def language_term_and_dlogits(logits: np.ndarray, variant: str = "as_written"):
 
 
 def head_backward(head: ClassifierHead, x: np.ndarray, d_logits: np.ndarray):
-    """Gradients (dw, db, dx) of a loss whose logits-gradient is d_logits."""
-    x2 = x.reshape(-1, head.w.shape[0])
-    d2 = d_logits.reshape(-1, head.w.shape[1])
-    dw = x2.T @ d2
-    db = d2.sum(axis=0)
-    dx = d_logits @ head.w.T
-    return dw, db, dx
+    """Gradients (dw, db, dx) of a loss whose logits-gradient is d_logits,
+    over (M, d) rows x and (M, K) d_logits."""
+    return x.T @ d_logits, d_logits.sum(axis=0), d_logits @ head.w.T

@@ -18,8 +18,9 @@ out, once per run, every corpus fact the later stages share: the
 language index, the task spec and the pivot-language train/val, failing
 on a pivot language the task corpus lacks.  Only then is the output
 directory made.  The pretrain stage loads the configured checkpoint or
-pretrains a fresh encoder (pretrain_encoder).  Artifacts go under the
-configured output directory.  Any stage failure raises StageError
+pretrains a fresh encoder (pretrain_encoder), checking either against
+the corpora's vocabulary and longest sequence first.  Artifacts go under
+the configured output directory.  Any stage failure raises StageError
 carrying the stage name; artifacts written before the failure stay on
 disk for inspection.
 
@@ -119,12 +120,7 @@ class ResultsBundle:
 
 def load_corpora(cfg: PipelineConfig):
     """Return (vocab, task examples, lid examples) from files or synthesis."""
-    if cfg.task_corpus_path or cfg.lid_corpus_path:
-        if not (cfg.task_corpus_path and cfg.lid_corpus_path and cfg.vocab_path):
-            raise ValueError(
-                "file-based corpora need task_corpus_path, lid_corpus_path "
-                "and vocab_path together"
-            )
+    if cfg.task_corpus_path:     # the config holds all three paths or none
         vocab = Vocabulary.load(cfg.vocab_path)
         if cfg.task == "token_tag":
             task_examples = load_conllu(cfg.task_corpus_path, vocab)
@@ -177,8 +173,10 @@ def prepare_data(cfg: PipelineConfig) -> RunData:
 
 
 def pretrain_encoder(cfg: PipelineConfig, data: RunData):
-    """Load the configured checkpoint, checked against the corpus
-    vocabulary, or MLM-pretrain on LID train data; (encoder, losses)."""
+    """Load the configured checkpoint or MLM-pretrain a fresh encoder on
+    LID train data; (encoder, losses).  Either encoder is first checked
+    against the corpora: their vocabulary, and their longest sequence,
+    which must fit its max_len."""
     if cfg.encoder_checkpoint:
         encoder = load_encoder(cfg.encoder_checkpoint)
         if encoder.config.vocab_size != len(data.vocab):
@@ -186,9 +184,17 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
                 f"checkpoint vocab size {encoder.config.vocab_size} != "
                 f"corpus vocab size {len(data.vocab)}"
             )
+    else:
+        encoder = EncoderModel.init(cfg.encoder_config(len(data.vocab)),
+                                    seed=cfg.seed)
+    longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
+                  for part in split.parts for ex in part)
+    if longest > encoder.config.max_len:
+        raise ValueError(f"corpus sequence length {longest} exceeds encoder "
+                         f"max_len {encoder.config.max_len}")
+    if cfg.encoder_checkpoint:
         return encoder, []
-    fresh = EncoderModel.init(cfg.encoder_config(len(data.vocab)), seed=cfg.seed)
-    return mlm_pretrain(fresh, data.lid_split.train, mask_rate=cfg.mask_rate,
+    return mlm_pretrain(encoder, data.lid_split.train, mask_rate=cfg.mask_rate,
                         steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
                         lr=cfg.mlm_lr, seed=cfg.seed)
 

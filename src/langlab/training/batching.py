@@ -1,9 +1,11 @@
 """Minibatch assembly over LabeledExamples.
 
-Token ids are padded by vocab.pad_ids.  Token-level tasks carry one
-label per token ((B, T) arrays padded with -1); text-level tasks one
-label per example.  Language ids are always per example; token-level
-language evaluation broadcasts them.
+make_batch decides which rows a batch's heads read: every real token
+for token-level tasks, position 0 of each sequence for text-level ones.
+A Batch names those rows as a (rows, cols) pair in row-major order, the
+form encoder.forward_batch takes as read, and holds one task id and one
+language id per read row, in the same order.  Token ids are padded by
+vocab.pad_ids.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from langlab.data.types import LabeledExample
 from langlab.vocab import pad_ids
 
-TASK_LEVELS = {"token_tag": "token", "pair_inference": "text", "lid": "text"}
+# the tasks a run can train, and the level each one is classified at
+TASK_LEVELS = {"token_tag": "token", "pair_inference": "text"}
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ def task_spec_for(task: str, examples) -> TaskSpec:
 class Batch:
     ids: np.ndarray       # (B, T) token ids, PAD-padded
     lengths: np.ndarray   # (B,)
-    task_y: np.ndarray | None   # (B, T) with -1 padding, or (B,)
-    lang_y: np.ndarray    # (B,) language id per example
-    level: str
+    read: tuple[np.ndarray, np.ndarray]   # (rows, cols) of the M read rows
+    task_y: np.ndarray | None   # (M,) task id per read row
+    lang_y: np.ndarray    # (M,) language id per read row
 
 
 def make_batch(examples: list[LabeledExample], label_to_id: dict | None,
@@ -57,19 +60,22 @@ def make_batch(examples: list[LabeledExample], label_to_id: dict | None,
     if not examples:
         raise ValueError("empty batch")
     ids, lengths = pad_ids([ex.sequence.tokens for ex in examples])
-    lang_y = np.array([lang_to_id[ex.language] for ex in examples], dtype=np.int64)
+    lang_ids = np.array([lang_to_id[ex.language] for ex in examples],
+                        dtype=np.int64)
+    if level == "token":
+        read = np.nonzero(np.arange(ids.shape[1])[None, :] < lengths[:, None])
+        lang_y = np.repeat(lang_ids, lengths)
+    else:
+        read = np.arange(len(examples)), np.zeros(len(examples), dtype=np.int64)
+        lang_y = lang_ids
 
     task_y = None
-    if label_to_id is not None:
-        if level == "token":
-            task_y = np.full(ids.shape, -1, dtype=np.int64)
-            for r, ex in enumerate(examples):
-                task_y[r, : lengths[r]] = [label_to_id[l] for l in ex.task_labels]
-        else:
-            task_y = np.array(
-                [label_to_id[ex.task_labels[0]] for ex in examples], dtype=np.int64
-            )
-    return Batch(ids=ids, lengths=lengths, task_y=task_y, lang_y=lang_y, level=level)
+    if label_to_id is not None:     # the label at each read (row, col)
+        task_y = np.array([label_to_id[examples[r].task_labels[c]]
+                           for r, c in zip(*(a.tolist() for a in read))],
+                          dtype=np.int64)
+    return Batch(ids=ids, lengths=lengths, read=read, task_y=task_y,
+                 lang_y=lang_y)
 
 
 def epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:

@@ -2,8 +2,8 @@
 
 run_regime is the one entry point.  frozen_probe trains a task head over
 fixed features; finetune, grad_reversal and entropy_max run one loop
-(_fine_tune) that differs only in the extra loss term it hands the one
-step implementation (network.composite_step).  With the same named RNG
+(_fine_tune) around the one step implementation (network.composite_step),
+which adds the extra loss term cfg.regime names.  With the same named RNG
 streams, the reduction identities hold exactly: grad_reversal with
 lambda=0 and entropy_max with w=0 walk the encoder through the same
 parameter trajectory as plain fine-tuning under the same seed.
@@ -51,7 +51,6 @@ if TYPE_CHECKING:   # config.py and pipeline.py import this module
     from langlab.pipeline import RunData
 
 REGIMES = ("frozen_probe", "finetune", "grad_reversal", "entropy_max")
-TASKS = ("token_tag", "pair_inference")
 
 
 @dataclass
@@ -224,11 +223,8 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
                 lid_idx = np.fromiter(cycler, dtype=int, count=len(idx))
                 lid_batch = make_batch([lid_train[i] for i in lid_idx],
                                        None, lang_to_id, "text")
-            res = composite_step(enc, task_head, batch, drop_rng,
-                                 lang_head=lang_head, w=cfg.w,
-                                 language_term_variant=cfg.language_term_variant,
-                                 grl_lambda=cfg.grl_lambda,
-                                 lid_batch=lid_batch, rng_lid=lid_drop_rng)
+            res = composite_step(enc, task_head, lang_head, batch, lid_batch,
+                                 cfg, drop_rng, lid_drop_rng)
             adam_step(params, res.grads, state, lr)
             run.task_losses.append(res.task_loss)
             if res.lang_loss is not None:

@@ -57,12 +57,7 @@ from langlab.pipeline import prepare_data, pretrain_encoder, run_experiment
 from langlab.rng import stream
 from langlab.training.batching import make_batch, task_spec_for
 from langlab.training.evaluate import evaluate_lid, evaluate_task
-from langlab.training.network import (
-    _gold_at_level,
-    composite_step,
-    embed_examples,
-    read_index,
-)
+from langlab.training.network import composite_step, embed_examples
 from langlab.training.regimes import retrain_language_probe, run_regime
 
 FD_H = 1e-5
@@ -84,30 +79,28 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
 # ----------------------------------------------------------------------------
 
 def _classified(enc, batch):
-    """(X, where): the vectors at read_index, picked from a forward over
-    every real token, so the objectives do not share the composite
-    step's read-row path."""
+    """The vectors at batch.read, picked from a forward over every real
+    token, so the objectives do not share the composite step's read-row
+    path."""
     hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    if batch.level != "token":      # position 0: each sequence's first row
-        hidden = hidden[np.cumsum(batch.lengths) - batch.lengths]
-    return hidden, read_index(batch)
+    rows, cols = batch.read
+    return hidden[(np.cumsum(batch.lengths) - batch.lengths)[rows] + cols]
 
 
 def _task_ce(enc, head, batch):
-    X, where = _classified(enc, batch)
-    loss, _ = ce_loss_and_dlogits(head_logits(head, X),
-                                  _gold_at_level(batch, where))
+    X = _classified(enc, batch)
+    loss, _ = ce_loss_and_dlogits(head_logits(head, X), batch.task_y)
     return loss
 
 
 def _lang_ce(enc, head, lid_batch):
-    X, _ = _classified(enc, lid_batch)
+    X = _classified(enc, lid_batch)
     loss, _ = ce_loss_and_dlogits(head_logits(head, X), lid_batch.lang_y)
     return loss
 
 
 def _lang_term(enc, head, batch):
-    X, _ = _classified(enc, batch)
+    X = _classified(enc, batch)
     return language_term_and_dlogits(head_logits(head, X))[0]
 
 
@@ -166,14 +159,16 @@ def test_criterion_01_gradient_finite_differences():
         pairs = [(enc.params[k], grads[f"enc/{k}"]) for k in enc.params]
         return pairs + [(th.w, grads["task/w"]), (th.b, grads["task/b"])]
 
-    plain = composite_step(enc, th, task_batch, stream(0, "c1")).grads
+    plain = composite_step(enc, th, None, task_batch, None,
+                           PipelineConfig(regime="finetune"),
+                           stream(0, "c1"), None).grads
     worst_plain = _fd_worst_rel(enc_task_pairs(plain),
                                 lambda: _task_ce(enc, th, task_batch))
 
     lam, w = 0.5, 0.3
-    grl = composite_step(enc, th, task_batch, stream(0, "c1"), lang_head=lh,
-                         grl_lambda=lam, lid_batch=lid_batch,
-                         rng_lid=stream(0, "c1l")).grads
+    grl = composite_step(enc, th, lh, task_batch, lid_batch,
+                         PipelineConfig(regime="grad_reversal", grl_lambda=lam),
+                         stream(0, "c1"), stream(0, "c1l")).grads
     worst_grl = _fd_worst_rel(
         enc_task_pairs(grl),
         lambda: _task_ce(enc, th, task_batch) - lam * _lang_ce(enc, lh, lid_batch))
@@ -181,8 +176,9 @@ def test_criterion_01_gradient_finite_differences():
         [(lh.w, grl["lang/w"]), (lh.b, grl["lang/b"])],
         lambda: _lang_ce(enc, lh, lid_batch)))
 
-    em = composite_step(enc, th, task_batch, stream(0, "c1"), lang_head=lh,
-                        w=w).grads
+    em = composite_step(enc, th, lh, task_batch, None,
+                        PipelineConfig(regime="entropy_max", w=w),
+                        stream(0, "c1"), None).grads
     assert "lang/w" not in em
     worst_em = _fd_worst_rel(
         enc_task_pairs(em),
@@ -211,7 +207,7 @@ def test_criterion_01_gradient_finite_differences():
 def _lang_branch_grads(enc, lang_head, lid_batch, scale: float):
     # the branch reads position 0 only, as composite_step's forward does
     X, tape = forward_batch(enc, lid_batch.ids, lid_batch.lengths,
-                            want_tape=True, read=read_index(lid_batch))
+                            want_tape=True, read=lid_batch.read)
     _, d_logits = ce_loss_and_dlogits(head_logits(lang_head, X),
                                       lid_batch.lang_y)
     _, _, dX = head_backward(lang_head, X, d_logits)
@@ -242,11 +238,13 @@ def test_criterion_02_gradient_reversal_semantics():
                 if err > 1e-12 * gscale:
                     failures.append(f"scaling lambda={lam} seed {seed}")
 
-        full = composite_step(enc, th, task_batch, stream(9, "c2"),
-                              lang_head=lh, grl_lambda=0.5,
-                              lid_batch=lid_batch,
-                              rng_lid=stream(9, "c2l")).grads
-        plain = composite_step(enc, th, task_batch, stream(9, "c2")).grads
+        full = composite_step(enc, th, lh, task_batch, lid_batch,
+                              PipelineConfig(regime="grad_reversal",
+                                             grl_lambda=0.5),
+                              stream(9, "c2"), stream(9, "c2l")).grads
+        plain = composite_step(enc, th, None, task_batch, None,
+                               PipelineConfig(regime="finetune"),
+                               stream(9, "c2"), None).grads
         rev = _lang_branch_grads(enc, lh, lid_batch, -0.5)
         if not all(np.array_equal(full[f"enc/{k}"], plain[f"enc/{k}"] + rev[k])
                    for k in rev):

@@ -21,9 +21,12 @@ options.  An unset one fails unless KEPT_UNSET names it.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACING = SRC.parent / "benchmark" / "tracing.py"
 
 # Public definitions that stay although nothing in src/ calls them.
 KEPT_UNREFERENCED = {
@@ -386,3 +389,16 @@ def test_no_unset_options_in_src():
     assert {name: options for name, options in unlisted.items() if options} == {}
     # a kept option that gains a setter in src/ leaves the list
     assert KEPT_UNSET <= set().union(*unset.values())
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every (module, function) the benchmark's tracer wraps, and the two
+    langlab.pipeline globals its taps swap, still resolve: a rename or a
+    deletion would otherwise only empty a per-layer metric."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [*tracing.TARGETS, ("langlab.pipeline", "tsne"),
+             ("langlab.pipeline", "pretrain_encoder")]
+    assert [f"{module}.{name}" for module, name in names if not callable(
+        getattr(importlib.import_module(module), name, None))] == []

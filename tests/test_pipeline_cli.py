@@ -41,7 +41,7 @@ from langlab.pipeline import (
     export_plot_data,
     format_delta_table,
     hyperparameter_search,
-    load_corpora,
+    prepare_data,
     reanalyze,
     run_experiment,
 )
@@ -257,10 +257,12 @@ def test_stage_error_format():
     assert err.stage == "corpus"
 
 
-def test_load_corpora_needs_all_three_paths(tmp_path):
-    cfg = tiny_pipeline_cfg(str(tmp_path), task_corpus_path="x.conllu")
+def test_config_needs_all_three_corpus_paths(tmp_path):
     with pytest.raises(ValueError, match="together"):
-        load_corpora(cfg)
+        tiny_pipeline_cfg(str(tmp_path), task_corpus_path="x.conllu")
+    # a vocabulary alone would leave the synthetic corpus in use
+    with pytest.raises(ValueError, match="together"):
+        tiny_pipeline_cfg(str(tmp_path), vocab_path="no/such/vocab.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +628,12 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
      "unknown language term variant 'renyi'"),
     ({"head_lr": -0.5}, "cli", "head_lr must be > 0, got -0.5"),
     ({"init_std": -0.1}, "cli", "init_std must be > 0, got -0.1"),
-    ({"mask_rate": 0.0}, "cli", "mask_rate must be in (0,1), got 0.0")],
+    ({"mask_rate": 0.0}, "cli", "mask_rate must be in (0,1), got 0.0"),
+    ({"vocab_path": "no/such/vocab.txt"}, "cli",
+     "need task_corpus_path, lid_corpus_path and vocab_path together")],
     ids=["unknown-regime", "misplaced-weight", "encoder-heads",
          "unknown-term-variant", "negative-head-lr", "negative-init-std",
-         "zero-mask-rate"])
+         "zero-mask-rate", "vocab-path-alone"])
 def test_cli_rejects_bad_regime_config_before_pretraining(cli_cfg_path, capsys,
                                                           command, bad, tag,
                                                           message):
@@ -731,6 +735,31 @@ def test_cli_input_faults_carry_the_same_stage(cli_cfg_path, foreign_checkpoint,
         argv += ["--samples", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(tag)
+
+
+@pytest.mark.parametrize("source", ["fresh", "checkpoint"])
+def test_cli_corpus_longer_than_max_len_fails_before_any_mlm_step(
+        cli_cfg_path, monkeypatch, capsys, source):
+    # a sequence any split holds must fit the encoder, loaded or fresh,
+    # before the first MLM step, not in a later stage
+    path, cfg = cli_cfg_path
+    data = prepare_data(cfg)
+    longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
+                  for part in split.parts for ex in part)
+    keys = {"max_len": longest - 1}
+    if source == "checkpoint":
+        short = dataclasses.replace(cfg, max_len=longest - 1)
+        keys = {"encoder_checkpoint": str(path.parent / "short.ckpt")}
+        save_encoder(keys["encoder_checkpoint"], EncoderModel.init(
+            short.encoder_config(len(data.vocab)), seed=0))
+    monkeypatch.setattr(pipeline, "mlm_pretrain",
+                        lambda *args, **kwargs: pytest.fail("an MLM step ran"))
+    path.write_text(json.dumps(cfg.to_dict() | keys))
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [pretrain] corpus sequence length {longest} exceeds encoder "
+        f"max_len {longest - 1}\n")
+    assert list(Path(cfg.out_dir).iterdir()) == []
 
 
 def test_pretrain_manifest_keys(cli_cfg_path, capsys):

@@ -29,10 +29,8 @@ from langlab.training import regimes
 from langlab.training.network import (
     EMBED_BATCH,
     StepResult,
-    _gold_at_level,
     composite_step,
     embed_examples,
-    read_index,
 )
 from langlab.training.regimes import (
     _train_head_on_cached,
@@ -70,16 +68,19 @@ def test_make_batch_token_level(tiny_task_corpus, tiny_vocab):
     lang_to_id = {"aa": 0, "ab": 1, "ac": 2}
     batch = make_batch(examples, spec.label_to_id, lang_to_id, "token")
     T = max(len(ex.sequence) for ex in examples)
-    assert batch.ids.shape == batch.task_y.shape == (3, T)
+    assert batch.ids.shape == (3, T)
+    rows, cols = batch.read
+    n_tokens = sum(len(ex.sequence) for ex in examples)
+    assert rows.shape == batch.task_y.shape == batch.lang_y.shape == (n_tokens,)
     for r, ex in enumerate(examples):
         n = len(ex.sequence)
         assert batch.lengths[r] == n
         assert np.array_equal(batch.ids[r, :n], ex.sequence.tokens)
         assert np.all(batch.ids[r, n:] == 0)       # PAD
-        assert np.all(batch.task_y[r, n:] == -1)
+        assert list(cols[rows == r]) == list(range(n))
         labels = [spec.label_to_id[l] for l in ex.task_labels]
-        assert list(batch.task_y[r, :n]) == labels
-        assert batch.lang_y[r] == lang_to_id[ex.language]
+        assert list(batch.task_y[rows == r]) == labels
+        assert np.all(batch.lang_y[rows == r] == lang_to_id[ex.language])
 
 
 def test_make_batch_text_level_and_validation(tiny_pair_corpus):
@@ -89,10 +90,44 @@ def test_make_batch_text_level_and_validation(tiny_pair_corpus):
                        "text")
     assert batch.task_y.shape == (4,)
     assert batch.task_y[0] == spec.label_to_id[examples[0].task_labels[0]]
+    assert np.array_equal(batch.read[0], np.arange(4))
+    assert np.array_equal(batch.read[1], np.zeros(4))
     none_batch = make_batch(examples, None, {"aa": 0, "ab": 1, "ac": 2}, "text")
     assert none_batch.task_y is None
     with pytest.raises(ValueError, match="empty batch"):
         make_batch([], None, {}, "text")
+    # one label per pair cannot label every token
+    with pytest.raises(IndexError):
+        make_batch(examples, spec.label_to_id, {"aa": 0, "ab": 1, "ac": 2},
+                   "token")
+
+
+@pytest.mark.parametrize("corpus, task, level", [
+    ("tiny_task_corpus", "token_tag", "token"),
+    ("tiny_pair_corpus", "pair_inference", "text"),
+    ("tiny_lid_corpus", None, "text")], ids=["token", "pair", "lid"])
+def test_make_batch_reads_match_a_per_example_reference(request, corpus, task,
+                                                        level):
+    examples = request.getfixturevalue(corpus)[::23][:6]
+    assert len({ex.language for ex in examples}) > 1
+    lang_to_id = {"aa": 0, "ab": 1, "ac": 2}
+    label_to_id = task_spec_for(task, examples).label_to_id if task else None
+    batch = make_batch(examples, label_to_id, lang_to_id, level)
+    rows, cols, task_y, lang_y = [], [], [], []
+    for r, ex in enumerate(examples):
+        for c in range(len(ex.sequence)) if level == "token" else [0]:
+            rows.append(r)
+            cols.append(c)
+            lang_y.append(lang_to_id[ex.language])
+            if task:
+                task_y.append(label_to_id[ex.task_labels[c]])
+    assert np.array_equal(batch.read[0], rows)
+    assert np.array_equal(batch.read[1], cols)
+    assert np.array_equal(batch.lang_y, lang_y)
+    if task:
+        assert np.array_equal(batch.task_y, task_y)
+    else:
+        assert batch.task_y is None
 
 
 def test_epoch_batches_cover_everything():
@@ -172,36 +207,35 @@ def fd_setup(tiny_vocab, tiny_task_corpus, tiny_lid_corpus):
 
 
 def _classified(enc, batch):
-    """(X, where): the vectors at read_index, picked from a forward over
-    every real token, so the objectives do not share the composite
-    step's read-row path."""
+    """The vectors at batch.read, picked from a forward over every real
+    token, so the objectives do not share the composite step's read-row
+    path."""
     hidden, _ = forward_batch(enc, batch.ids, batch.lengths)
-    if batch.level != "token":      # position 0: each sequence's first row
-        hidden = hidden[np.cumsum(batch.lengths) - batch.lengths]
-    return hidden, read_index(batch)
+    rows, cols = batch.read
+    return hidden[(np.cumsum(batch.lengths) - batch.lengths)[rows] + cols]
 
 
 def _task_ce(enc, head, batch):
-    X, where = _classified(enc, batch)
-    loss, _ = ce_loss_and_dlogits(head_logits(head, X),
-                                  _gold_at_level(batch, where))
+    X = _classified(enc, batch)
+    loss, _ = ce_loss_and_dlogits(head_logits(head, X), batch.task_y)
     return loss
 
 
 def _lang_ce(enc, head, lid_batch):
-    X, _ = _classified(enc, lid_batch)
+    X = _classified(enc, lid_batch)
     loss, _ = ce_loss_and_dlogits(head_logits(head, X), lid_batch.lang_y)
     return loss
 
 
 def _lang_term(enc, head, batch):
-    X, _ = _classified(enc, batch)
+    X = _classified(enc, batch)
     return language_term_and_dlogits(head_logits(head, X))[0]
 
 
 def test_composite_step_plain_matches_fd(fd_setup):
     enc, task_head, _, batch, _ = fd_setup
-    res = composite_step(enc, task_head, batch, stream(0, "fd"))
+    res = composite_step(enc, task_head, None, batch, None,
+                         tiny_cfg("finetune"), stream(0, "fd"), None)
     assert res.lang_loss is None and res.lang_term is None
     assert res.task_loss == pytest.approx(_task_ce(enc, task_head, batch))
     pairs = [(enc.params[n], res.grads[f"enc/{n}"]) for n in FD_PARAMS]
@@ -213,8 +247,8 @@ def test_composite_step_plain_matches_fd(fd_setup):
 def test_composite_step_entropy_max_matches_fd(fd_setup):
     enc, task_head, lang_head, batch, _ = fd_setup
     w = 0.3
-    res = composite_step(enc, task_head, batch, stream(0, "fd"),
-                         lang_head=lang_head, w=w)
+    res = composite_step(enc, task_head, lang_head, batch, None,
+                         tiny_cfg("entropy_max", w=w), stream(0, "fd"), None)
     assert res.lang_term == pytest.approx(_lang_term(enc, lang_head, batch))
 
     def loss():
@@ -231,9 +265,9 @@ def test_composite_step_entropy_max_matches_fd(fd_setup):
 def test_composite_step_grad_reversal_matches_fd(fd_setup):
     enc, task_head, lang_head, batch, lid_batch = fd_setup
     lam = 0.5
-    res = composite_step(enc, task_head, batch, stream(0, "fd"),
-                         lang_head=lang_head, grl_lambda=lam,
-                         lid_batch=lid_batch, rng_lid=stream(1, "fd"))
+    res = composite_step(enc, task_head, lang_head, batch, lid_batch,
+                         tiny_cfg("grad_reversal", grl_lambda=lam),
+                         stream(0, "fd"), stream(1, "fd"))
     assert res.lang_loss == pytest.approx(_lang_ce(enc, lang_head, lid_batch))
 
     # encoder sees task CE minus lambda times the language CE
@@ -248,15 +282,6 @@ def test_composite_step_grad_reversal_matches_fd(fd_setup):
     _assert_fd(lambda: _lang_ce(enc, lang_head, lid_batch),
                [(lang_head.w, res.grads["lang/w"]),
                 (lang_head.b, res.grads["lang/b"])])
-
-
-def test_composite_step_argument_validation(fd_setup):
-    enc, task_head, lang_head, batch, lid_batch = fd_setup
-    with pytest.raises(ValueError, match="language head"):
-        composite_step(enc, task_head, batch, stream(0, "fd"), w=0.3)
-    with pytest.raises(ValueError, match="grl_lambda"):
-        composite_step(enc, task_head, batch, stream(0, "fd"),
-                       lang_head=lang_head, lid_batch=lid_batch)
 
 
 # ---------------------------------------------------------------------------
