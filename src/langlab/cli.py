@@ -63,28 +63,27 @@ def _resolve_config(args) -> PipelineConfig:
     return load_config(args.config, preset=args.preset, overrides=overrides)
 
 
+# gen-corpus: each task's writer and file name
+CORPUS_FILES = {
+    "token_tag": (write_conllu, "token_tag.conllu"),
+    "pair_inference": (write_nli_tsv, "pair_inference.tsv"),
+    "lid": (write_lid_tsv, "lid.tsv"),
+}
+
+
 def _cmd_gen_corpus(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     specs = make_language_specs(args.languages, args.concepts,
                                 args.overlap, seed=args.seed)
     vocab = build_vocabulary(specs)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
     written = {"vocab": "vocab.txt"}
-    tasks = (["token_tag", "pair_inference", "lid"]
-             if args.task == "all" else [args.task])
-    for task in tasks:
-        examples = generate_corpus(specs, args.per_language, task,
-                                   seed=args.seed, vocab=vocab)
-        if task == "token_tag":
-            write_conllu(examples, vocab, out / "token_tag.conllu")
-            written[task] = "token_tag.conllu"
-        elif task == "pair_inference":
-            write_nli_tsv(examples, vocab, out / "pair_inference.tsv")
-            written[task] = "pair_inference.tsv"
-        else:
-            write_lid_tsv(examples, vocab, out / "lid.tsv")
-            written[task] = "lid.tsv"
+    for task in CORPUS_FILES if args.task == "all" else [args.task]:
+        write, name = CORPUS_FILES[task]
+        write(generate_corpus(specs, args.per_language, task, seed=args.seed,
+                              vocab=vocab), vocab, out / name)
+        written[task] = name
     settings = {"languages": args.languages, "per_language": args.per_language,
                 "concepts": args.concepts, "overlap": args.overlap,
                 "seed": args.seed, "files": written}
@@ -166,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="write synthetic corpora to disk")
     p.add_argument("--out", required=True)
-    p.add_argument("--task", default="all",
-                   choices=["all", "token_tag", "pair_inference", "lid"])
+    p.add_argument("--task", default="all", choices=["all", *CORPUS_FILES])
     p.add_argument("--languages", type=int, default=8)
     p.add_argument("--per-language", type=int, default=240)
     p.add_argument("--concepts", type=int, default=60)

@@ -99,13 +99,22 @@ def make_language_specs(
 
     ``overlap_fraction`` of the concepts get a surface form shared by all
     languages; the rest are rendered with disjoint language-specific forms.
+    At least one concept must keep them, or no generated text could show
+    its language.
     """
     if n_languages < 1:
         raise ValueError("need at least one language")
     if n_languages > 500:
         raise ValueError("language code space exhausted")
-    rng = np.random.default_rng(seed)
+    if not 0.0 <= overlap_fraction <= 1.0:
+        raise ValueError(f"overlap_fraction must be in [0, 1], "
+                         f"got {overlap_fraction}")
     n_overlap = int(round(overlap_fraction * n_concepts))
+    if n_overlap >= n_concepts:
+        raise ValueError(f"overlap_fraction {overlap_fraction} leaves none "
+                         f"of the {n_concepts} concepts a language-specific "
+                         f"form")
+    rng = np.random.default_rng(seed)
     overlap = set(rng.choice(n_concepts, size=n_overlap, replace=False).tolist())
 
     specs = []
@@ -199,7 +208,7 @@ def truncate_pair(premise: list, hypothesis: list):
 def pair_sequence(premise_ids, hyp_ids) -> TokenSequence:
     """Premise and hypothesis ids joined by the separator, truncated to fit."""
     p, h = truncate_pair(premise_ids, hyp_ids)
-    return TokenSequence(p + [SEP_ID] + h, is_pair=True, pair_boundary=len(p))
+    return TokenSequence(p + [SEP_ID] + h, pair_boundary=len(p))
 
 
 def _render_hypothesis(concepts: list, pools: _ConceptPools, spec, rng) -> list:
@@ -274,7 +283,8 @@ def generate_corpus(
     n_per_language: int,
     task: str,
     seed: int = 0,
-    vocab: Vocabulary | None = None,
+    *,
+    vocab: Vocabulary,
 ) -> list[LabeledExample]:
     """Generate ``n_per_language`` examples for each language spec.
 
@@ -295,8 +305,6 @@ def generate_corpus(
         if not spec.lexicon:
             raise ValueError(f"empty lexicon for language {spec.language}")
 
-    if vocab is None:
-        vocab = build_vocabulary(specs)
     n_concepts = specs[0].n_concepts
     pools = _ConceptPools(n_concepts)
     amap = build_antonym_map(n_concepts)

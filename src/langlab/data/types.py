@@ -13,26 +13,23 @@ MAX_LEN = 128
 class TokenSequence:
     """A tokenized text (or premise/hypothesis pair) as vocabulary ids.
 
-    For pairs, ``pair_boundary`` is the index of the separator token, which
-    must be an interior position.
+    A sequence is a pair exactly when ``pair_boundary`` is set: the index
+    of the separator token, which must be an interior position.
     """
 
     tokens: tuple
-    is_pair: bool = False
     pair_boundary: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
         if len(self.tokens) > MAX_LEN:
             raise ValueError(f"sequence length {len(self.tokens)} exceeds {MAX_LEN}")
-        if self.is_pair:
-            b = self.pair_boundary
-            if b is None or not (0 < b < len(self.tokens) - 1):
+        b = self.pair_boundary
+        if b is not None:
+            if not (0 < b < len(self.tokens) - 1):
                 raise ValueError(f"pair_boundary {b} is not an interior index")
             if self.tokens[b] != SEP_ID:
                 raise ValueError(f"token at pair_boundary {b} is not the separator")
-        elif self.pair_boundary is not None:
-            raise ValueError("pair_boundary set on a non-pair sequence")
 
     def __len__(self) -> int:
         return len(self.tokens)

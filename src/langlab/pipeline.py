@@ -16,11 +16,14 @@ when it is built; hpsearch checks its sample count before any stage.
 The corpus stage (prepare_data) builds the corpora and splits and works
 out, once per run, every corpus fact the later stages share: the
 language index, the task spec and the pivot-language train/val, failing
-on a pivot language the task corpus lacks.  Only then is the output
-directory made.  The pretrain stage loads the configured checkpoint or
-pretrains a fresh encoder (pretrain_encoder), checking either against
-the corpora's vocabulary and longest sequence first.  Artifacts go under
-the configured output directory.  Any stage failure raises StageError
+on a pivot language the task corpus lacks.  The pretrain stage loads
+the configured checkpoint or pretrains a fresh encoder
+(pretrain_encoder), checking either against the corpora's vocabulary
+and longest sequence first.  Artifacts go under the configured output
+directory, which is made only when the first of them is written: the
+pretrained checkpoint (train, pretrain) or hpsearch.json, so a corpus-
+or pretrain-stage failure leaves nothing on disk, and probe-lid writes
+nothing at all.  Any stage failure raises StageError
 carrying the stage name; artifacts written before the failure stay on
 disk for inspection.
 
@@ -63,6 +66,7 @@ from langlab.vocab import Vocabulary
 
 BUNDLE_SCHEMA_VERSION = 1
 PROJECTION_FILES = {"task": "projection-task.csv", "lid": "projection-lid.csv"}
+EMBEDDING_FILES = {"task": "embeddings-task.tsv", "lid": "embeddings-lid.tsv"}
 EXPORT_KINDS = ("labels-task", "labels-lid", "languages-task", "languages-lid")
 PRETRAINED_CHECKPOINT = "encoder-pretrained.ckpt"
 
@@ -203,31 +207,18 @@ def _cell(value: float, mid: str) -> dict:
     return {"value": float(value), "manifest": mid}
 
 
-def _analyze_dataset(cfg: PipelineConfig, sample: EmbeddingSample, mid: str):
-    reports = {a: clustering_report(sample, a, n_runs=cfg.kmeans_runs,
-                                    seed=cfg.seed) | {"manifest": mid}
-               for a in ("label", "language")}
-    # perplexity must stay below the sample size; small toy samples clamp
-    perplexity = min(cfg.tsne_perplexity, max(1.0, (len(sample) - 1) / 3.0))
-    result = tsne(sample.vectors, perplexity=perplexity,
-                  iterations=cfg.tsne_iterations, seed=cfg.seed)
-    return reports, replace(sample, vectors=result.coords)
-
-
-def _corpus_and_encoder(cfg: PipelineConfig, out: Path | None = None,
-                        save: bool = False):
+def _corpus_and_encoder(cfg: PipelineConfig, save_to: Path | None = None):
     """The first stages of train, pretrain, probe-lid and hpsearch: the
-    corpus stage, then out is made (when given), then the pretrain
-    stage; with save set, the encoder is saved as
-    out / PRETRAINED_CHECKPOINT."""
+    corpus stage, then the pretrain stage.  When save_to is given, it is
+    made once the encoder is ready and the encoder is saved there as
+    PRETRAINED_CHECKPOINT."""
     with _stage("corpus"):
         data = prepare_data(cfg)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     with _stage("pretrain"):
         encoder, losses = pretrain_encoder(cfg, data)
-        if save:
-            save_encoder(out / PRETRAINED_CHECKPOINT, encoder)
+        if save_to is not None:
+            save_to.mkdir(parents=True, exist_ok=True)
+            save_encoder(save_to / PRETRAINED_CHECKPOINT, encoder)
     return data, encoder, losses
 
 
@@ -235,7 +226,7 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
     """Pretrain (or load) the encoder, save it with pretrain-manifest.json;
     return the checkpoint path and the MLM losses."""
     out = Path(cfg.out_dir)
-    _, _, losses = _corpus_and_encoder(cfg, out, save=True)
+    _, _, losses = _corpus_and_encoder(cfg, out)
     with _stage("manifest"):
         cfg_dict = cfg.to_dict()
         _write_json(out / "pretrain-manifest.json", {
@@ -262,7 +253,7 @@ def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
     out = Path(cfg.out_dir)
-    data, encoder, mlm_losses = _corpus_and_encoder(cfg, out, save=True)
+    data, encoder, mlm_losses = _corpus_and_encoder(cfg, out)
     cfg_dict = cfg.to_dict()
     mid = manifest_id(cfg_dict)
 
@@ -324,23 +315,31 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
 
     with _stage("analyze"):
         task_langs = [languages[int(y)] for y in emb_task.lang_y]
-        full_task = EmbeddingSample(
-            vectors=emb_task.X, languages=task_langs,
-            labels=[task_spec.labels[int(y)] for y in emb_task.task_y])
-        sample_task = plot_sample(full_task, "label_language",
-                                  cfg.quota_task, seed=cfg.seed)
         lid_langs = [languages[int(y)] for y in emb_lid.lang_y]
-        # a paragraph's task label is its language
-        full_lid = EmbeddingSample(vectors=emb_lid.X, languages=lid_langs,
-                                   labels=list(lid_langs))
-        sample_lid = plot_sample(full_lid, "language", cfg.quota_lid,
-                                 seed=cfg.seed)
-        reports_task, proj_task = _analyze_dataset(cfg, sample_task, mid)
-        reports_lid, proj_lid = _analyze_dataset(cfg, sample_lid, mid)
-        write_projection_csv(out / PROJECTION_FILES["task"], proj_task)
-        write_projection_csv(out / PROJECTION_FILES["lid"], proj_lid)
-        write_embedding_dump(out / "embeddings-task.tsv", sample_task)
-        write_embedding_dump(out / "embeddings-lid.tsv", sample_lid)
+        samples = {
+            "task": plot_sample(EmbeddingSample(
+                vectors=emb_task.X, languages=task_langs,
+                labels=[task_spec.labels[int(y)] for y in emb_task.task_y]),
+                "label_language", cfg.quota_task, seed=cfg.seed),
+            # a paragraph's task label is its language
+            "lid": plot_sample(EmbeddingSample(
+                vectors=emb_lid.X, languages=lid_langs, labels=list(lid_langs)),
+                "language", cfg.quota_lid, seed=cfg.seed),
+        }
+        reports = {}
+        for dataset, sample in samples.items():
+            reports[dataset] = {
+                a: clustering_report(sample, a, n_runs=cfg.kmeans_runs,
+                                     seed=cfg.seed) | {"manifest": mid}
+                for a in ("label", "language")}
+            # perplexity must stay below the sample size; toy samples clamp
+            perplexity = min(cfg.tsne_perplexity,
+                             max(1.0, (len(sample) - 1) / 3.0))
+            result = tsne(sample.vectors, perplexity=perplexity,
+                          iterations=cfg.tsne_iterations, seed=cfg.seed)
+            write_projection_csv(out / PROJECTION_FILES[dataset],
+                                 replace(sample, vectors=result.coords))
+            write_embedding_dump(out / EMBEDDING_FILES[dataset], sample)
 
     with _stage("bundle"):
         column = "initial" if cfg.regime == "frozen_probe" else cfg.regime
@@ -364,10 +363,9 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                 "lid_f1_task_data": _cell(lid_task, mid),
                 "lid_f1_lid_data": _cell(lid_lid, mid),
                 "vmeasure": {
-                    "task": {a: _cell(reports_task[a]["mean"], mid)
-                             for a in ("label", "language")},
-                    "lid": {a: _cell(reports_lid[a]["mean"], mid)
-                            for a in ("label", "language")},
+                    dataset: {a: _cell(report[a]["mean"], mid)
+                              for a in ("label", "language")}
+                    for dataset, report in reports.items()
                 },
             },
             "training": {
@@ -376,10 +374,9 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                 "probe_epoch_val_f1": manifest["probe_epoch_val_f1"],
                 "probe_selected_epoch": manifest["probe_selected_epoch"],
             },
-            "cluster_reports": {"task": reports_task, "lid": reports_lid},
+            "cluster_reports": reports,
             "projections": dict(PROJECTION_FILES),
-            "embedding_dumps": {"task": "embeddings-task.tsv",
-                                "lid": "embeddings-lid.tsv"},
+            "embedding_dumps": dict(EMBEDDING_FILES),
             "files": {"manifest": "manifest.json",
                       "encoder_final": "encoder-final.ckpt",
                       "encoder_pretrained": PRETRAINED_CHECKPOINT,
@@ -508,8 +505,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    out = Path(cfg.out_dir)
-    data, encoder, _ = _corpus_and_encoder(cfg, out)
+    data, encoder, _ = _corpus_and_encoder(cfg)
 
     def evaluate(sample: dict) -> float:
         run = run_regime(encoder, data, replace(cfg, **sample))
@@ -519,17 +515,18 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
 
     with _stage("search"):
         grids = grids_for_regime(cfg.regime)
-        result = random_search(grids, evaluate, n_samples=n_samples,
+        ranked = random_search(grids, evaluate, n_samples=n_samples,
                                seed=cfg.seed)
         report = {
             "regime": cfg.regime,
             "grids": {k: list(v) for k, v in grids.items()},
             "n_samples": n_samples,
             "ranking": [
-                {"rank": i + 1, "config": result.samples[j],
-                 "dev_task_f1": result.dev_scores[j]}
-                for i, j in enumerate(result.ranking)
+                {"rank": rank, "config": config, "dev_task_f1": score}
+                for rank, (config, score) in enumerate(ranked, start=1)
             ],
         }
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "hpsearch.json", report)
     return report

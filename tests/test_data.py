@@ -110,13 +110,13 @@ def test_token_sequence_length_cap():
 
 
 def test_pair_boundary_validation():
-    seq = TokenSequence((5, SEP_ID, 6), is_pair=True, pair_boundary=1)
+    seq = TokenSequence((5, SEP_ID, 6), pair_boundary=1)
     assert seq.pair_boundary == 1
     with pytest.raises(ValueError, match="separator"):
-        TokenSequence((5, 6, 7), is_pair=True, pair_boundary=1)
+        TokenSequence((5, 6, 7), pair_boundary=1)
     with pytest.raises(ValueError, match="interior"):
-        TokenSequence((SEP_ID, 5, 6), is_pair=True, pair_boundary=0)
-    with pytest.raises(ValueError, match="non-pair"):
+        TokenSequence((SEP_ID, 5, 6), pair_boundary=0)
+    with pytest.raises(ValueError, match="interior"):
         TokenSequence((5, 6), pair_boundary=1)
 
 
@@ -153,6 +153,21 @@ def test_language_specs_deterministic():
     assert a == b
     c = make_language_specs(3, 30, 0.25, seed=8)
     assert a != c
+
+
+@pytest.mark.parametrize("overlap, message", [
+    (1.0, "overlap_fraction 1.0 leaves none of the 60 concepts"),
+    (0.992, "overlap_fraction 0.992 leaves none of the 60 concepts"),
+    (1.5, r"overlap_fraction must be in \[0, 1\], got 1.5"),
+    (-0.5, r"overlap_fraction must be in \[0, 1\], got -0.5")])
+def test_language_specs_keep_a_language_specific_concept(overlap, message):
+    # with every concept shared no text shows its language, and LID
+    # paragraph generation would never finish
+    with pytest.raises(ValueError, match=message):
+        make_language_specs(8, 60, overlap, seed=0)
+    specs = make_language_specs(8, 60, 0.99, seed=0)
+    assert sum(not form.startswith("xx_")
+               for form in specs[0].lexicon.values()) == 1
 
 
 def test_order_rules_cycle():
@@ -198,7 +213,8 @@ def test_pair_corpus_structure(tiny_pair_corpus):
     labels = set()
     for ex in tiny_pair_corpus:
         seq = ex.sequence
-        assert seq.is_pair and seq.tokens[seq.pair_boundary] == SEP_ID
+        assert seq.pair_boundary is not None
+        assert seq.tokens[seq.pair_boundary] == SEP_ID
         assert len(seq) <= MAX_LEN
         assert len(ex.task_labels) == 1
         labels.add(ex.task_labels[0])

@@ -530,6 +530,22 @@ def test_cli_gen_corpus_round_trips(tmp_path, capsys):
                                       "lid"}
 
 
+@pytest.mark.parametrize("command, tag", [("gen-corpus", "cli"),
+                                          ("train", "corpus")])
+def test_cli_overlap_outside_unit_interval_fails_by_name(cli_cfg_path, capsys,
+                                                         command, tag):
+    path, cfg = cli_cfg_path
+    if command == "gen-corpus":
+        argv = ["gen-corpus", "--out", cfg.out_dir, "--overlap", "1.5"]
+    else:
+        path.write_text(json.dumps(cfg.to_dict() | {"overlap_fraction": 1.5}))
+        argv = ["train", "--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error [{tag}] overlap_fraction must be in [0, 1], got 1.5\n")
+    assert not Path(cfg.out_dir).exists()
+
+
 @pytest.fixture()
 def cli_cfg_path(tmp_path):
     cfg = tiny_pipeline_cfg(str(tmp_path / "run"), epochs=1, mlm_steps=10,
@@ -735,6 +751,7 @@ def test_cli_input_faults_carry_the_same_stage(cli_cfg_path, foreign_checkpoint,
         argv += ["--samples", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(tag)
+    assert not Path(cfg.out_dir).exists()    # no checkpoint, no run dir
 
 
 @pytest.mark.parametrize("source", ["fresh", "checkpoint"])
@@ -759,7 +776,7 @@ def test_cli_corpus_longer_than_max_len_fails_before_any_mlm_step(
     assert capsys.readouterr().err == (
         f"error [pretrain] corpus sequence length {longest} exceeds encoder "
         f"max_len {longest - 1}\n")
-    assert list(Path(cfg.out_dir).iterdir()) == []
+    assert not Path(cfg.out_dir).exists()
 
 
 def test_pretrain_manifest_keys(cli_cfg_path, capsys):

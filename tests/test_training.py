@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from langlab.config import PipelineConfig
+from langlab.config import PRESETS, PipelineConfig
 from langlab.encoder import EncoderConfig, EncoderModel, forward_batch
 from langlab.heads import ce_loss_and_dlogits, head_logits, language_term_and_dlogits
 from langlab.pipeline import prepare_data
@@ -33,11 +33,17 @@ from langlab.training.network import (
     embed_examples,
 )
 from langlab.training.regimes import (
+    REGIMES,
     _train_head_on_cached,
     retrain_language_probe,
     run_regime,
 )
-from langlab.training.search import TABLE_GRIDS, grids_for_regime, random_search
+from langlab.training.search import (
+    GRIDS,
+    REGIME_SETTINGS,
+    grids_for_regime,
+    random_search,
+)
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -568,18 +574,42 @@ def test_pretraining_helps_language_probe(small_pretrained, tiny_encoder,
 
 def test_grids_for_regime():
     g = grids_for_regime("frozen_probe")
-    assert set(g) == {"init_std", "batch_size", "head_lr"}
+    assert g == {name: GRIDS[name]
+                 for name in ("init_std", "batch_size", "head_lr")}
     assert "encoder_lr" in grids_for_regime("finetune")
     assert "grl_lambda" in grids_for_regime("grad_reversal")
     assert "w" in grids_for_regime("entropy_max")
     g["init_std"] = ()
-    assert TABLE_GRIDS["frozen_probe"]["init_std"]   # caller got a copy
+    assert grids_for_regime("frozen_probe")["init_std"]   # caller got a copy
     with pytest.raises(ValueError, match="unknown regime"):
         grids_for_regime("adapters")
 
 
+def test_regime_settings_cover_every_regime_and_grid():
+    assert set(REGIME_SETTINGS) == set(REGIMES)
+    head = {"init_std", "batch_size", "head_lr"}
+    weights = {"grad_reversal": {"grl_lambda"}, "entropy_max": {"w"}}
+    for regime, settings in REGIME_SETTINGS.items():
+        encoder = set() if regime == "frozen_probe" else {"encoder_lr"}
+        assert sorted(settings) == sorted(head | encoder
+                                          | weights.get(regime, set()))
+    # no grid that no regime searches
+    assert set(GRIDS) == {n for names in REGIME_SETTINGS.values()
+                          for n in names}
+
+
+def test_presets_set_only_what_their_regime_searches():
+    # a preset is a search outcome: each value it sets lies on the grid
+    for name, keys in PRESETS.items():
+        grids = grids_for_regime(keys["regime"])
+        for key, value in keys.items():
+            if key not in ("task", "regime"):
+                assert key in grids and value in grids[key], (name, key)
+
+
 def test_every_grid_value_builds_a_config():
-    for regime, grid in TABLE_GRIDS.items():
+    for regime in REGIME_SETTINGS:
+        grid = grids_for_regime(regime)
         base = PipelineConfig(regime=regime,
                               **{name: values[0] for name, values in grid.items()})
         for name, values in grid.items():
@@ -589,33 +619,40 @@ def test_every_grid_value_builds_a_config():
 
 
 def test_random_search_samples_on_grid():
+    # ranked best first, ties in draw order
     grids = {"a": (1, 2, 3), "b": (0.1, 0.2)}
-    result = random_search(grids, lambda s: s["a"] + s["b"], n_samples=16)
-    assert len(result.samples) == 16
-    for s in result.samples:
-        assert s["a"] in grids["a"] and s["b"] in grids["b"]
-    scores = result.dev_scores
-    assert scores[result.ranking[0]] == max(scores)
-    # ranking is by descending score with draw order breaking ties
-    for i, j in zip(result.ranking, result.ranking[1:]):
-        assert (scores[i], -i) >= (scores[j], -j)
+    drawn = []
+
+    def evaluate(sample):
+        drawn.append(dict(sample))
+        return float(sample["a"])   # many ties
+
+    ranked = random_search(grids, evaluate, n_samples=16)
+    assert len(ranked) == 16 == len(drawn)
+    for config, score in ranked:
+        assert config["a"] in grids["a"] and config["b"] in grids["b"]
+        assert score == config["a"]
+    order = sorted(range(16), key=lambda i: (-drawn[i]["a"], i))
+    assert [config for config, _ in ranked] == [drawn[i] for i in order]
 
 
 def test_random_search_deterministic_and_copying():
-    grids = {"x": (1, 2)}
-    seen = []
+    grids = {"y": (5, 6, 7), "x": (1, 2)}
+    drawn = []
 
     def evaluate(sample):
-        seen.append(sample)
-        sample["x"] = -99   # must not leak into stored samples
+        drawn.append(dict(sample))
+        sample["x"] = -99   # must not leak into the ranking
         return 0.0
 
-    result = random_search(grids, evaluate, n_samples=4, seed=3)
-    assert all(s["x"] in (1, 2) for s in result.samples)
-    rerun = random_search(grids, lambda s: 0.0, n_samples=4, seed=3)
-    assert rerun.samples == result.samples
+    ranked = random_search(grids, evaluate, n_samples=4, seed=3)
+    # one draw per setting, in sorted-name order
+    rng = stream(3, "hp-search")
+    assert drawn == [{name: grids[name][int(rng.integers(len(grids[name])))]
+                      for name in ("x", "y")} for _ in range(4)]
     # all tied at 0.0: draw order is the ranking
-    assert result.ranking == [0, 1, 2, 3]
+    assert ranked == [(config, 0.0) for config in drawn]
+    assert random_search(grids, lambda s: 0.0, n_samples=4, seed=3) == ranked
 
 
 def test_random_search_validation():
