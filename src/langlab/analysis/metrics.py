@@ -5,40 +5,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def macro_f1(predictions, golds, class_set) -> float:
-    """Unweighted mean per-class F1 over class_set.
+def macro_f1(predictions, golds, n_classes: int) -> float:
+    """Unweighted mean per-class F1 over the class ids 0..n_classes-1.
 
     A class absent from both predictions and golds contributes F1 = 0,
     which keeps scores comparable across languages with missing classes.
     """
-    predictions = list(predictions)
-    golds = list(golds)
-    if not golds:
+    predictions = np.asarray(predictions)
+    golds = np.asarray(golds)
+    if not len(golds):
         raise ValueError("macro_f1 needs at least one example")
     if len(predictions) != len(golds):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions, {len(golds)} golds"
         )
-    classes = list(class_set)
-    if not classes:
-        raise ValueError("empty class set")
-    # confusion counts over the distinct classes, plus one slot (index k)
-    # for labels outside class_set
-    index = {c: i for i, c in enumerate(dict.fromkeys(classes))}
-    k = len(index)
-    cells = [index.get(g, k) * (k + 1) + index.get(p, k)
-             for p, g in zip(predictions, golds)]
-    confusion = np.bincount(cells, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    # confusion counts over the classes, plus one slot (index k) for ids
+    # outside them
+    k = n_classes
+    g = np.where((golds >= 0) & (golds < k), golds, k)
+    p = np.where((predictions >= 0) & (predictions < k), predictions, k)
+    confusion = np.bincount(g * (k + 1) + p,
+                            minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
     tp = confusion.diagonal().tolist()
     predicted = confusion.sum(axis=0).tolist()
     gold = confusion.sum(axis=1).tolist()
     total = 0.0
-    for c in classes:
-        i = index[c]
+    for i in range(k):
         if predicted[i] + gold[i] == 0:    # = 2tp + fp + fn
             continue  # F1 = 0 for this class
         total += 2 * tp[i] / (predicted[i] + gold[i])
-    return total / len(classes)
+    return total / k
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -172,18 +172,18 @@ def _make_sentence_slots(pools: _ConceptPools, spec, rng) -> list:
     return slots
 
 
-def _sentence_has_specific_form(slots, spec) -> bool:
-    return any(not spec.lexicon[c].startswith("xx_") for _, c in slots)
+def _sentence_showing_language(pools, spec, rng) -> list:
+    """Sentence slots resampled until one form is language-specific, so
+    the language is always recoverable from the surface."""
+    while True:
+        slots = _make_sentence_slots(pools, spec, rng)
+        if any(not spec.lexicon[c].startswith("xx_") for _, c in slots):
+            return slots
 
 
 def _token_tag_example(pools, spec, vocab, rng) -> LabeledExample:
-    # resample in the rare case every token is an overlap form, so the
-    # language is always recoverable from the surface
-    for _ in range(20):
-        slots = _make_sentence_slots(pools, spec, rng)
-        if _sentence_has_specific_form(slots, spec):
-            break
-    tokens = vocab.encode([spec.lexicon[c] for _, c in slots], allow_unk=False)
+    slots = _sentence_showing_language(pools, spec, rng)
+    tokens = vocab.encode([spec.lexicon[c] for _, c in slots])
     tags = tuple(tag for tag, _ in slots)
     return LabeledExample(
         sequence=TokenSequence(tokens), task_labels=tags, language=spec.language
@@ -253,8 +253,8 @@ def _pair_example(pools, spec, vocab, rng, amap) -> LabeledExample:
         premise_tokens = [spec.lexicon[c] for _, c in slots]
         hyp_tokens = _render_hypothesis(chosen, pools, spec, rng)
         seq = pair_sequence(
-            vocab.encode(premise_tokens, allow_unk=False),
-            vocab.encode(hyp_tokens, allow_unk=False),
+            vocab.encode(premise_tokens),
+            vocab.encode(hyp_tokens),
         )
         return LabeledExample(sequence=seq, task_labels=(label,), language=spec.language)
     raise RuntimeError("could not construct a pair example; lexicon too small")
@@ -264,15 +264,12 @@ def _lid_example(pools, spec, vocab, rng) -> LabeledExample:
     tokens = []
     text_len = 0
     while text_len < LID_PARAGRAPH_CHARS:
-        slots = _make_sentence_slots(pools, spec, rng)
-        if not _sentence_has_specific_form(slots, spec):
-            continue
-        forms = [spec.lexicon[c] for _, c in slots]
-        tokens.extend(forms)
+        slots = _sentence_showing_language(pools, spec, rng)
+        tokens.extend(spec.lexicon[c] for _, c in slots)
         text_len = sum(len(f) for f in tokens) + len(tokens) - 1
     tokens = tokens[:MAX_LEN]
     return LabeledExample(
-        sequence=TokenSequence(vocab.encode(tokens, allow_unk=False)),
+        sequence=TokenSequence(vocab.encode(tokens)),
         task_labels=(),
         language=spec.language,
     )

@@ -181,11 +181,11 @@ def _attention(h, p, L, key_at, queries, key_bias, n_heads, mask):
 
     h is the normed input of every real token, packed, and key_at places
     it in the (B, T) grid of key_bias.  queries = (pos, at, S): the query
-    rows' index in h (None: all of them) and their place in a (B, S)
-    grid.  Returns (output at the query rows, cache)."""
+    rows' index in h (slice(None), a view, for all of them) and their
+    place in a (B, S) grid.  Returns (output at the query rows, cache)."""
     pos, q_at, S = queries
     B, T = key_bias.shape[0], key_bias.shape[-1]
-    hq = h if pos is None else h[pos]
+    hq = h[pos]
     q = _grid(hq @ p[L + "wq"] + p[L + "bq"], q_at, (B, S), n_heads)
     k = _grid(h @ p[L + "wk"] + p[L + "bk"], key_at, (B, T), n_heads)
     v = _grid(h @ p[L + "wv"] + p[L + "bv"], key_at, (B, T), n_heads)
@@ -224,10 +224,7 @@ def _attention_backward(dy, p, L, c, grads):
         grads[L + "w" + nm] = x.T @ d_proj
         grads[L + "b" + nm] = d_proj.sum(axis=0)
     dh = d_k @ p[L + "wk"].T
-    if c["pos"] is None:
-        dh += d_q @ p[L + "wq"].T
-    else:
-        dh[c["pos"]] += d_q @ p[L + "wq"].T
+    dh[c["pos"]] += d_q @ p[L + "wq"].T
     dh += d_v @ p[L + "wv"].T
     return dh
 
@@ -284,7 +281,8 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
 
     real = np.arange(T)[None, :] < lengths[:, None]
     at = np.nonzero(real)                       # packed order: row-major
-    read_at, queries = at, (None, at, T)
+    every = (slice(None), at, T)                # every row queries; a view
+    read_at, queries = at, every
     if read is not None:
         read_at = tuple(np.asarray(a) for a in read)
         if (np.diff(read_at[0] * T + read_at[1]) <= 0).any():
@@ -320,10 +318,10 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
         # the last layer computes its queries and everything after them
         # at the read rows only
         L = f"L{i}_"
-        qs, rows = (queries, read_at) if i == last else ((None, at, T), at)
+        qs, rows = (queries, read_at) if i == last else (every, at)
         h, ln1 = _layer_norm(x, p, L + "ln1_")
         x_att, att = _attention(h, p, L, at, qs, key_bias, cfg.n_heads, mask(rows))
-        x_att += x if qs[0] is None else x[qs[0]]       # residual
+        x_att += x[qs[0]]                               # residual
         h, ln2 = _layer_norm(x_att, p, L + "ln2_")
         x, ff = _feed_forward(h, p, L, mask(rows))
         x += x_att                                      # residual
@@ -360,10 +358,7 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
         d_x_att += dx                                   # residual
         dx = _attention_backward(d_x_att, p, L, t["att"], grads)
         dx = _layer_norm_backward(dx, p, L + "ln1_", t["ln1"], grads)
-        if t["att"]["pos"] is None:
-            dx += d_x_att                               # residual
-        else:
-            dx[t["att"]["pos"]] += d_x_att
+        dx[t["att"]["pos"]] += d_x_att                  # residual
 
     if tape.emb_drop_mask is not None:
         dx *= tape.emb_drop_mask

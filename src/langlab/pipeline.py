@@ -16,10 +16,11 @@ when it is built; hpsearch checks its sample count before any stage.
 The corpus stage (prepare_data) builds the corpora and splits and works
 out, once per run, every corpus fact the later stages share: the
 language index, the task spec and the pivot-language train/val, failing
-on a pivot language the task corpus lacks.  The pretrain stage loads
-the configured checkpoint or pretrains a fresh encoder
-(pretrain_encoder), checking either against the corpora's vocabulary
-and longest sequence first.  Artifacts go under the configured output
+on a pivot language the task corpus lacks.  The pretrain stage
+(pretrain_encoder) checks the run's encoder config against the
+corpora's longest sequence, then pretrains a fresh encoder of that
+config or loads the configured checkpoint, which must match it
+exactly.  Artifacts go under the configured output
 directory, which is made only when the first of them is written: the
 pretrained checkpoint (train, pretrain) or hpsearch.json, so a corpus-
 or pretrain-stage failure leaves nothing on disk, and probe-lid writes
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -177,30 +178,29 @@ def prepare_data(cfg: PipelineConfig) -> RunData:
 
 
 def pretrain_encoder(cfg: PipelineConfig, data: RunData):
-    """Load the configured checkpoint or MLM-pretrain a fresh encoder on
-    LID train data; (encoder, losses).  Either encoder is first checked
-    against the corpora: their vocabulary, and their longest sequence,
-    which must fit its max_len."""
-    if cfg.encoder_checkpoint:
-        encoder = load_encoder(cfg.encoder_checkpoint)
-        if encoder.config.vocab_size != len(data.vocab):
-            raise ValueError(
-                f"checkpoint vocab size {encoder.config.vocab_size} != "
-                f"corpus vocab size {len(data.vocab)}"
-            )
-    else:
-        encoder = EncoderModel.init(cfg.encoder_config(len(data.vocab)),
-                                    seed=cfg.seed)
+    """MLM-pretrain a fresh encoder on LID train data, or load the
+    configured checkpoint; (encoder, losses).  The run's encoder config
+    is checked first: the corpora's longest sequence must fit its
+    max_len, and a loaded encoder must have exactly that config."""
+    want = cfg.encoder_config(len(data.vocab))
     longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
                   for part in split.parts for ex in part)
-    if longest > encoder.config.max_len:
+    if longest > want.max_len:
         raise ValueError(f"corpus sequence length {longest} exceeds encoder "
-                         f"max_len {encoder.config.max_len}")
-    if cfg.encoder_checkpoint:
-        return encoder, []
-    return mlm_pretrain(encoder, data.lid_split.train, mask_rate=cfg.mask_rate,
-                        steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
-                        lr=cfg.mlm_lr, seed=cfg.seed)
+                         f"max_len {want.max_len}")
+    if not cfg.encoder_checkpoint:
+        return mlm_pretrain(EncoderModel.init(want, seed=cfg.seed),
+                            data.lid_split.train, mask_rate=cfg.mask_rate,
+                            steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
+                            lr=cfg.mlm_lr, seed=cfg.seed)
+    encoder = load_encoder(cfg.encoder_checkpoint)
+    got = asdict(encoder.config)
+    wrong = [f"{name} {got[name]} (run {value})"
+             for name, value in asdict(want).items() if got[name] != value]
+    if wrong:
+        raise ValueError(f"checkpoint encoder config does not match the "
+                         f"run's: {', '.join(wrong)}")
+    return encoder, []
 
 
 def _cell(value: float, mid: str) -> dict:

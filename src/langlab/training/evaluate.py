@@ -16,19 +16,18 @@ if TYPE_CHECKING:   # pipeline.py imports this module
 
 def head_f1(head: ClassifierHead, X: np.ndarray, y, n_classes: int) -> float:
     """Macro F1 of the head's argmax over ids 0..n_classes-1."""
-    return macro_f1(head_logits(head, X).argmax(axis=-1), y, range(n_classes))
+    return macro_f1(head_logits(head, X).argmax(axis=-1), y, n_classes)
 
 
 def per_language_task_f1(head: ClassifierHead, emb: EmbeddedData,
                          n_classes: int, languages) -> dict[str, float]:
     """Task F1 per language plus the overall pooled score."""
     preds = head_logits(head, emb.X).argmax(axis=-1)
-    classes = range(n_classes)
-    report = {"overall": macro_f1(preds, emb.task_y, classes)}
+    report = {"overall": macro_f1(preds, emb.task_y, n_classes)}
     for lang_id, lang in enumerate(languages):
         rows = emb.lang_y == lang_id
         if rows.any():
-            report[lang] = macro_f1(preds[rows], emb.task_y[rows], classes)
+            report[lang] = macro_f1(preds[rows], emb.task_y[rows], n_classes)
     return report
 
 

@@ -31,7 +31,7 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class UnknownTokenError(KeyError):
-    """A surface form has no vocabulary entry and UNK mapping is disabled."""
+    """A surface form given to Vocabulary.encode has no entry."""
 
 
 class Vocabulary:
@@ -50,17 +50,17 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
-    def id(self, token: str, allow_unk: bool = True) -> int:
+    def id(self, token: str) -> int:
         """Map a surface form to its id, or UNK_ID if unknown."""
-        idx = self._token_to_id.get(token)
-        if idx is None:
-            if allow_unk:
-                return UNK_ID
-            raise UnknownTokenError(token)
-        return idx
+        return self._token_to_id.get(token, UNK_ID)
 
-    def encode(self, tokens: Iterable[str], allow_unk: bool = True) -> list[int]:
-        return [self.id(t, allow_unk=allow_unk) for t in tokens]
+    def encode(self, tokens: Iterable[str]) -> list[int]:
+        """Ids of surface forms that must all be known; an unknown one
+        raises UnknownTokenError."""
+        try:
+            return [self._token_to_id[t] for t in tokens]
+        except KeyError as e:
+            raise UnknownTokenError(*e.args) from None
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self._id_to_token[i] for i in ids]

@@ -328,10 +328,9 @@ def test_criterion_04_metric_oracles():
         preds = [int(p) for p in rng.integers(0, n_clusters, n)]
         worst_v = max(worst_v, abs(v_measure(golds, preds)
                                    - _reference_v_measure(golds, preds)))
-        class_set = tuple(range(n_classes))
-        worst_f1 = max(worst_f1, abs(macro_f1(preds, golds, class_set)
-                                     - _reference_macro_f1(preds, golds,
-                                                           class_set)))
+        worst_f1 = max(worst_f1, abs(macro_f1(preds, golds, n_classes)
+                                     - _reference_macro_f1(
+                                         preds, golds, tuple(range(n_classes)))))
     ok = worst_v <= 1e-9 and worst_f1 <= 1e-9
     detail = (f"1000 instances (n<=12, <=4 classes, <=4 clusters): "
               f"v-measure max diff {worst_v:.1e}, macro-F1 max diff "

@@ -74,8 +74,8 @@ def test_vocab_encode_decode_roundtrip():
 def test_vocab_unknown_handling():
     v = Vocabulary(["x"])
     assert v.id("nope") == UNK_ID
-    with pytest.raises(UnknownTokenError):
-        v.id("nope", allow_unk=False)
+    with pytest.raises(UnknownTokenError, match="nope"):
+        v.encode(["x", "nope"])
     assert "x" in v and "nope" not in v
 
 
@@ -168,6 +168,49 @@ def test_language_specs_keep_a_language_specific_concept(overlap, message):
     specs = make_language_specs(8, 60, 0.99, seed=0)
     assert sum(not form.startswith("xx_")
                for form in specs[0].lexicon.values()) == 1
+
+
+@pytest.mark.parametrize("task", ["token_tag", "lid"])
+def test_generated_texts_show_their_language_at_high_overlap(task):
+    # at 0.99 one concept of 60 keeps language-specific forms; every
+    # token-tag sentence and every LID paragraph must still carry one
+    specs = make_language_specs(8, 60, 0.99, seed=0)
+    vocab = build_vocabulary(specs)
+    corpus = generate_corpus(specs, 40, task, seed=0, vocab=vocab)
+    shared_only = [ex for ex in corpus
+                   if all(form.startswith("xx_")
+                          for form in vocab.decode(ex.sequence.tokens))]
+    assert not shared_only, f"{len(shared_only)} of {len(corpus)} examples"
+
+
+# sha256 of generate_corpus output (8 languages, 60 concepts, overlap
+# 0.25, 40 examples per language): a change that moves any draw fails here
+CORPUS_DIGESTS = {
+    (0, "token_tag"):
+        "530efa8c97e042bdd0b20904a563f925e9f916c3753d64735f6d80e06f308a90",
+    (0, "pair_inference"):
+        "d245bb013149ca38dc7458fc5a985cee8fc669b5aabbce738f91fefd64c66798",
+    (0, "lid"):
+        "5e51cc71b7f6c66b962e61cf7c877828ab129a8930b195868012d0f842555c11",
+    (1, "token_tag"):
+        "e6ab8936157c339697b49dca8c07ffee68eb6ae1a4e11803b04271d1644bb4c5",
+    (1, "pair_inference"):
+        "5296894c17335e372e7ba3519f5362b1ef1b1d6643b23459060dd79482a8c692",
+    (1, "lid"):
+        "c352589837b2fddc7c8b0c24d2b55b253b31de0988527fd24196a2b714958b5e",
+}
+
+
+@pytest.mark.parametrize("seed, task", sorted(CORPUS_DIGESTS))
+def test_generated_corpora_are_pinned(seed, task):
+    specs = make_language_specs(8, 60, 0.25, seed=seed)
+    corpus = generate_corpus(specs, 40, task, seed=seed,
+                             vocab=build_vocabulary(specs))
+    digest = hashlib.sha256()
+    for ex in corpus:
+        digest.update(repr((ex.sequence.tokens, ex.sequence.pair_boundary,
+                            ex.task_labels, ex.language)).encode())
+    assert digest.hexdigest() == CORPUS_DIGESTS[seed, task]
 
 
 def test_order_rules_cycle():

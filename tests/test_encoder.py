@@ -290,6 +290,22 @@ def test_last_layer_caches_only_read_rows():
     assert tape.layers[-1]["att"]["attn"].shape[2] == np.bincount(read[0]).max()
 
 
+@pytest.mark.parametrize("kind", ["sparse", "all-listed", "none"])
+def test_layers_reading_every_row_query_h_without_a_copy(kind):
+    # a layer whose queries are every real token indexes h with
+    # slice(None), a view: no (N, d) copy per layer
+    model = small_model(n_layers=3)
+    ids, lengths, real = small_batch()
+    read = {"sparse": read_rows("sparse", real), "all-listed": np.nonzero(real),
+            "none": None}[kind]
+    _, tape = forward_batch(model, ids, lengths, want_tape=True, read=read)
+    last = len(tape.layers) - 1
+    for i, cache in enumerate(tape.layers):
+        att = cache["att"]
+        every = i < last or kind != "sparse"
+        assert np.shares_memory(att["hq"], att["h"]) == every, i
+
+
 def test_lone_sequence_matches_its_padded_row():
     model = small_model()
     rng = np.random.default_rng(0)

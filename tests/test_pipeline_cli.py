@@ -733,8 +733,8 @@ def foreign_checkpoint(tmp_path):
                                      "probe-lid"])
 @pytest.mark.parametrize("fault, tag", [
     ("missing-corpus-file", "error [corpus] "),
-    ("checkpoint-vocab", "error [pretrain] checkpoint vocab size 7 != "
-                         "corpus vocab size")],
+    ("checkpoint-vocab", "error [pretrain] checkpoint encoder config does "
+                         "not match the run's: vocab_size 7 (run ")],
     ids=["missing-corpus-file", "checkpoint-vocab"])
 def test_cli_input_faults_carry_the_same_stage(cli_cfg_path, foreign_checkpoint,
                                                capsys, command, fault, tag):
@@ -759,23 +759,55 @@ def test_cli_corpus_longer_than_max_len_fails_before_any_mlm_step(
         cli_cfg_path, monkeypatch, capsys, source):
     # a sequence any split holds must fit the encoder, loaded or fresh,
     # before the first MLM step, not in a later stage
+    # (a checkpoint of another max_len than the run's fails as a config
+    # mismatch)
     path, cfg = cli_cfg_path
     data = prepare_data(cfg)
     longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
                   for part in split.parts for ex in part)
     keys = {"max_len": longest - 1}
+    message = (f"corpus sequence length {longest} exceeds encoder "
+               f"max_len {longest - 1}")
     if source == "checkpoint":
         short = dataclasses.replace(cfg, max_len=longest - 1)
         keys = {"encoder_checkpoint": str(path.parent / "short.ckpt")}
         save_encoder(keys["encoder_checkpoint"], EncoderModel.init(
             short.encoder_config(len(data.vocab)), seed=0))
+        message = (f"checkpoint encoder config does not match the run's: "
+                   f"max_len {longest - 1} (run {cfg.max_len})")
     monkeypatch.setattr(pipeline, "mlm_pretrain",
                         lambda *args, **kwargs: pytest.fail("an MLM step ran"))
     path.write_text(json.dumps(cfg.to_dict() | keys))
     assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error [pretrain] {message}\n"
+    assert not Path(cfg.out_dir).exists()
+
+
+def test_cli_checkpoint_of_another_shape_fails_before_any_mlm_step(
+        cli_cfg_path, monkeypatch, capsys):
+    # the loaded encoder must be the one the run's config names, or the
+    # manifest would record a shape and dropout the run never used
+    path, cfg = cli_cfg_path
+    shape = {f.name for f in dataclasses.fields(EncoderConfig)}
+    base = {k: v for k, v in cfg.to_dict().items() if k not in shape}
+    pretrain_cfg = path.parent / "pretrain.json"
+    pretrain_cfg.write_text(json.dumps(base | {
+        "out_dir": str(path.parent / "pretrained"), "d_model": 32,
+        "n_heads": 2, "d_ff": 48, "dropout": 0.3}))
+    assert main(["pretrain", "--config", str(pretrain_cfg)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "mlm_pretrain",
+                        lambda *args, **kwargs: pytest.fail("an MLM step ran"))
+    path.write_text(json.dumps(base))
+    ckpt = path.parent / "pretrained" / "encoder-pretrained.ckpt"
+    assert main(["train", "--preset", "udpos-frozen", "--config", str(path),
+                 "--encoder-checkpoint", str(ckpt)]) == 2
+    default = PipelineConfig()
     assert capsys.readouterr().err == (
-        f"error [pretrain] corpus sequence length {longest} exceeds encoder "
-        f"max_len {longest - 1}\n")
+        f"error [pretrain] checkpoint encoder config does not match the "
+        f"run's: d_model 32 (run {default.d_model}), n_heads 2 (run "
+        f"{default.n_heads}), d_ff 48 (run {default.d_ff}), dropout 0.3 "
+        f"(run {default.dropout})\n")
     assert not Path(cfg.out_dir).exists()
 
 
