@@ -15,6 +15,7 @@ import numpy as np
 
 from langlab.analysis.kmeans import kmeans
 from langlab.analysis.metrics import v_measure
+from langlab.files import line_bytes, write_file
 from langlab.rng import stream
 
 
@@ -70,7 +71,7 @@ def write_embedding_dump(path, sample: EmbeddingSample) -> None:
     for row, label, lang in zip(sample.vectors.tolist(), sample.labels,
                                 sample.languages, strict=True):
         lines.append(f"{' '.join(map(repr, row))}\t{label}\t{lang}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, line_bytes(lines))
 
 
 def load_embedding_dump(path) -> EmbeddingSample:
@@ -100,7 +101,7 @@ def write_projection_csv(path, sample: EmbeddingSample) -> None:
     for (x, y), label, lang in zip(sample.vectors.tolist(), sample.labels,
                                    sample.languages, strict=True):
         lines.append(f"{x!r},{y!r},{label},{lang}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, line_bytes(lines))
 
 
 def load_projection_csv(path) -> EmbeddingSample:

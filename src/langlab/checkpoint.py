@@ -15,7 +15,10 @@ timestamps, so identical inputs give byte-identical files (an archive
 format with mtimes would not).  Loading checks the payload digest, so a
 corrupted payload fails by name instead of loading silently.  Heads and
 encoder share one container under name prefixes like ``encoder/tok_emb``,
-``task_head/w``.
+``task_head/w``.  An encoder checkpoint's meta holds its EncoderConfig and
+the sha256 of the vocabulary its token ids index, so a run can refuse an
+encoder whose ids name other tokens.  The file is written whole
+(files.write_file): a reader never sees half of one.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from langlab.encoder import EncoderConfig, EncoderModel
+from langlab.files import write_file
+from langlab.vocab import Vocabulary
 
 MAGIC = b"LLCP0001"
 
@@ -63,20 +67,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
          "payload_sha256": digest.hexdigest()},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    # write beside the target, then rename: a reader never sees half a file
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, MAGIC, struct.pack("<Q", len(header)), header, *blobs)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -108,17 +99,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def save_encoder(path, model: EncoderModel) -> None:
+def save_encoder(path, model: EncoderModel, vocab: Vocabulary) -> None:
+    """Save the encoder with its config and the sha256 of the vocabulary
+    its token ids index (Vocabulary.sha256)."""
     arrays = {f"encoder/{k}": v for k, v in model.params.items()}
     save_checkpoint(path, arrays,
-                    {"encoder_config": dataclasses.asdict(model.config)})
+                    {"encoder_config": dataclasses.asdict(model.config),
+                     "vocab_sha256": vocab.sha256()})
 
 
-def load_encoder(path) -> EncoderModel:
+def load_encoder(path) -> tuple[EncoderModel, str | None]:
+    """The saved encoder and its vocabulary's sha256 (None when the
+    checkpoint names no vocabulary)."""
     arrays, meta = load_checkpoint(path)
     cfg = meta.get("encoder_config")
     if cfg is None:
         raise CheckpointError(f"{path}: checkpoint has no encoder_config")
     params = {k[len("encoder/"):]: v for k, v in arrays.items()
               if k.startswith("encoder/")}
-    return EncoderModel(config=EncoderConfig(**cfg), params=params)
+    return (EncoderModel(config=EncoderConfig(**cfg), params=params),
+            meta.get("vocab_sha256"))

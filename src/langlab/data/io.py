@@ -21,6 +21,7 @@ from pathlib import Path
 
 from langlab.data.synthetic import pair_sequence
 from langlab.data.types import LabeledExample, TokenSequence, MAX_LEN
+from langlab.files import line_bytes, write_file
 from langlab.vocab import UNK_ID, Vocabulary
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
@@ -167,7 +168,7 @@ def write_conllu(examples, vocab: Vocabulary, path) -> None:
             cols = [str(i), tok, "_", tag, "_", "_", "_", "_", "_", "_"]
             lines.append("\t".join(cols))
         lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, line_bytes(lines))
 
 
 def write_nli_tsv(examples, vocab: Vocabulary, path) -> None:
@@ -178,7 +179,7 @@ def write_nli_tsv(examples, vocab: Vocabulary, path) -> None:
         premise = " ".join(tokens[:b])
         hypothesis = " ".join(tokens[b + 1:])
         lines.append(f"{premise}\t{hypothesis}\t{ex.task_labels[0]}\t{ex.language}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, line_bytes(lines))
 
 
 def write_lid_tsv(examples, vocab: Vocabulary, path) -> None:
@@ -186,4 +187,4 @@ def write_lid_tsv(examples, vocab: Vocabulary, path) -> None:
     for ex in examples:
         text = " ".join(vocab.decode(ex.sequence.tokens))
         lines.append(f"{text}\t{ex.language}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, line_bytes(lines))

@@ -19,14 +19,18 @@ language index, the task spec and the pivot-language train/val, failing
 on a pivot language the task corpus lacks.  The pretrain stage
 (pretrain_encoder) checks the run's encoder config against the
 corpora's longest sequence, then pretrains a fresh encoder of that
-config or loads the configured checkpoint, which must match it
-exactly.  Artifacts go under the configured output
-directory, which is made only when the first of them is written: the
-pretrained checkpoint (train, pretrain) or hpsearch.json, so a corpus-
-or pretrain-stage failure leaves nothing on disk, and probe-lid writes
-nothing at all.  Any stage failure raises StageError
-carrying the stage name; artifacts written before the failure stay on
-disk for inspection.
+config or loads the configured checkpoint, which must match it exactly
+and name the run's vocabulary (its sha256, which every saved encoder
+carries).  Artifacts go under the configured output directory, which is
+made only when the first of them is written: the pretrained checkpoint
+(train, pretrain) or hpsearch.json, so a corpus- or pretrain-stage
+failure leaves nothing on disk, and probe-lid writes nothing at all.
+One directory holds one run: before the corpus stage, train, pretrain
+and hpsearch refuse an output directory whose manifest.json or
+pretrain-manifest.json holds another manifest id ([out_dir]).  Every
+file is written whole (files.write_file).  Any stage failure raises
+StageError carrying the stage name; artifacts written before the
+failure stay on disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -57,11 +61,12 @@ from langlab.data.split import filter_language, stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
+from langlab.files import write_file
 from langlab.heads import ClassifierHead
 from langlab.training.batching import TaskSpec, task_spec_for
 from langlab.training.evaluate import evaluate_task, head_f1, per_language_task_f1
 from langlab.training.network import embed_examples
-from langlab.training.regimes import ProbeRun, retrain_language_probe, run_regime
+from langlab.training.regimes import TrainingRun, retrain_language_probe, run_regime
 from langlab.training.search import grids_for_regime, random_search
 from langlab.vocab import Vocabulary
 
@@ -91,8 +96,23 @@ def _stage(name: str):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-                    + "\n", encoding="utf-8")
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+                      + "\n").encode("utf-8"))
+
+
+def _claim_out_dir(cfg: PipelineConfig) -> str:
+    """The run's manifest id, once cfg.out_dir is known to hold no other
+    run: a manifest there must carry the same id (a rerun of the same
+    config).  Reads only, before the corpus stage."""
+    mid = manifest_id(cfg.to_dict())
+    for name in ("manifest.json", "pretrain-manifest.json"):
+        path = Path(cfg.out_dir) / name
+        if path.exists():
+            other = json.loads(path.read_text(encoding="utf-8")).get("manifest_id")
+            if other != mid:
+                raise StageError("out_dir", f"{cfg.out_dir} holds another run: "
+                                            f"its {name} has manifest_id {other}")
+    return mid
 
 
 @dataclass
@@ -181,7 +201,10 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
     """MLM-pretrain a fresh encoder on LID train data, or load the
     configured checkpoint; (encoder, losses).  The run's encoder config
     is checked first: the corpora's longest sequence must fit its
-    max_len, and a loaded encoder must have exactly that config."""
+    max_len, and a loaded encoder must have exactly that config.  A
+    loaded checkpoint must then carry the sha256 of the run's vocabulary;
+    one that records none is refused too, since its ids may name other
+    tokens."""
     want = cfg.encoder_config(len(data.vocab))
     longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
                   for part in split.parts for ex in part)
@@ -193,13 +216,17 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
                             data.lid_split.train, mask_rate=cfg.mask_rate,
                             steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
                             lr=cfg.mlm_lr, seed=cfg.seed)
-    encoder = load_encoder(cfg.encoder_checkpoint)
+    encoder, vocab_sha256 = load_encoder(cfg.encoder_checkpoint)
     got = asdict(encoder.config)
     wrong = [f"{name} {got[name]} (run {value})"
              for name, value in asdict(want).items() if got[name] != value]
     if wrong:
         raise ValueError(f"checkpoint encoder config does not match the "
                          f"run's: {', '.join(wrong)}")
+    if vocab_sha256 != data.vocab.sha256():
+        raise ValueError(f"checkpoint vocabulary sha256 "
+                         f"{vocab_sha256 or '(none recorded)'} is not the "
+                         f"run's {data.vocab.sha256()}")
     return encoder, []
 
 
@@ -218,20 +245,20 @@ def _corpus_and_encoder(cfg: PipelineConfig, save_to: Path | None = None):
         encoder, losses = pretrain_encoder(cfg, data)
         if save_to is not None:
             save_to.mkdir(parents=True, exist_ok=True)
-            save_encoder(save_to / PRETRAINED_CHECKPOINT, encoder)
+            save_encoder(save_to / PRETRAINED_CHECKPOINT, encoder, data.vocab)
     return data, encoder, losses
 
 
 def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
     """Pretrain (or load) the encoder, save it with pretrain-manifest.json;
     return the checkpoint path and the MLM losses."""
+    mid = _claim_out_dir(cfg)
     out = Path(cfg.out_dir)
     _, _, losses = _corpus_and_encoder(cfg, out)
     with _stage("manifest"):
-        cfg_dict = cfg.to_dict()
         _write_json(out / "pretrain-manifest.json", {
-            "manifest_id": manifest_id(cfg_dict),
-            "config": cfg_dict,
+            "manifest_id": mid,
+            "config": cfg.to_dict(),
             "mlm_steps": len(losses),
             "mlm_final_loss": losses[-1] if losses else None,
             "checkpoint": PRETRAINED_CHECKPOINT,
@@ -239,9 +266,9 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
     return out / PRETRAINED_CHECKPOINT, losses
 
 
-def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
+def run_language_probe(cfg: PipelineConfig) -> tuple[TrainingRun, tuple]:
     """Retrain the language probe against cfg.encoder_checkpoint; writes
-    nothing.  Returns the ProbeRun and the corpus languages."""
+    nothing.  Returns the probe's TrainingRun and the corpus languages."""
     if not cfg.encoder_checkpoint:
         raise StageError("probe", "probe-lid needs --encoder-checkpoint "
                                   "(or encoder_checkpoint in the config)")
@@ -252,29 +279,26 @@ def run_language_probe(cfg: PipelineConfig) -> tuple[ProbeRun, tuple]:
 
 
 def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
+    mid = _claim_out_dir(cfg)
     out = Path(cfg.out_dir)
     data, encoder, mlm_losses = _corpus_and_encoder(cfg, out)
-    cfg_dict = cfg.to_dict()
-    mid = manifest_id(cfg_dict)
 
     with _stage("train"):
         run = run_regime(encoder, data, cfg)
-        save_encoder(out / "encoder-final.ckpt", run.encoder)
+        save_encoder(out / "encoder-final.ckpt", run.encoder, data.vocab)
 
     with _stage("probe"):
         probe = retrain_language_probe(run.encoder, data, cfg)
-        heads = {"task/w": run.task_head.w, "task/b": run.task_head.b,
-                 "probe/w": probe.head.w, "probe/b": probe.head.b}
-        if run.lang_head is not None:
-            heads["lang/w"] = run.lang_head.w
-            heads["lang/b"] = run.lang_head.b
-        save_checkpoint(out / "heads.ckpt", heads,
+        heads = run.heads | probe.heads
+        save_checkpoint(out / "heads.ckpt",
+                        {f"{name}/{part}": array for name, head in heads.items()
+                         for part, array in (("w", head.w), ("b", head.b))},
                         meta={"d_model": run.encoder.config.d_model})
 
     with _stage("manifest"):
         manifest = {
             "manifest_id": mid,
-            "config": cfg_dict,
+            "config": cfg.to_dict(),
             "seed": cfg.seed,
             "epoch_val_f1": [float(s) for s in run.epoch_val_f1],
             "selected_epoch": run.selected_epoch,
@@ -287,14 +311,13 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
         }
         _write_json(out / "manifest.json", manifest)
 
-    bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder,
-                                       run.task_head, probe.head, data,
-                                       manifest)
+    bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder, heads,
+                                       data, manifest)
     return ResultsBundle(data=bundle_data, root=out)
 
 
-def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
-                         probe_head, data: RunData, manifest) -> dict:
+def _measure_and_analyze(cfg, out: Path, mid: str, encoder, heads: dict,
+                         data: RunData, manifest) -> dict:
     """Evaluation + analysis + bundle stages (shared by train and analyze).
 
     Each test split goes through the encoder once; F1 scores and plot
@@ -307,11 +330,12 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, task_head,
                                   task_spec.label_to_id)
         emb_lid = embed_examples(encoder, data.lid_split.test, "text",
                                  data.lang_to_id)
-        task_f1 = per_language_task_f1(task_head, emb_task,
+        task_f1 = per_language_task_f1(heads["task"], emb_task,
                                        task_spec.n_classes, languages)
-        lid_task = head_f1(probe_head, emb_task.X, emb_task.lang_y,
+        lid_task = head_f1(heads["probe"], emb_task.X, emb_task.lang_y,
                            len(languages))
-        lid_lid = head_f1(probe_head, emb_lid.X, emb_lid.lang_y, len(languages))
+        lid_lid = head_f1(heads["probe"], emb_lid.X, emb_lid.lang_y,
+                          len(languages))
 
     with _stage("analyze"):
         task_langs = [languages[int(y)] for y in emb_task.lang_y]
@@ -400,12 +424,12 @@ def reanalyze(run_dir) -> ResultsBundle:
     with _stage("corpus"):
         data = prepare_data(cfg)
     with _stage("checkpoints"):
-        encoder = load_encoder(root / manifest["checkpoint"])
+        encoder, _ = load_encoder(root / manifest["checkpoint"])
         arrays, _ = load_checkpoint(root / manifest["heads_checkpoint"])
-        task_head = ClassifierHead(w=arrays["task/w"], b=arrays["task/b"])
-        probe_head = ClassifierHead(w=arrays["probe/w"], b=arrays["probe/b"])
-    bundle_data = _measure_and_analyze(cfg, root, mid, encoder, task_head,
-                                       probe_head, data, manifest)
+        heads = {name: ClassifierHead(w=arrays[f"{name}/w"], b=arrays[f"{name}/b"])
+                 for name in ("task", "probe")}
+    bundle_data = _measure_and_analyze(cfg, root, mid, encoder, heads, data,
+                                       manifest)
     return ResultsBundle(data=bundle_data, root=root)
 
 
@@ -492,7 +516,7 @@ def export_plot_data(bundle: ResultsBundle, which: str,
     if not src.exists():
         raise StageError("export", f"projection file missing: {src}")
     dest = Path(out_path) if out_path else bundle.root / f"plot-{which}.csv"
-    dest.write_bytes(src.read_bytes())
+    write_file(dest, src.read_bytes())
     return dest
 
 
@@ -505,12 +529,13 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _claim_out_dir(cfg)
     data, encoder, _ = _corpus_and_encoder(cfg)
 
     def evaluate(sample: dict) -> float:
         run = run_regime(encoder, data, replace(cfg, **sample))
-        scores = evaluate_task(run.encoder, run.task_head, data.task_split.dev,
-                               data)
+        scores = evaluate_task(run.encoder, run.heads["task"],
+                               data.task_split.dev, data)
         return scores["overall"]
 
     with _stage("search"):

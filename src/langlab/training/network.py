@@ -53,19 +53,13 @@ def _train_forward(encoder: EncoderModel, batch: Batch, rng):
     return tape, mask, (X * mask if mask is not None else X)
 
 
-@dataclass
-class StepResult:
-    task_loss: float
-    lang_loss: float | None      # CE on the language-data batch (grad reversal)
-    lang_term: float | None      # confusion term on the task batch (entropy max)
-    grads: dict[str, np.ndarray]
-
-
 def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
                    lang_head: ClassifierHead | None, batch: Batch,
                    lid_batch: Batch | None, cfg: PipelineConfig,
-                   rng_task, rng_lid) -> StepResult:
-    """Forward/backward for one update under cfg.regime.
+                   rng_task, rng_lid) -> tuple[dict, dict[str, float]]:
+    """Forward/backward for one update under cfg.regime: (grads, losses),
+    each keyed by name ("enc/<param>", "task/w", "lang/b"; "task",
+    "lang_term", "lang").
 
     finetune: the task CE alone; lang_head, lid_batch and rng_lid are
     unused.  entropy_max (the even phase): cfg.w weighs the confusion
@@ -77,14 +71,14 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     """
     tape, mask, Xd = _train_forward(encoder, batch, rng_task)
 
-    task_loss, d_logits_t = ce_loss_and_dlogits(head_logits(task_head, Xd),
-                                                batch.task_y)
+    losses = {}
+    losses["task"], d_logits_t = ce_loss_and_dlogits(
+        head_logits(task_head, Xd), batch.task_y)
     dw_t, db_t, dXd = head_backward(task_head, Xd, d_logits_t)
 
-    lang_term = None
     if cfg.regime == "entropy_max":
         w = cfg.w
-        lang_term, d_logits_l = language_term_and_dlogits(
+        losses["lang_term"], d_logits_l = language_term_and_dlogits(
             head_logits(lang_head, Xd), cfg.language_term_variant
         )
         dXd = (1.0 - w) * dXd + w * (d_logits_l @ lang_head.w.T)
@@ -97,10 +91,9 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     grads["task/w"] = dw_t
     grads["task/b"] = db_t
 
-    lang_loss = None
     if cfg.regime == "grad_reversal":
         tape2, mask2, X2d = _train_forward(encoder, lid_batch, rng_lid)
-        lang_loss, d_logits = ce_loss_and_dlogits(
+        losses["lang"], d_logits = ce_loss_and_dlogits(
             head_logits(lang_head, X2d), lid_batch.lang_y
         )
         dw_l, db_l, dX2d = head_backward(lang_head, X2d, d_logits)
@@ -113,8 +106,7 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
         grads["lang/w"] = dw_l
         grads["lang/b"] = db_l
 
-    return StepResult(task_loss=task_loss, lang_loss=lang_loss,
-                      lang_term=lang_term, grads=grads)
+    return grads, losses
 
 
 # ----------------------------------------------------------------------------

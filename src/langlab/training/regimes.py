@@ -1,24 +1,22 @@
 """The four training regimes and the from-scratch language probe.
 
 run_regime is the one entry point.  frozen_probe trains a task head over
-fixed features; finetune, grad_reversal and entropy_max run one loop
-(_fine_tune) around the one step implementation (network.composite_step),
-which adds the extra loss term cfg.regime names.  With the same named RNG
-streams, the reduction identities hold exactly: grad_reversal with
-lambda=0 and entropy_max with w=0 walk the encoder through the same
-parameter trajectory as plain fine-tuning under the same seed.
+the unchanged encoder through _probe, the language probe's path too
+(retrain_language_probe).  finetune, grad_reversal and entropy_max run
+one loop (_fine_tune) around the one step implementation
+(network.composite_step), which adds the extra loss term cfg.regime
+names.  With the same named RNG streams, the reduction identities hold
+exactly: grad_reversal with lambda=0 and entropy_max with w=0 walk the
+encoder through the same parameter trajectory as plain fine-tuning
+under the same seed.  Every head over fixed feature rows (task probe,
+LID probe, the entropy-max language phase) trains one epoch at a time
+through _head_epoch.
 
-Every head over fixed feature rows (task probe, LID probe, the
-entropy-max language phase) trains one epoch at a time through
-_head_epoch.
-
-Both best-epoch loops copy out what they train only when an epoch's
-validation F1 beats the best so far, so the earliest best epoch wins.
-
-A regime returns only what it trains: the encoder, the task head, and
-the language head that grad_reversal and entropy_max train against.
-The LID probe on the final encoder is retrain_language_probe's job, run
-once per experiment by the pipeline.
+Each returns a TrainingRun read off its earliest best validation epoch
+(TrainingRun.score_epoch) that holds only what it trained: the encoder
+and the task head ("task"), the language head ("lang") that
+grad_reversal and entropy_max train against, or the LID probe ("probe")
+that the pipeline trains once per experiment on the final encoder.
 
 run_regime and retrain_language_probe read the run's corpus facts (the
 splits, the language index, the task spec, the pivot-language train and
@@ -54,23 +52,25 @@ REGIMES = ("frozen_probe", "finetune", "grad_reversal", "entropy_max")
 
 
 @dataclass
-class ProbeRun:
-    head: ClassifierHead
-    epoch_val_f1: list[float]
-    selected_epoch: int
-    losses: list[float]
-
-
-@dataclass
 class TrainingRun:
-    epoch_val_f1: list[float]
-    selected_epoch: int
+    """What a regime or a probe trained, from its best validation epoch:
+    heads by name ("task", "lang", "probe"), and losses by name ("task",
+    "lang", "lang_term") with one value per optimizer step."""
     encoder: EncoderModel
-    task_head: ClassifierHead
-    lang_head: ClassifierHead | None
-    task_losses: list[float] = field(default_factory=list)
-    lang_losses: list[float] = field(default_factory=list)
-    lang_terms: list[float] = field(default_factory=list)
+    heads: dict[str, ClassifierHead]
+    epoch_val_f1: list[float] = field(default_factory=list)
+    selected_epoch: int = 0
+    losses: dict[str, list[float]] = field(default_factory=dict)
+
+    def score_epoch(self, f1: float) -> bool:
+        """Record the next epoch's validation F1; True when the caller
+        copies out what it trains: at the first epoch, then only when one
+        beats the best, so the earliest best wins and a NaN never does."""
+        best = not self.epoch_val_f1 or f1 > self.epoch_val_f1[self.selected_epoch]
+        if best:
+            self.selected_epoch = len(self.epoch_val_f1)
+        self.epoch_val_f1.append(f1)
+        return best
 
 
 def _head_epoch(head: ClassifierHead, params, state: AdamState, X, y, *,
@@ -92,70 +92,46 @@ def _head_epoch(head: ClassifierHead, params, state: AdamState, X, y, *,
         losses.append(loss)
 
 
-def _train_head_on_cached(X_train, y_train, X_val, y_val, n_classes: int,
-                          cfg: PipelineConfig, dropout: float,
-                          tag: str) -> ProbeRun:
-    """Best-epoch training of a fresh head over fixed feature rows.
-
-    Minibatches are rows of X_train (tokens for token-level tasks), with
-    output dropout; cfg gives init_std, head_lr, batch_size, epochs and
-    seed.  The head with the earliest best macro F1 on (X_val, y_val) is
-    kept.  tag names the head's RNG streams.
-    """
-    if len(y_train) == 0 or len(y_val) == 0:
+def _probe(encoder: EncoderModel, data: RunData, cfg: PipelineConfig,
+           train, val, name: str) -> TrainingRun:
+    """Best-epoch training of a fresh head over the frozen encoder's
+    embeddings of train (rows are tokens for token-level tasks), scored on
+    val: the "task" head learns the task labels, the "probe" head each
+    text's language.  cfg gives init_std, head_lr, batch_size, epochs and
+    seed."""
+    task, spec = name == "task", data.task_spec
+    tag = "task-probe" if task else "lid-probe"     # names the RNG streams
+    if not train or not val:
         raise ValueError(f"empty {tag} corpus for head training")
+    level, label_to_id = (spec.level, spec.label_to_id) if task else ("text", None)
+    emb, emb_val = (embed_examples(encoder, part, level, data.lang_to_id,
+                                   label_to_id) for part in (train, val))
+    y, y_val = (e.task_y if task else e.lang_y for e in (emb, emb_val))
+    n_classes = spec.n_classes if task else len(data.languages)
 
-    head = ClassifierHead.init(X_train.shape[1], n_classes, cfg.init_std,
+    head = ClassifierHead.init(encoder.config.d_model, n_classes, cfg.init_std,
                                seed=cfg.seed, tag=tag)
     params = {"w": head.w, "b": head.b}
     state = AdamState()
     batch_rng = stream(cfg.seed, tag, "batches")
     drop_rng = stream(cfg.seed, tag, "dropout")
-
-    run = ProbeRun(head=head, epoch_val_f1=[], selected_epoch=0, losses=[])
-    for epoch in range(cfg.epochs):
-        _head_epoch(head, params, state, X_train, y_train,
-                    batch_size=cfg.batch_size, lr=cfg.head_lr,
-                    dropout=dropout, batch_rng=batch_rng, drop_rng=drop_rng,
-                    losses=run.losses)
-        f1 = head_f1(head, X_val, y_val, n_classes)
-        if epoch == 0 or f1 > run.epoch_val_f1[run.selected_epoch]:
-            run.head, run.selected_epoch = head.copy(), epoch
-        run.epoch_val_f1.append(f1)
+    run = TrainingRun(encoder, {name: head})
+    for _ in range(cfg.epochs):
+        _head_epoch(head, params, state, emb.X, y, batch_size=cfg.batch_size,
+                    lr=cfg.head_lr, dropout=encoder.config.dropout,
+                    batch_rng=batch_rng, drop_rng=drop_rng,
+                    losses=run.losses.setdefault("task" if task else "lang", []))
+        if run.score_epoch(head_f1(head, emb_val.X, y_val, n_classes)):
+            run.heads = {name: head.copy()}
     return run
 
 
 def retrain_language_probe(encoder: EncoderModel, data: RunData,
-                           cfg: PipelineConfig) -> ProbeRun:
-    """Fresh language head on the frozen encoder, best epoch by LID val F1."""
-    emb_train = embed_examples(encoder, data.lid_split.train, "text",
-                               data.lang_to_id)
-    emb_val = embed_examples(encoder, data.lid_split.val, "text",
-                             data.lang_to_id)
-    return _train_head_on_cached(
-        emb_train.X, emb_train.lang_y, emb_val.X, emb_val.lang_y,
-        len(data.languages), cfg, encoder.config.dropout, "lid-probe")
-
-
-def train_frozen_probe(encoder: EncoderModel, data: RunData,
-                       cfg: PipelineConfig) -> TrainingRun:
-    """A task head trained over the unchanged encoder."""
-    task_spec = data.task_spec
-    emb_train = embed_examples(encoder, data.pivot_train, task_spec.level,
-                               data.lang_to_id, task_spec.label_to_id)
-    emb_val = embed_examples(encoder, data.pivot_val, task_spec.level,
-                             data.lang_to_id, task_spec.label_to_id)
-    task_probe = _train_head_on_cached(
-        emb_train.X, emb_train.task_y, emb_val.X, emb_val.task_y,
-        task_spec.n_classes, cfg, encoder.config.dropout, "task-probe")
-    return TrainingRun(
-        epoch_val_f1=task_probe.epoch_val_f1,
-        selected_epoch=task_probe.selected_epoch,
-        encoder=encoder,
-        task_head=task_probe.head,
-        lang_head=None,
-        task_losses=task_probe.losses,
-    )
+                           cfg: PipelineConfig) -> TrainingRun:
+    """Fresh language head ("probe") on the frozen encoder, best epoch by
+    LID val F1."""
+    return _probe(encoder, data, cfg, data.lid_split.train, data.lid_split.val,
+                  "probe")
 
 
 def _fine_tune(encoder: EncoderModel, data: RunData,
@@ -181,14 +157,15 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
     enc = encoder.copy()
     task_head = ClassifierHead.init(enc.config.d_model, task_spec.n_classes,
                                     cfg.init_std, seed=cfg.seed, tag="task")
+    heads = {"task": task_head}
     params = {f"enc/{k}": v for k, v in enc.params.items()}
     params["task/w"] = task_head.w
     params["task/b"] = task_head.b
     lang_head = lid_batch = lid_drop_rng = None
     if reversal or entropy:
-        lang_head = ClassifierHead.init(enc.config.d_model,
-                                        len(data.languages), cfg.init_std,
-                                        seed=cfg.seed, tag="lang")
+        lang_head = heads["lang"] = ClassifierHead.init(
+            enc.config.d_model, len(data.languages), cfg.init_std,
+            seed=cfg.seed, tag="lang")
     if reversal:
         params["lang/w"] = lang_head.w
         params["lang/b"] = lang_head.b
@@ -205,16 +182,16 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
     batch_rng = stream(cfg.seed, "task-batches")
     drop_rng = stream(cfg.seed, "task-dropout")
 
-    run = TrainingRun(epoch_val_f1=[], selected_epoch=0, encoder=enc,
-                      task_head=task_head, lang_head=lang_head)
-    for epoch in range(cfg.epochs):
+    run = TrainingRun(enc, heads)
+    for _ in range(cfg.epochs):
         if entropy:
             # language phase: head alone against the frozen current encoder
             emb = embed_examples(enc, lid_train, "text", lang_to_id)
             _head_epoch(lang_head, lang_params, lang_state, emb.X, emb.lang_y,
                         batch_size=cfg.batch_size, lr=cfg.head_lr,
                         dropout=enc.config.dropout, batch_rng=lang_batch_rng,
-                        drop_rng=lang_drop_rng, losses=run.lang_losses)
+                        drop_rng=lang_drop_rng,
+                        losses=run.losses.setdefault("lang", []))
 
         for idx in epoch_batches(len(train), cfg.batch_size, batch_rng):
             batch = make_batch([train[i] for i in idx], task_spec.label_to_id,
@@ -223,27 +200,25 @@ def _fine_tune(encoder: EncoderModel, data: RunData,
                 lid_idx = np.fromiter(cycler, dtype=int, count=len(idx))
                 lid_batch = make_batch([lid_train[i] for i in lid_idx],
                                        None, lang_to_id, "text")
-            res = composite_step(enc, task_head, lang_head, batch, lid_batch,
-                                 cfg, drop_rng, lid_drop_rng)
-            adam_step(params, res.grads, state, lr)
-            run.task_losses.append(res.task_loss)
-            if res.lang_loss is not None:
-                run.lang_losses.append(res.lang_loss)
-            if res.lang_term is not None:
-                run.lang_terms.append(res.lang_term)
+            grads, losses = composite_step(enc, task_head, lang_head, batch,
+                                           lid_batch, cfg, drop_rng,
+                                           lid_drop_rng)
+            adam_step(params, grads, state, lr)
+            for name, loss in losses.items():
+                run.losses.setdefault(name, []).append(loss)
         val = embed_examples(enc, data.pivot_val, task_spec.level, lang_to_id,
                              task_spec.label_to_id)
-        f1 = head_f1(task_head, val.X, val.task_y, task_spec.n_classes)
-        if epoch == 0 or f1 > run.epoch_val_f1[run.selected_epoch]:
-            run.selected_epoch = epoch
-            run.encoder, run.task_head = enc.copy(), task_head.copy()
-            run.lang_head = lang_head.copy() if lang_head is not None else None
-        run.epoch_val_f1.append(f1)
+        if run.score_epoch(head_f1(task_head, val.X, val.task_y,
+                                   task_spec.n_classes)):
+            run.encoder = enc.copy()
+            run.heads = {name: head.copy() for name, head in heads.items()}
     return run
 
 
 def run_regime(encoder: EncoderModel, data: RunData,
                cfg: PipelineConfig) -> TrainingRun:
     """Train one regime: the one entry point for all four."""
-    trainer = train_frozen_probe if cfg.regime == "frozen_probe" else _fine_tune
-    return trainer(encoder, data, cfg)
+    if cfg.regime == "frozen_probe":
+        return _probe(encoder, data, cfg, data.pivot_train, data.pivot_val,
+                      "task")
+    return _fine_tune(encoder, data, cfg)

@@ -7,10 +7,13 @@ same token set is always identical.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from langlab.files import line_bytes, write_file
 
 PAD_ID = 0
 UNK_ID = 1
@@ -67,7 +70,11 @@ class Vocabulary:
 
     # one token per line, line number = id (specials included)
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self._id_to_token) + "\n", encoding="utf-8")
+        write_file(path, line_bytes(self._id_to_token))
+
+    def sha256(self) -> str:
+        """The sha256 of the bytes save writes (sha256sum of the file)."""
+        return hashlib.sha256(line_bytes(self._id_to_token)).hexdigest()
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

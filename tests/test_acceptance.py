@@ -161,14 +161,14 @@ def test_criterion_01_gradient_finite_differences():
 
     plain = composite_step(enc, th, None, task_batch, None,
                            PipelineConfig(regime="finetune"),
-                           stream(0, "c1"), None).grads
+                           stream(0, "c1"), None)[0]
     worst_plain = _fd_worst_rel(enc_task_pairs(plain),
                                 lambda: _task_ce(enc, th, task_batch))
 
     lam, w = 0.5, 0.3
     grl = composite_step(enc, th, lh, task_batch, lid_batch,
                          PipelineConfig(regime="grad_reversal", grl_lambda=lam),
-                         stream(0, "c1"), stream(0, "c1l")).grads
+                         stream(0, "c1"), stream(0, "c1l"))[0]
     worst_grl = _fd_worst_rel(
         enc_task_pairs(grl),
         lambda: _task_ce(enc, th, task_batch) - lam * _lang_ce(enc, lh, lid_batch))
@@ -178,7 +178,7 @@ def test_criterion_01_gradient_finite_differences():
 
     em = composite_step(enc, th, lh, task_batch, None,
                         PipelineConfig(regime="entropy_max", w=w),
-                        stream(0, "c1"), None).grads
+                        stream(0, "c1"), None)[0]
     assert "lang/w" not in em
     worst_em = _fd_worst_rel(
         enc_task_pairs(em),
@@ -241,10 +241,10 @@ def test_criterion_02_gradient_reversal_semantics():
         full = composite_step(enc, th, lh, task_batch, lid_batch,
                               PipelineConfig(regime="grad_reversal",
                                              grl_lambda=0.5),
-                              stream(9, "c2"), stream(9, "c2l")).grads
+                              stream(9, "c2"), stream(9, "c2l"))[0]
         plain = composite_step(enc, th, None, task_batch, None,
                                PipelineConfig(regime="finetune"),
-                               stream(9, "c2"), None).grads
+                               stream(9, "c2"), None)[0]
         rev = _lang_branch_grads(enc, lh, lid_batch, -0.5)
         if not all(np.array_equal(full[f"enc/{k}"], plain[f"enc/{k}"] + rev[k])
                    for k in rev):
@@ -441,9 +441,9 @@ def protocol():
             cfg = experiment(regime, seed)
             t0 = time.time()
             run = run_regime(pretrained, data, cfg)
-            probe = retrain_language_probe(run.encoder, data, cfg).head
+            probe = retrain_language_probe(run.encoder, data, cfg).heads["probe"]
             row = {
-                "task_f1": evaluate_task(run.encoder, run.task_head,
+                "task_f1": evaluate_task(run.encoder, run.heads["task"],
                                          task_split.test, data)["overall"],
                 "lid_f1": evaluate_lid(run.encoder, probe, task_split.test,
                                        task_spec.level, lang_to_id),

@@ -90,6 +90,9 @@ def test_vocab_save_load_roundtrip(tmp_path):
     w = Vocabulary.load(path)
     assert len(w) == len(v)
     assert all(w.decode([i])[0] == v.decode([i])[0] for i in range(len(v)))
+    # the digest is sha256sum of the saved file, and names the tokens
+    assert v.sha256() == w.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert Vocabulary([f"tok{i}" for i in range(1, 11)]).sha256() != v.sha256()
 
 
 def test_vocab_load_rejects_missing_specials(tmp_path):
@@ -561,7 +564,7 @@ def test_checkpoint_write_replaces_target_whole(tmp_path, monkeypatch):
         assert path.read_bytes() == before
         raise OSError("disk full")
 
-    monkeypatch.setattr("langlab.checkpoint.os.replace", failing_replace)
+    monkeypatch.setattr("langlab.files.os.replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, {"a": np.arange(9.0)})
     monkeypatch.undo()
@@ -572,10 +575,11 @@ def test_checkpoint_write_replaces_target_whole(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_encoder_checkpoint_roundtrip(tmp_path, tiny_encoder):
+def test_encoder_checkpoint_roundtrip(tmp_path, tiny_encoder, tiny_vocab):
     path = tmp_path / "enc.ckpt"
-    save_encoder(path, tiny_encoder)
-    loaded = load_encoder(path)
+    save_encoder(path, tiny_encoder, tiny_vocab)
+    loaded, vocab_sha256 = load_encoder(path)
+    assert vocab_sha256 == tiny_vocab.sha256()
     assert loaded.config == tiny_encoder.config
     assert set(loaded.params) == set(tiny_encoder.params)
     for name, arr in tiny_encoder.params.items():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from langlab import cli, pipeline
-from langlab.checkpoint import load_checkpoint, save_encoder
+from langlab.checkpoint import load_checkpoint, save_checkpoint, save_encoder
 from langlab.cli import main
 from langlab.config import (
     PRESETS,
@@ -141,6 +141,26 @@ def test_json_writer_refuses_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "bundle.json", {"v": float("nan")})
     assert not (tmp_path / "bundle.json").exists()
+
+
+def test_json_writer_replaces_target_whole(tmp_path, monkeypatch):
+    path = tmp_path / "bundle.json"
+    _write_json(path, {"v": 1})
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        # the new file is complete beside the target, which is untouched
+        assert Path(src).parent == path.parent and Path(dst) == path
+        assert json.loads(Path(src).read_text(encoding="utf-8")) == {"v": 2}
+        assert path.read_bytes() == before
+        raise OSError("disk full")
+
+    monkeypatch.setattr("langlab.files.os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        _write_json(path, {"v": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
 
 
 # a non-default value of every EncoderConfig field
@@ -725,7 +745,8 @@ def foreign_checkpoint(tmp_path):
     path = tmp_path / "foreign.ckpt"
     enc_cfg = EncoderConfig(vocab_size=7, d_model=16, n_layers=1, n_heads=2,
                             d_ff=32)
-    save_encoder(path, EncoderModel.init(enc_cfg, seed=0))
+    save_encoder(path, EncoderModel.init(enc_cfg, seed=0),
+                 Vocabulary(["x", "y", "z"]))
     return str(path)
 
 
@@ -772,7 +793,7 @@ def test_cli_corpus_longer_than_max_len_fails_before_any_mlm_step(
         short = dataclasses.replace(cfg, max_len=longest - 1)
         keys = {"encoder_checkpoint": str(path.parent / "short.ckpt")}
         save_encoder(keys["encoder_checkpoint"], EncoderModel.init(
-            short.encoder_config(len(data.vocab)), seed=0))
+            short.encoder_config(len(data.vocab)), seed=0), data.vocab)
         message = (f"checkpoint encoder config does not match the run's: "
                    f"max_len {longest - 1} (run {cfg.max_len})")
     monkeypatch.setattr(pipeline, "mlm_pretrain",
@@ -809,6 +830,62 @@ def test_cli_checkpoint_of_another_shape_fails_before_any_mlm_step(
         f"{default.n_heads}), d_ff 48 (run {default.d_ff}), dropout 0.3 "
         f"(run {default.dropout})\n")
     assert not Path(cfg.out_dir).exists()
+
+
+@pytest.mark.parametrize("checkpoint", ["other-corpus", "no-digest"])
+def test_cli_checkpoint_of_another_vocabulary_fails_and_writes_nothing(
+        cli_cfg_path, monkeypatch, capsys, checkpoint):
+    # a checkpoint pretrained on corpus_seed 1 has the run's vocabulary
+    # size (78) but 78-entry token lists differ: its ids name other tokens.
+    # A checkpoint that names no vocabulary is refused as well.
+    path, cfg = cli_cfg_path
+    pretrain = dataclasses.replace(
+        cfg, out_dir=str(path.parent / "pretrained"),
+        corpus_seed=1 if checkpoint == "other-corpus" else cfg.corpus_seed)
+    pretrain_cfg = path.parent / "pretrain.json"
+    pretrain_cfg.write_text(json.dumps(pretrain.to_dict()))
+    assert main(["pretrain", "--config", str(pretrain_cfg)]) == 0
+    capsys.readouterr()
+    ckpt = Path(pretrain.out_dir) / "encoder-pretrained.ckpt"
+    if checkpoint == "no-digest":
+        arrays, meta = load_checkpoint(ckpt)
+        meta.pop("vocab_sha256", None)
+        save_checkpoint(ckpt, arrays, meta)
+    monkeypatch.setattr(pipeline, "mlm_pretrain",
+                        lambda *args, **kwargs: pytest.fail("an MLM step ran"))
+    assert main(["train", "--preset", "udpos-frozen", "--config", str(path),
+                 "--encoder-checkpoint", str(ckpt)]) == 2
+    theirs = (prepare_data(pretrain).vocab.sha256()
+              if checkpoint == "other-corpus" else "(none recorded)")
+    ours = prepare_data(cfg).vocab.sha256()
+    assert theirs != ours
+    assert capsys.readouterr().err == (
+        f"error [pretrain] checkpoint vocabulary sha256 {theirs} is not the "
+        f"run's {ours}\n")
+    assert not Path(cfg.out_dir).exists()
+
+
+@pytest.mark.parametrize("first", ["train", "pretrain"])
+def test_cli_out_dir_of_another_run_is_refused_before_the_corpus_stage(
+        cli_cfg_path, monkeypatch, capsys, first):
+    # one directory holds one run: another config (here another seed) may
+    # not write into it, while a rerun of the same config may
+    path, cfg = cli_cfg_path
+    assert main([first, "--config", str(path)]) == 0
+    capsys.readouterr()
+    before = dir_bytes(cfg.out_dir)
+    manifest = "manifest.json" if first == "train" else "pretrain-manifest.json"
+    monkeypatch.setattr(pipeline, "prepare_data",
+                        lambda cfg: pytest.fail("the corpus stage ran"))
+    for command in ("train", "pretrain", "hpsearch"):
+        argv = [command, "--config", str(path), "--seed", "5"]
+        if command == "hpsearch":
+            argv += ["--samples", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error [out_dir] {cfg.out_dir} holds another run: its {manifest} "
+            f"has manifest_id {manifest_id(cfg.to_dict())}\n")
+        assert dir_bytes(cfg.out_dir) == before
 
 
 def test_pretrain_manifest_keys(cli_cfg_path, capsys):

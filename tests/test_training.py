@@ -28,13 +28,11 @@ from langlab.training.evaluate import evaluate_lid
 from langlab.training import regimes
 from langlab.training.network import (
     EMBED_BATCH,
-    StepResult,
     composite_step,
     embed_examples,
 )
 from langlab.training.regimes import (
     REGIMES,
-    _train_head_on_cached,
     retrain_language_probe,
     run_regime,
 )
@@ -240,54 +238,59 @@ def _lang_term(enc, head, batch):
 
 def test_composite_step_plain_matches_fd(fd_setup):
     enc, task_head, _, batch, _ = fd_setup
-    res = composite_step(enc, task_head, None, batch, None,
-                         tiny_cfg("finetune"), stream(0, "fd"), None)
-    assert res.lang_loss is None and res.lang_term is None
-    assert res.task_loss == pytest.approx(_task_ce(enc, task_head, batch))
-    pairs = [(enc.params[n], res.grads[f"enc/{n}"]) for n in FD_PARAMS]
-    pairs += [(task_head.w, res.grads["task/w"]),
-              (task_head.b, res.grads["task/b"])]
+    grads, losses = composite_step(enc, task_head, None, batch, None,
+                                   tiny_cfg("finetune"), stream(0, "fd"), None)
+    assert set(losses) == {"task"}
+    assert losses["task"] == pytest.approx(_task_ce(enc, task_head, batch))
+    pairs = [(enc.params[n], grads[f"enc/{n}"]) for n in FD_PARAMS]
+    pairs += [(task_head.w, grads["task/w"]),
+              (task_head.b, grads["task/b"])]
     _assert_fd(lambda: _task_ce(enc, task_head, batch), pairs)
 
 
 def test_composite_step_entropy_max_matches_fd(fd_setup):
     enc, task_head, lang_head, batch, _ = fd_setup
     w = 0.3
-    res = composite_step(enc, task_head, lang_head, batch, None,
-                         tiny_cfg("entropy_max", w=w), stream(0, "fd"), None)
-    assert res.lang_term == pytest.approx(_lang_term(enc, lang_head, batch))
+    grads, losses = composite_step(enc, task_head, lang_head, batch, None,
+                                   tiny_cfg("entropy_max", w=w),
+                                   stream(0, "fd"), None)
+    assert set(losses) == {"task", "lang_term"}
+    assert losses["lang_term"] == pytest.approx(_lang_term(enc, lang_head,
+                                                           batch))
 
     def loss():
         return ((1 - w) * _task_ce(enc, task_head, batch)
                 + w * _lang_term(enc, lang_head, batch))
 
-    pairs = [(enc.params[n], res.grads[f"enc/{n}"]) for n in FD_PARAMS]
-    pairs += [(task_head.w, res.grads["task/w"]),
-              (task_head.b, res.grads["task/b"])]
+    pairs = [(enc.params[n], grads[f"enc/{n}"]) for n in FD_PARAMS]
+    pairs += [(task_head.w, grads["task/w"]),
+              (task_head.b, grads["task/b"])]
     _assert_fd(loss, pairs)
-    assert "lang/w" not in res.grads   # the language head is frozen here
+    assert "lang/w" not in grads   # the language head is frozen here
 
 
 def test_composite_step_grad_reversal_matches_fd(fd_setup):
     enc, task_head, lang_head, batch, lid_batch = fd_setup
     lam = 0.5
-    res = composite_step(enc, task_head, lang_head, batch, lid_batch,
-                         tiny_cfg("grad_reversal", grl_lambda=lam),
-                         stream(0, "fd"), stream(1, "fd"))
-    assert res.lang_loss == pytest.approx(_lang_ce(enc, lang_head, lid_batch))
+    grads, losses = composite_step(enc, task_head, lang_head, batch,
+                                   lid_batch,
+                                   tiny_cfg("grad_reversal", grl_lambda=lam),
+                                   stream(0, "fd"), stream(1, "fd"))
+    assert set(losses) == {"task", "lang"}
+    assert losses["lang"] == pytest.approx(_lang_ce(enc, lang_head, lid_batch))
 
     # encoder sees task CE minus lambda times the language CE
     def enc_loss():
         return (_task_ce(enc, task_head, batch)
                 - lam * _lang_ce(enc, lang_head, lid_batch))
 
-    pairs = [(enc.params[n], res.grads[f"enc/{n}"]) for n in FD_PARAMS]
-    pairs += [(task_head.w, res.grads["task/w"])]
+    pairs = [(enc.params[n], grads[f"enc/{n}"]) for n in FD_PARAMS]
+    pairs += [(task_head.w, grads["task/w"])]
     _assert_fd(enc_loss, pairs)
     # the language head itself trains against the plain (unreversed) CE
     _assert_fd(lambda: _lang_ce(enc, lang_head, lid_batch),
-               [(lang_head.w, res.grads["lang/w"]),
-                (lang_head.b, res.grads["lang/b"])])
+               [(lang_head.w, grads["lang/w"]),
+                (lang_head.b, grads["lang/b"])])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +407,15 @@ def test_frozen_probe_leaves_encoder_untouched(small_pretrained,
     run = run_regime(encoder, tiny_data, tiny_cfg("frozen_probe"))
     assert run.encoder is encoder
     assert all(np.array_equal(encoder.params[k], before[k]) for k in before)
-    assert run.lang_head is None    # the LID probe is the pipeline's job
+    assert set(run.heads) == {"task"}    # the LID probe is the pipeline's job
     assert len(run.epoch_val_f1) == 2
     assert run.epoch_val_f1[run.selected_epoch] == max(run.epoch_val_f1)
-    assert run.lang_losses == []
+    assert set(run.losses) == {"task"}
+
+
+def n_steps(n_rows, cfg):
+    """Minibatch steps over n_rows rows in cfg.epochs epochs."""
+    return cfg.epochs * -(-n_rows // cfg.batch_size)
 
 
 @pytest.mark.parametrize("regime, weights, trains_lang_head", [
@@ -418,8 +426,22 @@ def test_frozen_probe_leaves_encoder_untouched(small_pretrained,
 def test_regimes_return_only_what_they_train(small_pretrained, tiny_data, regime, weights,
                                              trains_lang_head):
     encoder, _ = small_pretrained
-    run = run_regime(encoder, tiny_data, tiny_cfg(regime, epochs=1, **weights))
-    assert (run.lang_head is not None) == trains_lang_head
+    cfg = tiny_cfg(regime, epochs=1, **weights)
+    run = run_regime(encoder, tiny_data, cfg)
+    assert set(run.heads) == ({"task", "lang"} if trains_lang_head else {"task"})
+    # one loss per optimizer step: a fine-tuning step per pivot-train
+    # minibatch, a frozen-probe step per minibatch of pivot-train tokens,
+    # an entropy-max language-phase step per LID-train minibatch
+    pivot = tiny_data.pivot_train
+    steps = n_steps(sum(len(ex.sequence) for ex in pivot)
+                    if regime == "frozen_probe" else len(pivot), cfg)
+    expected = {"task": steps}
+    if regime == "grad_reversal":
+        expected["lang"] = steps
+    if regime == "entropy_max":
+        expected["lang"] = n_steps(len(tiny_data.lid_split.train), cfg)
+        expected["lang_term"] = steps
+    assert {name: len(losses) for name, losses in run.losses.items()} == expected
 
 
 def test_run_regime_deterministic(small_pretrained, tiny_data):
@@ -427,9 +449,9 @@ def test_run_regime_deterministic(small_pretrained, tiny_data):
     a = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
     b = run_regime(encoder, tiny_data, tiny_cfg("finetune"))
     assert params_equal(a.encoder, b.encoder)
-    assert np.array_equal(a.task_head.w, b.task_head.w)
+    assert np.array_equal(a.heads["task"].w, b.heads["task"].w)
     assert a.epoch_val_f1 == b.epoch_val_f1
-    assert a.task_losses == b.task_losses
+    assert a.losses == b.losses
 
 
 def test_finetune_moves_encoder(small_pretrained, tiny_data):
@@ -450,8 +472,8 @@ def test_reduction_identities_match_finetune(small_pretrained,
     em = run_regime(encoder, tiny_data, tiny_cfg("entropy_max", w=0.0))
     for other in (gr, em):
         assert params_equal(ft.encoder, other.encoder)
-        assert np.array_equal(ft.task_head.w, other.task_head.w)
-        assert np.array_equal(ft.task_head.b, other.task_head.b)
+        assert np.array_equal(ft.heads["task"].w, other.heads["task"].w)
+        assert np.array_equal(ft.heads["task"].b, other.heads["task"].b)
         assert ft.epoch_val_f1 == other.epoch_val_f1
         assert ft.selected_epoch == other.selected_epoch
 
@@ -463,14 +485,15 @@ def test_grad_reversal_with_positive_lambda_diverges(small_pretrained,
     gr = run_regime(encoder, tiny_data,
                     tiny_cfg("grad_reversal", grl_lambda=0.5))
     assert not params_equal(ft.encoder, gr.encoder)
-    assert gr.lang_losses    # the language CE is tracked
+    assert gr.losses["lang"]    # the language CE is tracked
 
 
 def test_entropy_max_tracks_language_term(small_pretrained, tiny_data):
     encoder, _ = small_pretrained
     em = run_regime(encoder, tiny_data, tiny_cfg("entropy_max", w=0.5))
-    assert em.lang_terms and all(np.isfinite(t) for t in em.lang_terms)
-    assert em.lang_losses
+    terms = em.losses["lang_term"]
+    assert terms and all(np.isfinite(t) for t in terms)
+    assert em.losses["lang"]
 
 
 def test_entropy_max_returns_the_selected_epochs_language_head(
@@ -485,9 +508,9 @@ def test_entropy_max_returns_the_selected_epochs_language_head(
                      tiny_cfg("entropy_max", w=0.5, epochs=3))
     assert run.selected_epoch == 0 and run.epoch_val_f1 == [1.0, 0.0, 0.0]
     assert params_equal(run.encoder, one.encoder)
-    assert np.array_equal(run.task_head.w, one.task_head.w)
-    assert np.array_equal(run.lang_head.w, one.lang_head.w)
-    assert np.array_equal(run.lang_head.b, one.lang_head.b)
+    assert np.array_equal(run.heads["task"].w, one.heads["task"].w)
+    assert np.array_equal(run.heads["lang"].w, one.heads["lang"].w)
+    assert np.array_equal(run.heads["lang"].b, one.heads["lang"].b)
 
 
 def script_head_f1(monkeypatch, scores):
@@ -507,20 +530,19 @@ def script_head_f1(monkeypatch, scores):
     ([0.3, 0.5, 0.5, 0.4], 1), ([np.nan, 0.5, 0.6], 0),
     ([0.3, np.nan, 0.5], 2), ([0.2, 0.2], 0)],
     ids=["tie", "nan-first", "nan-between", "all-equal"])
-def test_head_training_keeps_the_earliest_best_epoch(monkeypatch, scores,
+def test_head_training_keeps_the_earliest_best_epoch(tiny_encoder, tiny_data,
+                                                     monkeypatch, scores,
                                                      best):
-    rng = np.random.default_rng(0)
-    X, y = rng.normal(size=(40, 8)), np.arange(40) % 3
     scored = script_head_f1(monkeypatch, scores)
-    run = _train_head_on_cached(X, y, X[:9], y[:9], 3,
-                                tiny_cfg("frozen_probe", epochs=len(scores)),
-                                0.1, "t")
+    run = retrain_language_probe(tiny_encoder, tiny_data,
+                                 tiny_cfg("frozen_probe", epochs=len(scores)))
     assert run.selected_epoch == best
     assert run.epoch_val_f1 == scores     # the same objects, NaN included
-    assert np.array_equal(run.head.w, scored[best].w)
-    assert np.array_equal(run.head.b, scored[best].b)
+    head = run.heads["probe"]
+    assert np.array_equal(head.w, scored[best].w)
+    assert np.array_equal(head.b, scored[best].b)
     if best < len(scores) - 1:              # the last epoch's head moved on
-        assert not np.array_equal(run.head.w, scored[-1].w)
+        assert not np.array_equal(head.w, scored[-1].w)
 
 
 def test_fine_tune_returns_the_selected_epochs_encoder_and_heads(
@@ -537,12 +559,12 @@ def test_fine_tune_returns_the_selected_epochs_encoder_and_heads(
     assert run.selected_epoch == 1
     assert run.epoch_val_f1 == [0.3, 0.5, 0.5, 0.4]
     assert params_equal(run.encoder, two.encoder)
-    for head, ref in ((run.task_head, two.task_head),
-                      (run.lang_head, two.lang_head),
-                      (run.task_head, scored[1])):
+    for head, ref in ((run.heads["task"], two.heads["task"]),
+                      (run.heads["lang"], two.heads["lang"]),
+                      (run.heads["task"], scored[1])):
         assert np.array_equal(head.w, ref.w)
         assert np.array_equal(head.b, ref.b)
-    assert not np.array_equal(run.task_head.w, scored[-1].w)
+    assert not np.array_equal(run.heads["task"].w, scored[-1].w)
 
 
 def test_retrain_language_probe_deterministic(small_pretrained, tiny_data):
@@ -550,9 +572,13 @@ def test_retrain_language_probe_deterministic(small_pretrained, tiny_data):
     cfg = tiny_cfg("frozen_probe")
     a = retrain_language_probe(encoder, tiny_data, cfg)
     b = retrain_language_probe(encoder, tiny_data, cfg)
-    assert np.array_equal(a.head.w, b.head.w)
+    assert set(a.heads) == {"probe"} and a.encoder is encoder
+    assert np.array_equal(a.heads["probe"].w, b.heads["probe"].w)
     assert a.epoch_val_f1 == b.epoch_val_f1
     assert a.epoch_val_f1[a.selected_epoch] == max(a.epoch_val_f1)
+    # one language CE per minibatch of LID-train texts
+    assert list(a.losses) == ["lang"] and a.losses == b.losses
+    assert len(a.losses["lang"]) == n_steps(len(tiny_data.lid_split.train), cfg)
 
 
 def test_pretraining_helps_language_probe(small_pretrained, tiny_encoder,
@@ -562,7 +588,8 @@ def test_pretraining_helps_language_probe(small_pretrained, tiny_encoder,
     scores = {}
     for name, enc in (("random", tiny_encoder), ("pretrained", pretrained)):
         probe = retrain_language_probe(enc, tiny_data, cfg)
-        scores[name] = evaluate_lid(enc, probe.head, tiny_data.lid_split.test,
+        scores[name] = evaluate_lid(enc, probe.heads["probe"],
+                                    tiny_data.lid_split.test,
                                     "text", tiny_data.lang_to_id)
     assert scores["pretrained"] >= 0.9
     assert scores["pretrained"] > scores["random"]
