@@ -18,11 +18,11 @@ from pathlib import Path
 from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
+from langlab.files import write_json
 from langlab.pipeline import (
     EXPORT_KINDS,
     ResultsBundle,
     StageError,
-    _write_json,
     compare_runs,
     export_plot_data,
     format_delta_table,
@@ -87,7 +87,7 @@ def _cmd_gen_corpus(args) -> int:
     settings = {"languages": args.languages, "per_language": args.per_language,
                 "concepts": args.concepts, "overlap": args.overlap,
                 "seed": args.seed, "files": written}
-    _write_json(out / "corpus-manifest.json", settings)
+    write_json(out / "corpus-manifest.json", settings)
     print(f"wrote {', '.join(sorted(written.values()))} to {out}")
     return 0
 
@@ -150,7 +150,7 @@ def _cmd_compare(args) -> int:
     bundles = [ResultsBundle.load(d) for d in args.runs]
     table = compare_runs(bundles)
     if args.out:
-        _write_json(Path(args.out), table)
+        write_json(Path(args.out), table)
     print(format_delta_table(table))
     return 0
 

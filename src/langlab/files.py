@@ -2,12 +2,14 @@
 half of one.
 
 Every file langlab writes goes through write_file, which writes beside
-the target and renames over it.  This module imports nothing from
-langlab, so every module that writes files can import it.
+the target and renames over it; write_json is the one JSON writer.  This
+module imports nothing from langlab, so every module that writes files
+can import it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -30,3 +32,10 @@ def write_file(path, *chunks: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write obj as sorted, indented JSON; NaN and infinities are refused
+    before anything is written."""
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+                      + "\n").encode("utf-8"))

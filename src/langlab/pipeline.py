@@ -26,11 +26,14 @@ made only when the first of them is written: the pretrained checkpoint
 (train, pretrain) or hpsearch.json, so a corpus- or pretrain-stage
 failure leaves nothing on disk, and probe-lid writes nothing at all.
 One directory holds one run: before the corpus stage, train, pretrain
-and hpsearch refuse an output directory whose manifest.json or
-pretrain-manifest.json holds another manifest id ([out_dir]).  Every
-file is written whole (files.write_file).  Any stage failure raises
-StageError carrying the stage name; artifacts written before the
-failure stay on disk for inspection.
+and hpsearch refuse an output directory whose manifest.json,
+pretrain-manifest.json or hpsearch.json holds another manifest id
+([out_dir]).  analyze rebuilds the corpus from the manifest's config and
+refuses a final encoder that names another vocabulary ([checkpoints]).
+A run record holds each fact once: file names are fixed here, not
+recorded.  Every file is written whole (files.write_file).  Any stage
+failure raises StageError carrying the stage name; artifacts written
+before the failure stay on disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -61,7 +64,7 @@ from langlab.data.split import filter_language, stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
-from langlab.files import write_file
+from langlab.files import write_file, write_json
 from langlab.heads import ClassifierHead
 from langlab.training.batching import TaskSpec, task_spec_for
 from langlab.training.evaluate import evaluate_task, head_f1, per_language_task_f1
@@ -95,17 +98,12 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _write_json(path: Path, obj) -> None:
-    write_file(path, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-                      + "\n").encode("utf-8"))
-
-
 def _claim_out_dir(cfg: PipelineConfig) -> str:
     """The run's manifest id, once cfg.out_dir is known to hold no other
-    run: a manifest there must carry the same id (a rerun of the same
-    config).  Reads only, before the corpus stage."""
+    run: each run record there must carry the same id (a rerun of the
+    same config).  Reads only, before the corpus stage."""
     mid = manifest_id(cfg.to_dict())
-    for name in ("manifest.json", "pretrain-manifest.json"):
+    for name in ("manifest.json", "pretrain-manifest.json", "hpsearch.json"):
         path = Path(cfg.out_dir) / name
         if path.exists():
             other = json.loads(path.read_text(encoding="utf-8")).get("manifest_id")
@@ -202,9 +200,8 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
     configured checkpoint; (encoder, losses).  The run's encoder config
     is checked first: the corpora's longest sequence must fit its
     max_len, and a loaded encoder must have exactly that config.  A
-    loaded checkpoint must then carry the sha256 of the run's vocabulary;
-    one that records none is refused too, since its ids may name other
-    tokens."""
+    loaded checkpoint must then carry the sha256 of the run's vocabulary
+    (_check_vocabulary)."""
     want = cfg.encoder_config(len(data.vocab))
     longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
                   for part in split.parts for ex in part)
@@ -223,11 +220,17 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
     if wrong:
         raise ValueError(f"checkpoint encoder config does not match the "
                          f"run's: {', '.join(wrong)}")
-    if vocab_sha256 != data.vocab.sha256():
+    _check_vocabulary(vocab_sha256, data.vocab)
+    return encoder, []
+
+
+def _check_vocabulary(vocab_sha256: str | None, vocab: Vocabulary) -> None:
+    """A loaded encoder's ids must index the run's vocabulary: the sha256
+    its checkpoint records must be vocab's (None, no record, fails too)."""
+    if vocab_sha256 != vocab.sha256():
         raise ValueError(f"checkpoint vocabulary sha256 "
                          f"{vocab_sha256 or '(none recorded)'} is not the "
-                         f"run's {data.vocab.sha256()}")
-    return encoder, []
+                         f"run's {vocab.sha256()}")
 
 
 def _cell(value: float, mid: str) -> dict:
@@ -256,12 +259,11 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
     out = Path(cfg.out_dir)
     _, _, losses = _corpus_and_encoder(cfg, out)
     with _stage("manifest"):
-        _write_json(out / "pretrain-manifest.json", {
+        write_json(out / "pretrain-manifest.json", {
             "manifest_id": mid,
             "config": cfg.to_dict(),
             "mlm_steps": len(losses),
             "mlm_final_loss": losses[-1] if losses else None,
-            "checkpoint": PRETRAINED_CHECKPOINT,
         })
     return out / PRETRAINED_CHECKPOINT, losses
 
@@ -292,32 +294,25 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
         heads = run.heads | probe.heads
         save_checkpoint(out / "heads.ckpt",
                         {f"{name}/{part}": array for name, head in heads.items()
-                         for part, array in (("w", head.w), ("b", head.b))},
-                        meta={"d_model": run.encoder.config.d_model})
+                         for part, array in (("w", head.w), ("b", head.b))})
 
     with _stage("manifest"):
-        manifest = {
+        write_json(out / "manifest.json", {
             "manifest_id": mid,
             "config": cfg.to_dict(),
-            "seed": cfg.seed,
             "epoch_val_f1": [float(s) for s in run.epoch_val_f1],
             "selected_epoch": run.selected_epoch,
             "probe_epoch_val_f1": [float(s) for s in probe.epoch_val_f1],
             "probe_selected_epoch": probe.selected_epoch,
             "mlm_final_loss": float(mlm_losses[-1]) if mlm_losses else None,
-            "checkpoint": "encoder-final.ckpt",
-            "pretrained_checkpoint": PRETRAINED_CHECKPOINT,
-            "heads_checkpoint": "heads.ckpt",
-        }
-        _write_json(out / "manifest.json", manifest)
+        })
 
-    bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder, heads,
-                                       data, manifest)
+    bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder, heads, data)
     return ResultsBundle(data=bundle_data, root=out)
 
 
 def _measure_and_analyze(cfg, out: Path, mid: str, encoder, heads: dict,
-                         data: RunData, manifest) -> dict:
+                         data: RunData) -> dict:
     """Evaluation + analysis + bundle stages (shared by train and analyze).
 
     Each test split goes through the encoder once; F1 scores and plot
@@ -392,27 +387,17 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, heads: dict,
                     for dataset, report in reports.items()
                 },
             },
-            "training": {
-                "epoch_val_f1": manifest["epoch_val_f1"],
-                "selected_epoch": manifest["selected_epoch"],
-                "probe_epoch_val_f1": manifest["probe_epoch_val_f1"],
-                "probe_selected_epoch": manifest["probe_selected_epoch"],
-            },
             "cluster_reports": reports,
-            "projections": dict(PROJECTION_FILES),
-            "embedding_dumps": dict(EMBEDDING_FILES),
-            "files": {"manifest": "manifest.json",
-                      "encoder_final": "encoder-final.ckpt",
-                      "encoder_pretrained": PRETRAINED_CHECKPOINT,
-                      "heads": "heads.ckpt"},
         }
-        _write_json(out / "bundle.json", bundle)
+        write_json(out / "bundle.json", bundle)
     return bundle
 
 
 def reanalyze(run_dir) -> ResultsBundle:
     """Recompute evaluation + analysis + bundle from a finished run's
-    checkpoints and manifest; byte-identical to the original bundle."""
+    checkpoints and manifest (its manifest_id and config); byte-identical
+    to the original bundle.  The final encoder must name the vocabulary
+    the corpus stage rebuilt."""
     root = Path(run_dir)
     with _stage("analyze"):
         manifest_path = root / "manifest.json"
@@ -420,16 +405,16 @@ def reanalyze(run_dir) -> ResultsBundle:
             raise FileNotFoundError(f"no manifest.json under {root}")
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     cfg = config_from_dict(manifest["config"])
-    mid = manifest["manifest_id"]
     with _stage("corpus"):
         data = prepare_data(cfg)
     with _stage("checkpoints"):
-        encoder, _ = load_encoder(root / manifest["checkpoint"])
-        arrays, _ = load_checkpoint(root / manifest["heads_checkpoint"])
+        encoder, vocab_sha256 = load_encoder(root / "encoder-final.ckpt")
+        _check_vocabulary(vocab_sha256, data.vocab)
+        arrays, _ = load_checkpoint(root / "heads.ckpt")
         heads = {name: ClassifierHead(w=arrays[f"{name}/w"], b=arrays[f"{name}/b"])
                  for name in ("task", "probe")}
-    bundle_data = _measure_and_analyze(cfg, root, mid, encoder, heads, data,
-                                       manifest)
+    bundle_data = _measure_and_analyze(cfg, root, manifest["manifest_id"],
+                                       encoder, heads, data)
     return ResultsBundle(data=bundle_data, root=root)
 
 
@@ -508,11 +493,7 @@ def export_plot_data(bundle: ResultsBundle, which: str,
     if which not in EXPORT_KINDS:
         raise StageError("export", f"unknown plot kind {which!r}; "
                                    f"expected one of {', '.join(EXPORT_KINDS)}")
-    dataset = which.split("-")[1]
-    rel = bundle.data.get("projections", {}).get(dataset)
-    if rel is None:
-        raise StageError("export", f"bundle has no {dataset!r} projection")
-    src = bundle.root / rel
+    src = bundle.root / PROJECTION_FILES[which.split("-")[1]]
     if not src.exists():
         raise StageError("export", f"projection file missing: {src}")
     dest = Path(out_path) if out_path else bundle.root / f"plot-{which}.csv"
@@ -529,7 +510,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _claim_out_dir(cfg)
+    mid = _claim_out_dir(cfg)
     data, encoder, _ = _corpus_and_encoder(cfg)
 
     def evaluate(sample: dict) -> float:
@@ -543,6 +524,7 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
         ranked = random_search(grids, evaluate, n_samples=n_samples,
                                seed=cfg.seed)
         report = {
+            "manifest_id": mid,
             "regime": cfg.regime,
             "grids": {k: list(v) for k, v in grids.items()},
             "n_samples": n_samples,
@@ -553,5 +535,5 @@ def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
         }
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "hpsearch.json", report)
+        write_json(out / "hpsearch.json", report)
     return report

@@ -15,7 +15,9 @@ field fails unless KEPT_UNREAD names it.  A parameter with a default is
 set when a call in src/ of the same name passes it by keyword, by
 position, or through * or ** unpacking; calls are matched by name alone,
 so a method that shares its name with another hides the other's unset
-options.  An unset one fails unless KEPT_UNSET names it.
+options.  An unset one fails unless KEPT_UNSET names it.  No module
+imports an underscore name from another langlab module: what two modules
+share is public.
 """
 
 from __future__ import annotations
@@ -72,6 +74,37 @@ def src_sources() -> dict[str, str]:
 
 def test_no_unused_imports_in_src():
     found = {name: unused_imports(source)
+             for name, source in src_sources().items()}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from a langlab module, absolutely or
+    relatively, as module.name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "langlab"):
+            module = "." * node.level + (f"{node.module}." if node.module else "")
+            found += [module + a.name for a in node.names
+                      if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_private_import_checker_sees_langlab_modules_only():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from langlab.pipeline import _write_json, run_experiment\n"
+        "from .files import _tmp_path, write_file\n"
+        "from . import _helpers\n"
+    )
+    assert private_imports(source) == [
+        "._helpers", ".files._tmp_path", "langlab.pipeline._write_json"]
+
+
+def test_no_private_imports_across_src_modules():
+    found = {name: private_imports(source)
              for name, source in src_sources().items()}
     assert {name: names for name, names in found.items() if names} == {}
 

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -31,12 +32,12 @@ from langlab.config import (
 )
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
 from langlab.encoder import EncoderConfig, EncoderModel
+from langlab.files import write_json
 from langlab.pipeline import (
     EXPORT_KINDS,
     METRIC_PATHS,
     ResultsBundle,
     StageError,
-    _write_json,
     compare_runs,
     export_plot_data,
     format_delta_table,
@@ -139,13 +140,13 @@ def test_config_accepts_zero_pretraining_and_tsne_steps():
 
 def test_json_writer_refuses_nan(tmp_path):
     with pytest.raises(ValueError):
-        _write_json(tmp_path / "bundle.json", {"v": float("nan")})
+        write_json(tmp_path / "bundle.json", {"v": float("nan")})
     assert not (tmp_path / "bundle.json").exists()
 
 
 def test_json_writer_replaces_target_whole(tmp_path, monkeypatch):
     path = tmp_path / "bundle.json"
-    _write_json(path, {"v": 1})
+    write_json(path, {"v": 1})
     before = path.read_bytes()
 
     def failing_replace(src, dst):
@@ -157,7 +158,7 @@ def test_json_writer_replaces_target_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr("langlab.files.os.replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
-        _write_json(path, {"v": 2})
+        write_json(path, {"v": 2})
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
@@ -315,7 +316,27 @@ def test_bundle_schema_and_metrics(frozen_bundle):
         assert value is not None and 0.0 <= value <= 1.0, path
     assert bundle.metric("task_f1.per_language.aa") is not None
     assert bundle.metric("no.such.metric") is None
-    assert len(data["training"]["epoch_val_f1"]) == cfg.epochs
+    manifest = json.loads((bundle.root / "manifest.json").read_text())
+    assert len(manifest["epoch_val_f1"]) == cfg.epochs
+
+
+# A run record holds each fact once: no file name the code fixes, no seed
+# beside the config, no copy of the manifest's epoch scores in the bundle
+MANIFEST_KEYS = {"manifest_id", "config", "epoch_val_f1", "selected_epoch",
+                 "probe_epoch_val_f1", "probe_selected_epoch", "mlm_final_loss"}
+BUNDLE_KEYS = {"schema_version", "manifest", "column", "regime", "task",
+               "pivot_language", "languages", "task_labels", "metrics",
+               "cluster_reports"}
+
+
+def test_run_record_keys(frozen_bundle):
+    _, bundle = frozen_bundle
+    manifest = json.loads((bundle.root / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert set(bundle.data) == BUNDLE_KEYS
+    # the head arrays' shapes are the only record of d_model they need
+    _, meta = load_checkpoint(bundle.root / "heads.ckpt")
+    assert meta == {}
 
 
 def test_every_metric_cell_carries_the_manifest_id(frozen_bundle):
@@ -390,6 +411,26 @@ def test_reanalyze_is_byte_identical(frozen_bundle):
     assert re_bundle.data == bundle.data
     with pytest.raises(StageError, match="\\[analyze\\].*manifest.json"):
         reanalyze(bundle.root / "nowhere")
+
+
+def test_reanalyze_reads_a_run_of_the_old_record_format(frozen_bundle,
+                                                         tmp_path):
+    # runs written before the records lost their echoed fields carry a
+    # seed and checkpoint names in the manifest and d_model in heads.ckpt;
+    # analyze reads only the manifest's id and config
+    cfg, bundle = frozen_bundle
+    old = tmp_path / "old"
+    shutil.copytree(bundle.root, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    write_json(old / "manifest.json", manifest | {
+        "seed": cfg.seed, "checkpoint": "encoder-final.ckpt",
+        "pretrained_checkpoint": "encoder-pretrained.ckpt",
+        "heads_checkpoint": "heads.ckpt"})
+    arrays, _ = load_checkpoint(old / "heads.ckpt")
+    save_checkpoint(old / "heads.ckpt", arrays, {"d_model": cfg.d_model})
+    assert reanalyze(old).data == bundle.data
+    for name in ("bundle.json", "projection-task.csv", "embeddings-lid.tsv"):
+        assert (old / name).read_bytes() == (bundle.root / name).read_bytes()
 
 
 def _on_call(monkeypatch, module, name, hook):
@@ -508,6 +549,12 @@ def test_export_plot_data(frozen_bundle, tmp_path):
     assert custom.exists()
     with pytest.raises(StageError, match="\\[export\\] unknown plot kind"):
         export_plot_data(bundle, "labels-parsing")
+    # the projection is named by the code, not the bundle: an empty bundle
+    # finds it, and a missing file fails by path
+    assert export_plot_data(ResultsBundle(data={}, root=bundle.root),
+                            "labels-lid", custom) == custom
+    with pytest.raises(StageError, match="\\[export\\] projection file missing"):
+        export_plot_data(ResultsBundle(data={}, root=tmp_path), "labels-lid")
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +576,9 @@ def test_hyperparameter_search_report(pipe_dir):
             assert value in report["grids"][key]
     on_disk = json.loads((pipe_dir / "hp" / "hpsearch.json").read_text())
     assert on_disk == report
+    assert set(report) == {"manifest_id", "regime", "grids", "n_samples",
+                           "ranking"}
+    assert report["manifest_id"] == manifest_id(cfg.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -865,27 +915,61 @@ def test_cli_checkpoint_of_another_vocabulary_fails_and_writes_nothing(
     assert not Path(cfg.out_dir).exists()
 
 
-@pytest.mark.parametrize("first", ["train", "pretrain"])
+RUN_RECORD = {"train": "manifest.json", "pretrain": "pretrain-manifest.json",
+              "hpsearch": "hpsearch.json"}
+
+
+@pytest.mark.parametrize("first", list(RUN_RECORD))
 def test_cli_out_dir_of_another_run_is_refused_before_the_corpus_stage(
         cli_cfg_path, monkeypatch, capsys, first):
     # one directory holds one run: another config (here another seed) may
     # not write into it, while a rerun of the same config may
     path, cfg = cli_cfg_path
-    assert main([first, "--config", str(path)]) == 0
+
+    def argv(command, *extra):
+        samples = ["--samples", "1"] if command == "hpsearch" else []
+        return [command, "--config", str(path), *samples, *extra]
+
+    assert main(argv(first)) == 0
     capsys.readouterr()
     before = dir_bytes(cfg.out_dir)
-    manifest = "manifest.json" if first == "train" else "pretrain-manifest.json"
     monkeypatch.setattr(pipeline, "prepare_data",
                         lambda cfg: pytest.fail("the corpus stage ran"))
-    for command in ("train", "pretrain", "hpsearch"):
-        argv = [command, "--config", str(path), "--seed", "5"]
-        if command == "hpsearch":
-            argv += ["--samples", "1"]
-        assert main(argv) == 2
+    for command in RUN_RECORD:
+        assert main(argv(command, "--seed", "5")) == 2
         assert capsys.readouterr().err == (
-            f"error [out_dir] {cfg.out_dir} holds another run: its {manifest} "
-            f"has manifest_id {manifest_id(cfg.to_dict())}\n")
+            f"error [out_dir] {cfg.out_dir} holds another run: its "
+            f"{RUN_RECORD[first]} has manifest_id {manifest_id(cfg.to_dict())}\n")
         assert dir_bytes(cfg.out_dir) == before
+    monkeypatch.undo()
+    assert main(argv(first)) == 0
+    assert dir_bytes(cfg.out_dir) == before
+
+
+def test_cli_analyze_refuses_a_final_encoder_of_another_vocabulary(
+        cli_cfg_path, capsys):
+    # an encoder pretrained on corpus_seed 1 has the run's shape and
+    # vocabulary size, but its ids name other tokens
+    path, cfg = cli_cfg_path
+    assert main(["train", "--config", str(path)]) == 0
+    other = dataclasses.replace(cfg, out_dir=str(path.parent / "other"),
+                                corpus_seed=1)
+    other_cfg = path.parent / "other.json"
+    other_cfg.write_text(json.dumps(other.to_dict()))
+    assert main(["pretrain", "--config", str(other_cfg)]) == 0
+    capsys.readouterr()
+    run = Path(cfg.out_dir)
+    shutil.copyfile(Path(other.out_dir) / "encoder-pretrained.ckpt",
+                    run / "encoder-final.ckpt")
+    before = dir_bytes(run)
+    assert main(["analyze", "--run", cfg.out_dir]) == 2
+    theirs = prepare_data(other).vocab.sha256()
+    ours = prepare_data(cfg).vocab.sha256()
+    assert theirs != ours
+    assert capsys.readouterr().err == (
+        f"error [checkpoints] checkpoint vocabulary sha256 {theirs} is not "
+        f"the run's {ours}\n")
+    assert dir_bytes(run) == before
 
 
 def test_pretrain_manifest_keys(cli_cfg_path, capsys):
@@ -896,12 +980,11 @@ def test_pretrain_manifest_keys(cli_cfg_path, capsys):
         f"pretrained encoder -> {out / 'encoder-pretrained.ckpt'}")
     manifest = json.loads((out / "pretrain-manifest.json").read_text())
     assert set(manifest) == {"manifest_id", "config", "mlm_steps",
-                             "mlm_final_loss", "checkpoint"}
+                             "mlm_final_loss"}
     assert manifest["manifest_id"] == manifest_id(cfg.to_dict())
     assert manifest["config"] == cfg.to_dict()
     assert manifest["mlm_steps"] == cfg.mlm_steps
     assert isinstance(manifest["mlm_final_loss"], float)
-    assert manifest["checkpoint"] == "encoder-pretrained.ckpt"
     assert sorted(p.name for p in out.iterdir()) == [
         "encoder-pretrained.ckpt", "pretrain-manifest.json"]
 
