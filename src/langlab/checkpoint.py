@@ -16,9 +16,11 @@ format with mtimes would not).  Loading checks the payload digest, so a
 corrupted payload fails by name instead of loading silently.  Heads and
 encoder share one container under name prefixes like ``encoder/tok_emb``,
 ``task_head/w``.  An encoder checkpoint's meta holds its EncoderConfig and
-the sha256 of the vocabulary its token ids index, so a run can refuse an
-encoder whose ids name other tokens.  The file is written whole
-(files.write_file): a reader never sees half of one.
+the sha256 of the vocabulary its token ids index; load_encoder returns
+an encoder only when both are the ones the caller's run names, so no run
+reads an encoder of another shape or whose ids name other tokens.  The
+file is written whole (files.write_file): a reader never sees half of
+one.
 """
 
 from __future__ import annotations
@@ -108,14 +110,26 @@ def save_encoder(path, model: EncoderModel, vocab: Vocabulary) -> None:
                      "vocab_sha256": vocab.sha256()})
 
 
-def load_encoder(path) -> tuple[EncoderModel, str | None]:
-    """The saved encoder and its vocabulary's sha256 (None when the
-    checkpoint names no vocabulary)."""
+def load_encoder(path, want: EncoderConfig, vocab: Vocabulary) -> EncoderModel:
+    """The saved encoder, once its config is want (the error names every
+    field that differs) and its checkpoint records vocab's sha256 (one
+    that records none fails too)."""
     arrays, meta = load_checkpoint(path)
     cfg = meta.get("encoder_config")
     if cfg is None:
         raise CheckpointError(f"{path}: checkpoint has no encoder_config")
+    config = EncoderConfig(**cfg)
+    got, run = dataclasses.asdict(config), dataclasses.asdict(want)
+    wrong = [f"{name} {got[name]} (run {run[name]})"
+             for name in run if got[name] != run[name]]
+    if wrong:
+        raise CheckpointError(f"checkpoint encoder config does not match the "
+                              f"run's: {', '.join(wrong)}")
+    recorded = meta.get("vocab_sha256")
+    if recorded != vocab.sha256():
+        raise CheckpointError(f"checkpoint vocabulary sha256 "
+                              f"{recorded or '(none recorded)'} is not the "
+                              f"run's {vocab.sha256()}")
     params = {k[len("encoder/"):]: v for k, v in arrays.items()
               if k.startswith("encoder/")}
-    return (EncoderModel(config=EncoderConfig(**cfg), params=params),
-            meta.get("vocab_sha256"))
+    return EncoderModel(config=config, params=params)

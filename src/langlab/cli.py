@@ -4,8 +4,10 @@ Subcommands: gen-corpus, pretrain, train, probe-lid, analyze, hpsearch,
 export, compare.  The CLI only parses arguments and prints results: every
 command that touches the encoder runs through langlab.pipeline's stages.
 All configuration is explicit (flat JSON config file, presets, flag
-overrides); no environment variables.  Exit code 0 on success; failures
-print a stage-tagged diagnostic to stderr and exit nonzero.
+overrides); no environment variables.  main runs BLAS on one thread, so
+OPENBLAS_NUM_THREADS does not change what a command writes.  Exit code 0
+on success; failures print a stage-tagged diagnostic to stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+from functools import partial
 from pathlib import Path
+
+import numpy
 
 from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
@@ -21,12 +26,13 @@ from langlab.data.synthetic import build_vocabulary, generate_corpus, make_langu
 from langlab.files import write_json
 from langlab.pipeline import (
     EXPORT_KINDS,
-    ResultsBundle,
     StageError,
+    bundle_metric,
     compare_runs,
     export_plot_data,
     format_delta_table,
     hyperparameter_search,
+    load_bundle,
     reanalyze,
     run_experiment,
     run_language_probe,
@@ -102,9 +108,9 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     bundle = run_experiment(cfg)
-    m = bundle.metric
-    print(f"run {bundle.data['manifest'][:12]} ({bundle.data['column']}) "
-          f"-> {bundle.root}")
+    m = partial(bundle_metric, bundle)
+    print(f"run {bundle['manifest'][:12]} ({bundle['column']}) "
+          f"-> {Path(cfg.out_dir)}")
     print(f"task F1 overall      {m('task_f1.overall'):.4f}")
     print(f"LID F1 on task data  {m('lid_f1_task_data'):.4f}")
     print(f"LID F1 on LID data   {m('lid_f1_lid_data'):.4f}")
@@ -125,7 +131,7 @@ def _cmd_probe_lid(args) -> int:
 
 def _cmd_analyze(args) -> int:
     bundle = reanalyze(args.run)
-    print(f"recomputed bundle {bundle.data['manifest'][:12]} under {bundle.root}")
+    print(f"recomputed bundle {bundle['manifest'][:12]} under {Path(args.run)}")
     return 0
 
 
@@ -140,15 +146,13 @@ def _cmd_hpsearch(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    bundle = ResultsBundle.load(args.run)
-    dest = export_plot_data(bundle, args.which, args.out)
+    dest = export_plot_data(args.run, args.which, args.out)
     print(f"wrote {dest}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    bundles = [ResultsBundle.load(d) for d in args.runs]
-    table = compare_runs(bundles)
+    table = compare_runs([load_bundle(d) for d in args.runs])
     if args.out:
         write_json(Path(args.out), table)
     print(format_delta_table(table))
@@ -235,8 +239,23 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread, so a run's files do not depend on the
+    thread count: threaded BLAS can sum a product in another order.  The
+    setter is numpy's bundled OpenBLAS's; a numpy without it is left as
+    it is."""
+    try:
+        umath = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+        set_threads = umath.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def main(argv=None) -> int:
     _keep_heap()
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

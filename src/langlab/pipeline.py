@@ -11,29 +11,31 @@ stages; the CLI only parses arguments and prints what these return:
     analyze    reanalyze              analyze, corpus, checkpoints,
                                       evaluate, analyze, bundle
 
-A PipelineConfig checks its own values, the encoder shape included,
-when it is built; hpsearch checks its sample count before any stage.
-The corpus stage (prepare_data) builds the corpora and splits and works
-out, once per run, every corpus fact the later stages share: the
-language index, the task spec and the pivot-language train/val, failing
-on a pivot language the task corpus lacks.  The pretrain stage
-(pretrain_encoder) checks the run's encoder config against the
-corpora's longest sequence, then pretrains a fresh encoder of that
-config or loads the configured checkpoint, which must match it exactly
-and name the run's vocabulary (its sha256, which every saved encoder
-carries).  Artifacts go under the configured output directory, which is
-made only when the first of them is written: the pretrained checkpoint
-(train, pretrain) or hpsearch.json, so a corpus- or pretrain-stage
-failure leaves nothing on disk, and probe-lid writes nothing at all.
-One directory holds one run: before the corpus stage, train, pretrain
-and hpsearch refuse an output directory whose manifest.json,
-pretrain-manifest.json or hpsearch.json holds another manifest id
-([out_dir]).  analyze rebuilds the corpus from the manifest's config and
-refuses a final encoder that names another vocabulary ([checkpoints]).
-A run record holds each fact once: file names are fixed here, not
-recorded.  Every file is written whole (files.write_file).  Any stage
-failure raises StageError carrying the stage name; artifacts written
-before the failure stay on disk for inspection.
+A PipelineConfig checks its own values, the encoder shape included, when
+it is built; hpsearch checks its sample count before any stage.  The
+corpus stage (prepare_data) builds the corpora and splits and works out,
+once per run, every corpus fact the later stages share: the language
+index, the task spec and the pivot-language train/val, failing on a
+pivot language the task corpus lacks or a task-corpus language the LID
+corpus lacks.  The pretrain stage (pretrain_encoder) checks the run's
+encoder config against the corpora's longest sequence, then pretrains a
+fresh encoder of that config or loads the configured checkpoint through
+checkpoint.load_encoder, which refuses one of another config or
+vocabulary.  Artifacts go under the configured output directory, which
+is made only when the first of them is written: the pretrained
+checkpoint (train, pretrain) or hpsearch.json, so a corpus- or
+pretrain-stage failure leaves nothing on disk, and probe-lid writes
+nothing at all.  One directory holds one run: before the corpus stage,
+train, pretrain and hpsearch refuse an output directory whose
+manifest.json, pretrain-manifest.json or hpsearch.json holds another
+manifest id ([out_dir]).  analyze rebuilds the corpus from the
+manifest's config and loads the final encoder through the same
+load_encoder ([checkpoints]).  A run record holds each fact once: file
+names are fixed here, not recorded.  A bundle is the dict bundle.json
+holds: train and analyze return it, and compare and export read it back
+(load_bundle).  Every file is written whole (files.write_file).  Any
+stage failure raises StageError carrying the stage name; artifacts
+written before the failure stay on disk for inspection.
 
 The whole pipeline is a pure function of (input files, config): output
 files are byte-identical across reruns with the same resolved config.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -113,32 +115,23 @@ def _claim_out_dir(cfg: PipelineConfig) -> str:
     return mid
 
 
-@dataclass
-class ResultsBundle:
-    data: dict
-    root: Path
+def load_bundle(run_dir) -> dict:
+    """The bundle a finished run wrote: the dict its bundle.json holds."""
+    path = Path(run_dir) / "bundle.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no bundle.json under {Path(run_dir)}")
+    return json.loads(path.read_text(encoding="utf-8"))
 
-    @classmethod
-    def load(cls, run_dir) -> "ResultsBundle":
-        root = Path(run_dir)
-        path = root / "bundle.json"
-        if not path.exists():
-            raise FileNotFoundError(f"no bundle.json under {root}")
-        return cls(data=json.loads(path.read_text(encoding="utf-8")), root=root)
 
-    def metric(self, path: str):
-        """Dig a dotted path out of the metrics tree; None when absent.
-
-        Leaf metric cells are {"value": v, "manifest": id}; returns v.
-        """
-        node = self.data.get("metrics", {})
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                return None
-            node = node[part]
-        if isinstance(node, dict) and "value" in node:
-            return node["value"]
-        return node if isinstance(node, (int, float)) else None
+def bundle_metric(bundle: dict, path: str):
+    """The value of the metric cell ({"value": v, "manifest": id}) at a
+    dotted path of the bundle's metrics tree; None when absent."""
+    node = bundle.get("metrics", {})
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node.get("value") if isinstance(node, dict) else None
 
 
 def load_corpora(cfg: PipelineConfig):
@@ -177,12 +170,17 @@ class RunData(NamedTuple):
 def prepare_data(cfg: PipelineConfig) -> RunData:
     """Corpora, stratified splits and their indexes (split seed ties to
     the corpus, not the run, so paired runs see identical partitions).
-    A pivot language with no task train or val examples fails here."""
+    A task-corpus language the LID corpus lacks (the language index
+    has no id for it), or a pivot language with no task train or val
+    examples, fails here."""
     vocab, task_examples, lid_examples = load_corpora(cfg)
     task_split = stratified_split(task_examples, seed=cfg.corpus_seed)
     lid_split = stratified_split(lid_examples, seed=cfg.corpus_seed + 1)
-    languages = tuple(sorted({ex.language for part in lid_split.parts
-                              for ex in part}))
+    languages = tuple(sorted({ex.language for ex in lid_examples}))
+    unindexed = sorted({ex.language for ex in task_examples} - set(languages))
+    if unindexed:
+        raise ValueError(f"task corpus languages missing from the LID "
+                         f"corpus: {', '.join(unindexed)}")
     task_spec = task_spec_for(cfg.task, [ex for part in task_split.parts
                                          for ex in part])
     pivot_train = filter_language(task_split.train, cfg.pivot_language)
@@ -199,9 +197,8 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
     """MLM-pretrain a fresh encoder on LID train data, or load the
     configured checkpoint; (encoder, losses).  The run's encoder config
     is checked first: the corpora's longest sequence must fit its
-    max_len, and a loaded encoder must have exactly that config.  A
-    loaded checkpoint must then carry the sha256 of the run's vocabulary
-    (_check_vocabulary)."""
+    max_len.  load_encoder refuses a checkpoint of another config or
+    vocabulary."""
     want = cfg.encoder_config(len(data.vocab))
     longest = max(len(ex.sequence) for split in (data.task_split, data.lid_split)
                   for part in split.parts for ex in part)
@@ -213,24 +210,7 @@ def pretrain_encoder(cfg: PipelineConfig, data: RunData):
                             data.lid_split.train, mask_rate=cfg.mask_rate,
                             steps=cfg.mlm_steps, batch_size=cfg.mlm_batch_size,
                             lr=cfg.mlm_lr, seed=cfg.seed)
-    encoder, vocab_sha256 = load_encoder(cfg.encoder_checkpoint)
-    got = asdict(encoder.config)
-    wrong = [f"{name} {got[name]} (run {value})"
-             for name, value in asdict(want).items() if got[name] != value]
-    if wrong:
-        raise ValueError(f"checkpoint encoder config does not match the "
-                         f"run's: {', '.join(wrong)}")
-    _check_vocabulary(vocab_sha256, data.vocab)
-    return encoder, []
-
-
-def _check_vocabulary(vocab_sha256: str | None, vocab: Vocabulary) -> None:
-    """A loaded encoder's ids must index the run's vocabulary: the sha256
-    its checkpoint records must be vocab's (None, no record, fails too)."""
-    if vocab_sha256 != vocab.sha256():
-        raise ValueError(f"checkpoint vocabulary sha256 "
-                         f"{vocab_sha256 or '(none recorded)'} is not the "
-                         f"run's {vocab.sha256()}")
+    return load_encoder(cfg.encoder_checkpoint, want, data.vocab), []
 
 
 def _cell(value: float, mid: str) -> dict:
@@ -280,7 +260,7 @@ def run_language_probe(cfg: PipelineConfig) -> tuple[TrainingRun, tuple]:
     return probe, data.languages
 
 
-def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
+def run_experiment(cfg: PipelineConfig) -> dict:
     mid = _claim_out_dir(cfg)
     out = Path(cfg.out_dir)
     data, encoder, mlm_losses = _corpus_and_encoder(cfg, out)
@@ -307,8 +287,7 @@ def run_experiment(cfg: PipelineConfig) -> ResultsBundle:
             "mlm_final_loss": float(mlm_losses[-1]) if mlm_losses else None,
         })
 
-    bundle_data = _measure_and_analyze(cfg, out, mid, run.encoder, heads, data)
-    return ResultsBundle(data=bundle_data, root=out)
+    return _measure_and_analyze(cfg, out, mid, run.encoder, heads, data)
 
 
 def _measure_and_analyze(cfg, out: Path, mid: str, encoder, heads: dict,
@@ -393,11 +372,11 @@ def _measure_and_analyze(cfg, out: Path, mid: str, encoder, heads: dict,
     return bundle
 
 
-def reanalyze(run_dir) -> ResultsBundle:
+def reanalyze(run_dir) -> dict:
     """Recompute evaluation + analysis + bundle from a finished run's
     checkpoints and manifest (its manifest_id and config); byte-identical
-    to the original bundle.  The final encoder must name the vocabulary
-    the corpus stage rebuilt."""
+    to the original bundle.  The final encoder must have the config's
+    encoder shape and name the vocabulary the corpus stage rebuilt."""
     root = Path(run_dir)
     with _stage("analyze"):
         manifest_path = root / "manifest.json"
@@ -408,14 +387,13 @@ def reanalyze(run_dir) -> ResultsBundle:
     with _stage("corpus"):
         data = prepare_data(cfg)
     with _stage("checkpoints"):
-        encoder, vocab_sha256 = load_encoder(root / "encoder-final.ckpt")
-        _check_vocabulary(vocab_sha256, data.vocab)
+        encoder = load_encoder(root / "encoder-final.ckpt",
+                               cfg.encoder_config(len(data.vocab)), data.vocab)
         arrays, _ = load_checkpoint(root / "heads.ckpt")
         heads = {name: ClassifierHead(w=arrays[f"{name}/w"], b=arrays[f"{name}/b"])
                  for name in ("task", "probe")}
-    bundle_data = _measure_and_analyze(cfg, root, manifest["manifest_id"],
-                                       encoder, heads, data)
-    return ResultsBundle(data=bundle_data, root=root)
+    return _measure_and_analyze(cfg, root, manifest["manifest_id"],
+                                encoder, heads, data)
 
 
 METRIC_PATHS = (
@@ -429,7 +407,7 @@ METRIC_PATHS = (
 )
 
 
-def compare_runs(bundles: list[ResultsBundle]) -> dict:
+def compare_runs(bundles: list[dict]) -> dict:
     """Per-metric deltas against the first bundle, with provenance.
 
     Metrics absent from a bundle yield null deltas (an explicit gap
@@ -437,10 +415,10 @@ def compare_runs(bundles: list[ResultsBundle]) -> dict:
     """
     if len(bundles) < 2:
         raise ValueError("need at least two bundles to compare")
-    first = bundles[0].data
+    first = bundles[0]
     for b in bundles[1:]:
         for key in ("task", "languages", "task_labels"):
-            if b.data.get(key) != first.get(key):
+            if b.get(key) != first.get(key):
                 raise ValueError(
                     f"mismatched schemas: bundles disagree on {key!r}"
                 )
@@ -451,7 +429,7 @@ def compare_runs(bundles: list[ResultsBundle]) -> dict:
 
     rows = []
     for path in paths:
-        values = [b.metric(path) for b in bundles]
+        values = [bundle_metric(b, path) for b in bundles]
         base = values[0]
         deltas = [
             None if (v is None or base is None) else float(v) - float(base)
@@ -460,8 +438,8 @@ def compare_runs(bundles: list[ResultsBundle]) -> dict:
         rows.append({"metric": path, "values": values, "deltas": deltas})
     return {
         "baseline": first.get("manifest"),
-        "manifests": [b.data.get("manifest") for b in bundles],
-        "columns": [b.data.get("column") for b in bundles],
+        "manifests": [b.get("manifest") for b in bundles],
+        "columns": [b.get("column") for b in bundles],
         "rows": rows,
     }
 
@@ -482,21 +460,23 @@ def format_delta_table(table: dict) -> str:
     return "\n".join(lines)
 
 
-def export_plot_data(bundle: ResultsBundle, which: str,
-                     out_path=None) -> Path:
-    """Copy the projection CSV for an annotation-dataset pair.
+def export_plot_data(run_dir, which: str, out_path=None) -> Path:
+    """Copy a finished run's projection CSV for an annotation-dataset pair.
 
     which is one of labels-task, labels-lid, languages-task,
     languages-lid; the two annotations share one projection per dataset
-    (same sampled points, different plot coloring downstream).
+    (same sampled points, different plot coloring downstream).  A
+    directory without bundle.json holds no finished run and is refused.
     """
     if which not in EXPORT_KINDS:
         raise StageError("export", f"unknown plot kind {which!r}; "
                                    f"expected one of {', '.join(EXPORT_KINDS)}")
-    src = bundle.root / PROJECTION_FILES[which.split("-")[1]]
+    root = Path(run_dir)
+    load_bundle(root)
+    src = root / PROJECTION_FILES[which.split("-")[1]]
     if not src.exists():
         raise StageError("export", f"projection file missing: {src}")
-    dest = Path(out_path) if out_path else bundle.root / f"plot-{which}.csv"
+    dest = Path(out_path) if out_path else root / f"plot-{which}.csv"
     write_file(dest, src.read_bytes())
     return dest
 

@@ -578,16 +578,15 @@ def test_checkpoint_write_replaces_target_whole(tmp_path, monkeypatch):
 def test_encoder_checkpoint_roundtrip(tmp_path, tiny_encoder, tiny_vocab):
     path = tmp_path / "enc.ckpt"
     save_encoder(path, tiny_encoder, tiny_vocab)
-    loaded, vocab_sha256 = load_encoder(path)
-    assert vocab_sha256 == tiny_vocab.sha256()
+    loaded = load_encoder(path, tiny_encoder.config, tiny_vocab)
     assert loaded.config == tiny_encoder.config
     assert set(loaded.params) == set(tiny_encoder.params)
     for name, arr in tiny_encoder.params.items():
         assert np.array_equal(loaded.params[name], arr)
 
 
-def test_load_encoder_requires_config(tmp_path):
+def test_load_encoder_requires_config(tmp_path, tiny_encoder, tiny_vocab):
     path = tmp_path / "plain.ckpt"
     save_checkpoint(path, {"encoder/tok_emb": np.zeros((4, 2))})
     with pytest.raises(CheckpointError, match="encoder_config"):
-        load_encoder(path)
+        load_encoder(path, tiny_encoder.config, tiny_vocab)

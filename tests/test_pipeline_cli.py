@@ -8,14 +8,19 @@ the comparison/export paths the CLI exposes.
 from __future__ import annotations
 
 import copy
+import ctypes
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy
 import pytest
 
 from langlab import cli, pipeline
@@ -36,12 +41,13 @@ from langlab.files import write_json
 from langlab.pipeline import (
     EXPORT_KINDS,
     METRIC_PATHS,
-    ResultsBundle,
     StageError,
+    bundle_metric,
     compare_runs,
     export_plot_data,
     format_delta_table,
     hyperparameter_search,
+    load_bundle,
     prepare_data,
     reanalyze,
     run_experiment,
@@ -298,25 +304,24 @@ RUN_FILES = (
 
 
 def test_run_writes_all_artifacts(frozen_bundle):
-    _, bundle = frozen_bundle
+    cfg, _ = frozen_bundle
     for name in RUN_FILES:
-        assert (bundle.root / name).exists(), name
+        assert (Path(cfg.out_dir) / name).exists(), name
 
 
 def test_bundle_schema_and_metrics(frozen_bundle):
     cfg, bundle = frozen_bundle
-    data = bundle.data
-    assert data["schema_version"] == 1
-    assert data["column"] == "initial"       # frozen probe reports "initial"
-    assert data["regime"] == "frozen_probe"
-    assert data["languages"] == ["aa", "ab", "ac"]
-    assert data["task_labels"] == ["FUNC", "NOUN", "VERB"]
+    assert bundle["schema_version"] == 1
+    assert bundle["column"] == "initial"     # frozen probe reports "initial"
+    assert bundle["regime"] == "frozen_probe"
+    assert bundle["languages"] == ["aa", "ab", "ac"]
+    assert bundle["task_labels"] == ["FUNC", "NOUN", "VERB"]
     for path in METRIC_PATHS:
-        value = bundle.metric(path)
+        value = bundle_metric(bundle, path)
         assert value is not None and 0.0 <= value <= 1.0, path
-    assert bundle.metric("task_f1.per_language.aa") is not None
-    assert bundle.metric("no.such.metric") is None
-    manifest = json.loads((bundle.root / "manifest.json").read_text())
+    assert bundle_metric(bundle, "task_f1.per_language.aa") is not None
+    assert bundle_metric(bundle, "no.such.metric") is None
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     assert len(manifest["epoch_val_f1"]) == cfg.epochs
 
 
@@ -330,19 +335,20 @@ BUNDLE_KEYS = {"schema_version", "manifest", "column", "regime", "task",
 
 
 def test_run_record_keys(frozen_bundle):
-    _, bundle = frozen_bundle
-    manifest = json.loads((bundle.root / "manifest.json").read_text())
+    cfg, bundle = frozen_bundle
+    root = Path(cfg.out_dir)
+    manifest = json.loads((root / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
-    assert set(bundle.data) == BUNDLE_KEYS
+    assert set(bundle) == BUNDLE_KEYS
     # the head arrays' shapes are the only record of d_model they need
-    _, meta = load_checkpoint(bundle.root / "heads.ckpt")
+    _, meta = load_checkpoint(root / "heads.ckpt")
     assert meta == {}
 
 
 def test_every_metric_cell_carries_the_manifest_id(frozen_bundle):
     cfg, bundle = frozen_bundle
     mid = manifest_id(cfg.to_dict())
-    assert bundle.data["manifest"] == mid
+    assert bundle["manifest"] == mid
 
     def walk(node):
         if isinstance(node, dict):
@@ -352,29 +358,29 @@ def test_every_metric_cell_carries_the_manifest_id(frozen_bundle):
                 for v in node.values():
                     yield from walk(v)
 
-    cells = list(walk(bundle.data["metrics"]))
+    cells = list(walk(bundle["metrics"]))
     assert cells
     assert all(c["manifest"] == mid for c in cells)
 
 
 def test_frozen_probe_run_keeps_encoder_bytes(frozen_bundle):
-    _, bundle = frozen_bundle
-    pre = (bundle.root / "encoder-pretrained.ckpt").read_bytes()
-    final = (bundle.root / "encoder-final.ckpt").read_bytes()
+    cfg, _ = frozen_bundle
+    pre = (Path(cfg.out_dir) / "encoder-pretrained.ckpt").read_bytes()
+    final = (Path(cfg.out_dir) / "encoder-final.ckpt").read_bytes()
     assert pre == final
 
 
 def test_finetune_run_moves_encoder(finetune_bundle):
-    _, bundle = finetune_bundle
-    assert bundle.data["column"] == "finetune"
-    pre = (bundle.root / "encoder-pretrained.ckpt").read_bytes()
-    final = (bundle.root / "encoder-final.ckpt").read_bytes()
+    cfg, bundle = finetune_bundle
+    assert bundle["column"] == "finetune"
+    pre = (Path(cfg.out_dir) / "encoder-pretrained.ckpt").read_bytes()
+    final = (Path(cfg.out_dir) / "encoder-final.ckpt").read_bytes()
     assert pre != final
 
 
 def test_manifest_round_trips_config(frozen_bundle):
-    cfg, bundle = frozen_bundle
-    manifest = json.loads((bundle.root / "manifest.json").read_text())
+    cfg, _ = frozen_bundle
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     assert manifest["manifest_id"] == manifest_id(cfg.to_dict())
     assert config_from_dict(manifest["config"]) == cfg
     assert manifest["mlm_final_loss"] > 0.0
@@ -382,35 +388,35 @@ def test_manifest_round_trips_config(frozen_bundle):
 
 
 def test_bundle_load_matches_returned(frozen_bundle):
-    _, bundle = frozen_bundle
-    loaded = ResultsBundle.load(bundle.root)
-    assert loaded.data == bundle.data
+    cfg, bundle = frozen_bundle
+    assert load_bundle(cfg.out_dir) == bundle
     with pytest.raises(FileNotFoundError, match="bundle.json"):
-        ResultsBundle.load(bundle.root / "nowhere")
+        load_bundle(Path(cfg.out_dir) / "nowhere")
 
 
 def test_rerun_is_byte_identical(frozen_bundle):
     cfg, bundle = frozen_bundle
-    before = dir_bytes(bundle.root)
+    before = dir_bytes(cfg.out_dir)
     again = run_experiment(cfg)
-    after = dir_bytes(bundle.root)
+    after = dir_bytes(cfg.out_dir)
     assert sorted(before) == sorted(after)
     for name in before:
         assert before[name] == after[name], name
-    assert again.data == bundle.data
+    assert again == bundle
 
 
 def test_reanalyze_is_byte_identical(frozen_bundle):
-    _, bundle = frozen_bundle
+    cfg, bundle = frozen_bundle
+    root = Path(cfg.out_dir)
     watched = ("bundle.json", "projection-task.csv", "projection-lid.csv",
                "embeddings-task.tsv", "embeddings-lid.tsv")
-    before = {n: (bundle.root / n).read_bytes() for n in watched}
-    re_bundle = reanalyze(bundle.root)
+    before = {n: (root / n).read_bytes() for n in watched}
+    re_bundle = reanalyze(root)
     for n in watched:
-        assert (bundle.root / n).read_bytes() == before[n], n
-    assert re_bundle.data == bundle.data
+        assert (root / n).read_bytes() == before[n], n
+    assert re_bundle == bundle
     with pytest.raises(StageError, match="\\[analyze\\].*manifest.json"):
-        reanalyze(bundle.root / "nowhere")
+        reanalyze(root / "nowhere")
 
 
 def test_reanalyze_reads_a_run_of_the_old_record_format(frozen_bundle,
@@ -420,7 +426,7 @@ def test_reanalyze_reads_a_run_of_the_old_record_format(frozen_bundle,
     # analyze reads only the manifest's id and config
     cfg, bundle = frozen_bundle
     old = tmp_path / "old"
-    shutil.copytree(bundle.root, old)
+    shutil.copytree(cfg.out_dir, old)
     manifest = json.loads((old / "manifest.json").read_text())
     write_json(old / "manifest.json", manifest | {
         "seed": cfg.seed, "checkpoint": "encoder-final.ckpt",
@@ -428,9 +434,9 @@ def test_reanalyze_reads_a_run_of_the_old_record_format(frozen_bundle,
         "heads_checkpoint": "heads.ckpt"})
     arrays, _ = load_checkpoint(old / "heads.ckpt")
     save_checkpoint(old / "heads.ckpt", arrays, {"d_model": cfg.d_model})
-    assert reanalyze(old).data == bundle.data
+    assert reanalyze(old) == bundle
     for name in ("bundle.json", "projection-task.csv", "embeddings-lid.tsv"):
-        assert (old / name).read_bytes() == (bundle.root / name).read_bytes()
+        assert (old / name).read_bytes() == (Path(cfg.out_dir) / name).read_bytes()
 
 
 def _on_call(monkeypatch, module, name, hook):
@@ -467,12 +473,12 @@ def test_one_language_probe_and_one_pass_per_split(pipe_dir, monkeypatch,
     cfg = tiny_pipeline_cfg(str(pipe_dir / f"once-{regime}"), regime=regime,
                             mlm_steps=10, tsne_iterations=30, kmeans_runs=2,
                             **weights)
-    bundle = run_experiment(cfg)
+    run_experiment(cfg)
     assert len(probes) == 1
     if regime in ("frozen_probe", "finetune"):
         # no (encoder parameters, examples) pair goes through the encoder twice
         assert len(set(embedded)) == len(embedded)
-    arrays, _ = load_checkpoint(bundle.root / "heads.ckpt")
+    arrays, _ = load_checkpoint(Path(cfg.out_dir) / "heads.ckpt")
     # only grad_reversal and entropy_max train a language head of their own
     lang = {"lang/w", "lang/b"} if weights else set()
     assert set(arrays) == {"task/w", "task/b", "probe/w", "probe/b"} | lang
@@ -486,14 +492,15 @@ def test_compare_runs_deltas(frozen_bundle, finetune_bundle):
     _, frozen = frozen_bundle
     _, finetuned = finetune_bundle
     table = compare_runs([frozen, finetuned])
-    assert table["baseline"] == frozen.data["manifest"]
+    assert table["baseline"] == frozen["manifest"]
     assert table["columns"] == ["initial", "finetune"]
     by_metric = {r["metric"]: r for r in table["rows"]}
     assert set(METRIC_PATHS) <= set(by_metric)
     assert "task_f1.per_language.aa" in by_metric
     row = by_metric["task_f1.overall"]
     assert row["deltas"][0] == pytest.approx(
-        finetuned.metric("task_f1.overall") - frozen.metric("task_f1.overall"))
+        bundle_metric(finetuned, "task_f1.overall")
+        - bundle_metric(frozen, "task_f1.overall"))
     # self-comparison: all deltas zero
     self_table = compare_runs([frozen, frozen])
     assert all(d == 0.0 for r in self_table["rows"] for d in r["deltas"])
@@ -505,7 +512,7 @@ def test_compare_runs_validation(frozen_bundle, finetune_bundle):
     with pytest.raises(ValueError, match="at least two"):
         compare_runs([frozen])
     doctored = copy.deepcopy(finetuned)
-    doctored.data["task"] = "pair_inference"
+    doctored["task"] = "pair_inference"
     with pytest.raises(ValueError, match="disagree on 'task'"):
         compare_runs([frozen, doctored])
 
@@ -515,7 +522,7 @@ def test_compare_runs_marks_missing_metrics_null(frozen_bundle,
     _, frozen = frozen_bundle
     _, finetuned = finetune_bundle
     gappy = copy.deepcopy(finetuned)
-    del gappy.data["metrics"]["lid_f1_lid_data"]
+    del gappy["metrics"]["lid_f1_lid_data"]
     table = compare_runs([frozen, gappy])
     row = next(r for r in table["rows"] if r["metric"] == "lid_f1_lid_data")
     assert row["values"][1] is None
@@ -537,24 +544,28 @@ def test_format_delta_table_scales_to_percent(frozen_bundle, finetune_bundle):
 
 
 def test_export_plot_data(frozen_bundle, tmp_path):
-    _, bundle = frozen_bundle
+    cfg, _ = frozen_bundle
+    root = Path(cfg.out_dir)
     for which in EXPORT_KINDS:
-        dest = export_plot_data(bundle, which)
-        assert dest == bundle.root / f"plot-{which}.csv"
+        dest = export_plot_data(root, which)
+        assert dest == root / f"plot-{which}.csv"
         dataset = which.split("-")[1]
-        src = bundle.root / f"projection-{dataset}.csv"
+        src = root / f"projection-{dataset}.csv"
         assert dest.read_bytes() == src.read_bytes()
     custom = tmp_path / "custom.csv"
-    assert export_plot_data(bundle, "labels-task", custom) == custom
+    assert export_plot_data(cfg.out_dir, "labels-task", custom) == custom
     assert custom.exists()
     with pytest.raises(StageError, match="\\[export\\] unknown plot kind"):
-        export_plot_data(bundle, "labels-parsing")
-    # the projection is named by the code, not the bundle: an empty bundle
-    # finds it, and a missing file fails by path
-    assert export_plot_data(ResultsBundle(data={}, root=bundle.root),
-                            "labels-lid", custom) == custom
+        export_plot_data(root, "labels-parsing")
+    # the projection is named by the code, not the bundle: a directory
+    # without bundle.json holds no run, and a missing file fails by path
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(FileNotFoundError, match="no bundle.json under"):
+        export_plot_data(empty, "labels-lid")
+    shutil.copyfile(root / "bundle.json", empty / "bundle.json")
     with pytest.raises(StageError, match="\\[export\\] projection file missing"):
-        export_plot_data(ResultsBundle(data={}, root=tmp_path), "labels-lid")
+        export_plot_data(empty, "labels-lid")
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +763,34 @@ def test_cli_bad_pivot_fails_in_corpus_stage_and_writes_nothing(
     assert not Path(cfg.out_dir).exists()    # no checkpoint, no run dir
 
 
+def test_cli_task_language_the_lid_corpus_lacks_fails_in_corpus_stage(
+        cli_cfg_path, monkeypatch, capsys):
+    # the language index comes from the LID corpus, so a task-corpus
+    # language outside it has no id; it must fail before pretraining, not
+    # in [evaluate] after every checkpoint is written
+    path, cfg = cli_cfg_path
+    corpus = path.parent / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--languages", "3",
+                 "--per-language", "40", "--concepts", "30"]) == 0
+    capsys.readouterr()
+    conllu = corpus / "token_tag.conllu"
+    text = conllu.read_text(encoding="utf-8")
+    assert "# language = ab\n" in text
+    conllu.write_text(text.replace("# language = ab\n", "# language = zz\n"),
+                      encoding="utf-8")
+    path.write_text(json.dumps(cfg.to_dict() | {
+        "task_corpus_path": str(conllu), "lid_corpus_path": str(corpus / "lid.tsv"),
+        "vocab_path": str(corpus / "vocab.txt")}))
+    monkeypatch.setattr(pipeline, "mlm_pretrain",
+                        lambda *args, **kwargs: pytest.fail("an MLM step ran"))
+    assert main(["train", "--preset", "udpos-finetuned", "--config",
+                 str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error [corpus] task corpus languages missing from the LID corpus: "
+        "zz\n")
+    assert not Path(cfg.out_dir).exists()
+
+
 def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
     path, cfg = cli_cfg_path
     entered: list[str] = []
@@ -946,14 +985,20 @@ def test_cli_out_dir_of_another_run_is_refused_before_the_corpus_stage(
     assert dir_bytes(cfg.out_dir) == before
 
 
-def test_cli_analyze_refuses_a_final_encoder_of_another_vocabulary(
-        cli_cfg_path, capsys):
+@pytest.mark.parametrize("ours, theirs", [
+    ({}, {"corpus_seed": 1}), ({"n_layers": 2}, {"n_layers": 1})],
+    ids=["other-corpus", "other-shape"])
+def test_cli_analyze_refuses_a_final_encoder_of_another_run(
+        cli_cfg_path, capsys, ours, theirs):
     # an encoder pretrained on corpus_seed 1 has the run's shape and
-    # vocabulary size, but its ids name other tokens
+    # vocabulary size, but its ids name other tokens; one pretrained on
+    # the run's corpus at another n_layers has the run's vocabulary
     path, cfg = cli_cfg_path
+    cfg = dataclasses.replace(cfg, **ours)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert main(["train", "--config", str(path)]) == 0
     other = dataclasses.replace(cfg, out_dir=str(path.parent / "other"),
-                                corpus_seed=1)
+                                **theirs)
     other_cfg = path.parent / "other.json"
     other_cfg.write_text(json.dumps(other.to_dict()))
     assert main(["pretrain", "--config", str(other_cfg)]) == 0
@@ -963,12 +1008,16 @@ def test_cli_analyze_refuses_a_final_encoder_of_another_vocabulary(
                     run / "encoder-final.ckpt")
     before = dir_bytes(run)
     assert main(["analyze", "--run", cfg.out_dir]) == 2
-    theirs = prepare_data(other).vocab.sha256()
-    ours = prepare_data(cfg).vocab.sha256()
-    assert theirs != ours
-    assert capsys.readouterr().err == (
-        f"error [checkpoints] checkpoint vocabulary sha256 {theirs} is not "
-        f"the run's {ours}\n")
+    if "corpus_seed" in theirs:
+        their_sha = prepare_data(other).vocab.sha256()
+        our_sha = prepare_data(cfg).vocab.sha256()
+        assert their_sha != our_sha
+        message = (f"checkpoint vocabulary sha256 {their_sha} is not the "
+                   f"run's {our_sha}")
+    else:
+        message = ("checkpoint encoder config does not match the run's: "
+                   "n_layers 1 (run 2)")
+    assert capsys.readouterr().err == f"error [checkpoints] {message}\n"
     assert dir_bytes(run) == before
 
 
@@ -1016,6 +1065,70 @@ def test_keep_heap_is_silent_without_mallopt(libc, monkeypatch, tmp_path,
     assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
                  "--per-language", "4", "--concepts", "30"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_one_blas_thread_sets_numpys_blas_to_one_thread(monkeypatch):
+    loaded, calls = [], []
+
+    def set_threads(n):
+        calls.append(n)
+
+    def cdll(name):
+        loaded.append(name)
+        return types.SimpleNamespace(
+            scipy_openblas_set_num_threads64_=set_threads)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._one_blas_thread()
+    assert loaded == [numpy._core._multiarray_umath.__file__]
+    assert calls == [1]
+    assert set_threads.argtypes == [ctypes.c_int]
+
+
+@pytest.mark.parametrize("umath", ["unloadable", "without-setter"])
+def test_one_blas_thread_is_silent_without_the_setter(umath, monkeypatch,
+                                                      tmp_path, capsys):
+    def cdll(name):
+        if umath == "unloadable":
+            raise OSError("cannot load")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._one_blas_thread() is None
+    assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
+                 "--per-language", "4", "--concepts", "30"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # threaded BLAS can sum a product in another order: at the default
+    # encoder shape a gradient-reversal run at 2 threads wrote both
+    # checkpoints, heads.ckpt, the dumps and the projections differently
+    # from one at 1 thread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mlm_steps": 10, "task_examples_per_language": 80,
+        "lid_examples_per_language": 40, "epochs": 1, "tsne_iterations": 50}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        env = os.environ | {
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        # the same relative out_dir, so both runs have one manifest id
+        proc = subprocess.run(
+            [sys.executable, "-m", "langlab.cli", "train", "--config",
+             str(cfg), "--preset", "udpos-gradrev", "--encoder-lr", "7e-3",
+             "--out-dir", "run"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = {name: hashlib.sha256(data).hexdigest()
+                            for name, data in dir_bytes(cwd / "run").items()}
+    assert len(digests["1"]) == 9
+    assert digests["1"] == digests["2"]
 
 
 def test_cli_error_paths(tmp_path, capsys):
