@@ -15,8 +15,10 @@ updates.  Each row's probabilities are computed with the same float64
 operations as a row-at-a-time search, so P does not depend on the block
 size.  A row's entropy is log S - sum(p * z) for the shifted logits z
 and their exp-sum S, one log per row instead of one per entry.  The
-distances and the conditional rows are the only N x N arrays of the
-search; P is symmetrized into the distances' array.
+search holds one N x N array: a row's distances are read only by its
+own search, so each finished row's conditional distribution is written
+over them, and P is symmetrized in place one row panel at a time.  Its
+other work arrays are a few AFFINITY_BLOCK x N blocks.
 
 The gradient loop works on row panels of the upper triangle: rows
 a..a+PANEL-1 against columns a..N-1.  P and the Student-t kernel are
@@ -31,10 +33,11 @@ rows a..N-1: the gradient sums and the row sums of the full symmetric
 w.  The KL divergence uses the same panels; its diagonal terms are
 exactly 0, since p_ii = q_ii = P_FLOOR.  Besides P the loop holds the
 store (about N^2 / 2 entries, kept because rebuilding the panels in
-pass 2 was slower) and the scratch buffer; no N x N work array.  Z and
-the gradient are summed in another order than a dense N x N loop, so
-coordinates agree with one only to rounding, amplified by the
-sign-based gains over many iterations.
+pass 2 was slower) and the scratch buffer; no N x N work array, so
+t-SNE's peak is about 1.5 N^2 floats.  Z and the gradient are summed
+in another order than a dense N x N loop, so coordinates agree with
+one only to rounding, amplified by the sign-based gains over many
+iterations.
 """
 
 from __future__ import annotations
@@ -67,32 +70,36 @@ class TsneResult:
     row_perplexities: np.ndarray
 
 
-def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write sq_i + sq_j - 2 x_i.x_j into out, with a zero diagonal and
-    clamped at 0; scratch (same shape) is overwritten."""
+    clamped at 0; sq_i + sq_j is formed one row block at a time."""
     sq = (x * x).sum(axis=1)
-    np.add(sq[:, None], sq[None, :], out=scratch)
     np.matmul(x, x.T, out=out)
     out *= 2.0
-    np.subtract(scratch, out, out=out)
+    for first in range(0, len(x), AFFINITY_BLOCK):
+        rows = out[first:first + AFFINITY_BLOCK]
+        np.subtract(sq[first:first + len(rows), None] + sq[None, :], rows,
+                    out=rows)
     np.fill_diagonal(out, 0.0)
     return np.maximum(out, 0.0, out=out)
 
 
-def _bisect_block(d2: np.ndarray, first: int, target: float,
-                  p_out: np.ndarray, perp_out: np.ndarray) -> None:
-    """Bandwidth search for rows first..first+len(d2)-1 of the distances.
+def _bisect_block(rows: np.ndarray, first: int, target: float,
+                  perp_out: np.ndarray) -> None:
+    """Bandwidth search for rows first..first+len(rows)-1 of the distances.
 
-    d2 holds those rows' full distance rows; p_out and perp_out receive
-    each row's conditional distribution and achieved perplexity.
+    rows holds those rows' full distance rows on entry; each row is
+    overwritten with its conditional distribution once its search ends,
+    and perp_out receives the achieved perplexities.  A row's distances
+    are read only by its own search, so no other row needs them.
     """
-    m = d2.shape[0]
+    m = rows.shape[0]
     self_col = first + np.arange(m)
     # the largest logit -beta*d2_ij (j != i) is -beta times the nearest d2
-    masked = d2.copy()
+    masked = rows.copy()
     masked[np.arange(m), self_col] = np.inf
     nearest = masked.min(axis=1)
+    del masked
 
     beta = np.ones(m)
     lo = np.zeros(m)
@@ -100,7 +107,8 @@ def _bisect_block(d2: np.ndarray, first: int, target: float,
     active = np.arange(m)
     for step in range(MAX_BISECTION_STEPS + 1):
         neg_beta = -beta[active]
-        z = neg_beta[:, None] * d2[active]
+        z = rows[active]
+        z *= neg_beta[:, None]
         # logits stay finite, so p * z is 0 (not NaN) where p is 0: the
         # clamp only replaces an overflowed -inf, whose exp is 0 anyway,
         # and the diagonal gets a finite logit before its p is zeroed
@@ -108,17 +116,20 @@ def _bisect_block(d2: np.ndarray, first: int, target: float,
         z -= (neg_beta * nearest[active])[:, None]
         at_self = (np.arange(active.size), self_col[active])
         z[at_self] = 0.0
-        e = np.exp(z)
-        e[at_self] = 0.0
-        s = e.sum(axis=1)
-        p = e / s[:, None]
-        perp = np.exp(np.log(s) - (p * z).sum(axis=1))
+        p = np.exp(z)
+        p[at_self] = 0.0
+        s = p.sum(axis=1)
+        p /= s[:, None]
+        z *= p
+        perp = np.exp(np.log(s) - z.sum(axis=1))
+        del z               # at most two blocks are alive at once
 
         done = np.abs(perp - target) <= PERP_TOL
         if step == MAX_BISECTION_STEPS:
             done[:] = True
-        p_out[active[done]] = p[done]
+        rows[active[done]] = p[done]
         perp_out[active[done]] = perp[done]
+        del p
         active, perp = active[~done], perp[~done]
         if not active.size:
             return
@@ -134,18 +145,27 @@ def _bisect_block(d2: np.ndarray, first: int, target: float,
 
 
 def joint_probabilities(points: np.ndarray, perplexity: float):
-    """Symmetrized t-SNE joint P plus per-row achieved perplexities."""
+    """Symmetrized t-SNE joint P plus per-row achieved perplexities.
+
+    One N x N array carries the distances, then the conditional rows,
+    then P."""
     n = points.shape[0]
-    d2, p_cond = np.empty((n, n)), np.empty((n, n))
-    _pairwise_sq_dists(points, d2, p_cond)
+    p = _pairwise_sq_dists(points, np.empty((n, n)))
     perps = np.empty(n)
     for first in range(0, n, AFFINITY_BLOCK):
+        _bisect_block(p[first:first + AFFINITY_BLOCK], first, perplexity,
+                      perps[first:first + AFFINITY_BLOCK])
+    # symmetrize in place, one row panel at a time: the panel's rows from
+    # column `first` on, and the same columns from row `first` down, are
+    # still conditional rows, since earlier panels wrote only rows and
+    # columns before `first`; c_ij + c_ji == c_ji + c_ij, so P[i, j] and
+    # P[j, i] get the value a dense (C + C.T) / 2n gives them
+    for first in range(0, n, AFFINITY_BLOCK):
         last = min(first + AFFINITY_BLOCK, n)
-        _bisect_block(d2[first:last], first, perplexity,
-                      p_cond[first:last], perps[first:last])
-    # the distances are spent: P takes their array
-    p = np.add(p_cond, p_cond.T, out=d2)
-    p /= 2.0 * n
+        panel = p[first:last, first:] + p[first:, first:last].T
+        panel /= 2.0 * n
+        p[first:last, first:] = panel
+        p[first:, first:last] = panel.T
     return p, perps
 
 

@@ -18,8 +18,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy
-
+from langlab.blas import pin_one_thread as _one_blas_thread
 from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
@@ -237,20 +236,6 @@ def _keep_heap() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
-def _one_blas_thread() -> None:
-    """Run BLAS on one thread, so a run's files do not depend on the
-    thread count: threaded BLAS can sum a product in another order.  The
-    setter is numpy's bundled OpenBLAS's; a numpy without it is left as
-    it is."""
-    try:
-        umath = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
-        set_threads = umath.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,14 @@ Dropout masks (drawn only when an rng is given) are drawn at full
 (B, T, d) shape from that stream and then gathered, so the stream moves
 as if every row were computed.
 
+A pass holds only what a later step reads.  Without a tape, each
+block's layer-norm-1 and attention caches are dropped as soon as the
+attention returns, and its layer-norm-2 and feed-forward caches after
+the block, so no attention grid outlives its layer.  backward_batch
+consumes the tape as it goes: the final layer norm's cache and each
+layer's caches leave it once their gradients are taken, so a training
+step's tape is gone before the next forward builds its own.
+
 Parameter names: ``tok_emb``, ``pos_emb``, ``mlm_bias``,
 ``final_ln_{g,b}`` and per layer i ``L{i}_ln1_{g,b}``,
 ``L{i}_{wq,bq,wk,bk,wv,bv,wo,bo}``, ``L{i}_ln2_{g,b}``,
@@ -118,7 +126,9 @@ class GradientTape:
     ``real`` places the packed real tokens in the (B, T) grid.
     ``layers[i]`` holds layer i's block caches under ``ln1``, ``att``,
     ``ln2`` and ``ff``; ``final`` is the final layer norm's cache, one
-    row per read row."""
+    row per read row.  backward_batch empties ``final`` first and then
+    pops the layers from the last down, each cache as its gradients are
+    taken; a consumed tape holds no cache and ``used`` is set."""
 
     ids: np.ndarray
     real: tuple
@@ -319,14 +329,18 @@ def forward_batch(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray,
         # at the read rows only
         L = f"L{i}_"
         qs, rows = (queries, read_at) if i == last else (every, at)
-        h, ln1 = _layer_norm(x, p, L + "ln1_")
-        x_att, att = _attention(h, p, L, at, qs, key_bias, cfg.n_heads, mask(rows))
-        x_att += x[qs[0]]                               # residual
-        h, ln2 = _layer_norm(x_att, p, L + "ln2_")
-        x, ff = _feed_forward(h, p, L, mask(rows))
-        x += x_att                                      # residual
+        caches = {}                         # this layer's tape entry
+        h, caches["ln1"] = _layer_norm(x, p, L + "ln1_")
+        x_att, caches["att"] = _attention(h, p, L, at, qs, key_bias,
+                                          cfg.n_heads, mask(rows))
         if want_tape:
-            tape.layers.append({"ln1": ln1, "att": att, "ln2": ln2, "ff": ff})
+            tape.layers.append(caches)      # ln2 and ff join it below
+        else:
+            caches.clear()                  # no tape: nothing reads them
+        x_att += x[qs[0]]                               # residual
+        h, caches["ln2"] = _layer_norm(x_att, p, L + "ln2_")
+        x, caches["ff"] = _feed_forward(h, p, L, mask(rows))
+        x += x_att                                      # residual
 
     out, fin = _layer_norm(x, p, "final_ln_")
     if want_tape:
@@ -339,7 +353,8 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
     """Exact parameter gradients for the forward pass recorded in tape.
 
     d_out is the (M, d_model) upstream gradient at the rows forward_batch
-    returned, in the same order.  The tape is single-use.
+    returned, in the same order.  The tape is single-use: its caches are
+    released layer by layer as the gradients are taken.
     """
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
@@ -351,14 +366,18 @@ def backward_batch(model: EncoderModel, tape: GradientTape,
     p = model.params
     grads: dict[str, np.ndarray] = {}
     dx = _layer_norm_backward(d_out, p, "final_ln_", tape.final, grads)
+    tape.final = {}
+    # each cache leaves the tape as its gradients are taken
     for i in reversed(range(model.config.n_layers)):
-        L, t = f"L{i}_", tape.layers[i]
-        d_x_att = _feed_forward_backward(dx, p, L, t["ff"], grads)
-        d_x_att = _layer_norm_backward(d_x_att, p, L + "ln2_", t["ln2"], grads)
+        L, t = f"L{i}_", tape.layers.pop()
+        d_x_att = _feed_forward_backward(dx, p, L, t.pop("ff"), grads)
+        d_x_att = _layer_norm_backward(d_x_att, p, L + "ln2_", t.pop("ln2"),
+                                       grads)
         d_x_att += dx                                   # residual
-        dx = _attention_backward(d_x_att, p, L, t["att"], grads)
-        dx = _layer_norm_backward(dx, p, L + "ln1_", t["ln1"], grads)
-        dx[t["att"]["pos"]] += d_x_att                  # residual
+        pos = t["att"]["pos"]
+        dx = _attention_backward(d_x_att, p, L, t.pop("att"), grads)
+        dx = _layer_norm_backward(dx, p, L + "ln1_", t.pop("ln1"), grads)
+        dx[pos] += d_x_att                              # residual
 
     if tape.emb_drop_mask is not None:
         dx *= tape.emb_drop_mask

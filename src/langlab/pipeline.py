@@ -31,7 +31,10 @@ manifest.json, pretrain-manifest.json or hpsearch.json holds another
 manifest id ([out_dir]).  analyze rebuilds the corpus from the
 manifest's config and loads the final encoder through the same
 load_encoder ([checkpoints]).  A run record holds each fact once: file
-names are fixed here, not recorded.  A bundle is the dict bundle.json
+names are fixed here, not recorded.  manifest.json and
+pretrain-manifest.json name the numerics the run computed with (the
+numpy and scipy versions and the BLAS thread count, blas.numerics);
+they are not part of the manifest id.  A bundle is the dict bundle.json
 holds: train and analyze return it, and compare and export read it back
 (load_bundle).  Every file is written whole (files.write_file).  Any
 stage failure raises StageError carrying the stage name; artifacts
@@ -59,6 +62,7 @@ from langlab.analysis.reports import (
 )
 from langlab.analysis.sampling import plot_sample
 from langlab.analysis.tsne import tsne
+from langlab.blas import numerics
 from langlab.checkpoint import load_checkpoint, load_encoder, save_checkpoint, save_encoder
 from langlab.config import PipelineConfig, config_from_dict, manifest_id
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
@@ -244,6 +248,7 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
             "config": cfg.to_dict(),
             "mlm_steps": len(losses),
             "mlm_final_loss": losses[-1] if losses else None,
+            "numerics": numerics(),
         })
     return out / PRETRAINED_CHECKPOINT, losses
 
@@ -285,6 +290,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
             "probe_epoch_val_f1": [float(s) for s in probe.epoch_val_f1],
             "probe_selected_epoch": probe.selected_epoch,
             "mlm_final_loss": float(mlm_losses[-1]) if mlm_losses else None,
+            "numerics": numerics(),
         })
 
     return _measure_and_analyze(cfg, out, mid, run.encoder, heads, data)

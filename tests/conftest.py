@@ -1,13 +1,16 @@
 """Shared small fixtures: a 3-language synthetic world and tiny encoders.
 
 Session scope keeps the suite fast; tests must not mutate fixture state
-(training code copies models before updating them).
+(training code copies models before updating them).  BLAS runs on one
+thread from the first test on, as under the CLI, so no figure a test
+computes depends on which test first called cli.main.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from langlab import cli
 from langlab.config import PipelineConfig
 from langlab.data.synthetic import generate_corpus, make_language_specs
 from langlab.encoder import EncoderConfig, EncoderModel, mlm_pretrain
@@ -15,6 +18,10 @@ from langlab.pipeline import prepare_data
 
 N_LANGS = 3
 N_CONCEPTS = 30
+
+
+def pytest_sessionstart(session):
+    cli._one_blas_thread()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ to rounding and against finite differences.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -508,6 +510,58 @@ def test_joint_probabilities_match_row_reference():
         assert np.allclose(perps, perps_ref, rtol=1e-13, atol=0.0)
     assert (steps[-41:] == 200).all() and (steps < 200).any()
     assert (np.abs(perps[-41:] - 30.0) > tsne_module.PERP_TOL).all()
+
+
+def test_joint_probabilities_hold_one_square_array():
+    # the distances, the conditional rows and P share one N x N array;
+    # with the bisection's row blocks the traced peak stays under 1.25
+    # N^2 floats (separate distance and conditional arrays peaked at
+    # 2.57 N^2 at this N)
+    n = 700
+    points = np.random.default_rng(34).normal(size=(n, 16))
+    tracemalloc.start()
+    try:
+        joint_probabilities(points, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} N^2 floats"
+
+
+def _openblas_config():
+    """numpy's bundled OpenBLAS build string, or None."""
+    try:
+        umath = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_config = umath.scipy_openblas_get_config64_
+    except (OSError, AttributeError):
+        return None
+    get_config.restype = ctypes.c_char_p
+    return get_config().decode()
+
+
+# tsne on criterion 06's 2,000 points, 30 iterations: the sha256 of the
+# coordinates and the initial KL, recorded while the affinity search
+# still kept separate distance and conditional arrays, with this numpy
+# and OpenBLAS build at one thread; other BLAS kernels may round the
+# distance and gradient products differently
+CRITERION_06_NUMERICS = (
+    "2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+             "SkylakeX MAX_THREADS=64")
+CRITERION_06_COORDS = ("69dd35c5a736018289789a1f289fede4"
+                       "f87d80d9d165a65d058f4e48d679a1d1")
+CRITERION_06_KL_INITIAL = 3.9693694668932364
+
+
+def test_tsne_coords_unchanged_on_criterion_06_points():
+    if (np.__version__, _openblas_config()) != CRITERION_06_NUMERICS:
+        pytest.skip("digest recorded with another numpy or OpenBLAS build")
+    labels = np.repeat(np.arange(3), [667, 667, 666])
+    centers = stream(6, "accept-tsne-centers").normal(0.0, 1.0, (3, 16)) * 10.0
+    points = centers[labels] + stream(6, "accept-tsne-noise").normal(
+        0.0, 1.0, (2000, 16))
+    result = tsne(points, perplexity=30.0, iterations=30, seed=0)
+    assert result.kl_initial == CRITERION_06_KL_INITIAL
+    assert hashlib.sha256(result.coords.tobytes()).hexdigest() == CRITERION_06_COORDS
 
 
 def test_tsne_matches_loop_reference():

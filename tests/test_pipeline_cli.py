@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy
 import pytest
+import scipy
 
-from langlab import cli, pipeline
+from langlab import blas, cli, pipeline
 from langlab.checkpoint import load_checkpoint, save_checkpoint, save_encoder
 from langlab.cli import main
 from langlab.config import (
@@ -328,7 +329,8 @@ def test_bundle_schema_and_metrics(frozen_bundle):
 # A run record holds each fact once: no file name the code fixes, no seed
 # beside the config, no copy of the manifest's epoch scores in the bundle
 MANIFEST_KEYS = {"manifest_id", "config", "epoch_val_f1", "selected_epoch",
-                 "probe_epoch_val_f1", "probe_selected_epoch", "mlm_final_loss"}
+                 "probe_epoch_val_f1", "probe_selected_epoch", "mlm_final_loss",
+                 "numerics"}
 BUNDLE_KEYS = {"schema_version", "manifest", "column", "regime", "task",
                "pivot_language", "languages", "task_labels", "metrics",
                "cluster_reports"}
@@ -339,6 +341,7 @@ def test_run_record_keys(frozen_bundle):
     root = Path(cfg.out_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
+    assert manifest["numerics"] == blas.numerics()
     assert set(bundle) == BUNDLE_KEYS
     # the head arrays' shapes are the only record of d_model they need
     _, meta = load_checkpoint(root / "heads.ckpt")
@@ -1029,7 +1032,10 @@ def test_pretrain_manifest_keys(cli_cfg_path, capsys):
         f"pretrained encoder -> {out / 'encoder-pretrained.ckpt'}")
     manifest = json.loads((out / "pretrain-manifest.json").read_text())
     assert set(manifest) == {"manifest_id", "config", "mlm_steps",
-                             "mlm_final_loss"}
+                             "mlm_final_loss", "numerics"}
+    assert manifest["numerics"] == {"numpy": numpy.__version__,
+                                    "scipy": scipy.__version__,
+                                    "blas_threads": blas.thread_count()}
     assert manifest["manifest_id"] == manifest_id(cfg.to_dict())
     assert manifest["config"] == cfg.to_dict()
     assert manifest["mlm_steps"] == cfg.mlm_steps
@@ -1098,6 +1104,50 @@ def test_one_blas_thread_is_silent_without_the_setter(umath, monkeypatch,
     assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
                  "--per-language", "4", "--concepts", "30"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _blas_thread_getter():
+    """numpy's OpenBLAS thread-count getter, or None."""
+    try:
+        umath = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+        get_threads = umath.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads
+
+
+def test_suite_runs_blas_on_one_thread():
+    # conftest pins BLAS at session start, so this holds even when no
+    # earlier test has called cli.main
+    get_threads = _blas_thread_getter()
+    if get_threads is None:
+        pytest.skip("numpy's BLAS has no thread-count getter")
+    assert get_threads() == 1
+
+
+def test_cli_run_records_one_blas_thread(tmp_path):
+    # a fresh process started at 2 threads: main's own pin makes it 1
+    if _blas_thread_getter() is None:
+        pytest.skip("numpy's BLAS has no thread-count getter")
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "n_languages": 2, "task_examples_per_language": 10,
+        "lid_examples_per_language": 10, "mlm_steps": 2}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+        "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "langlab.cli", "pretrain", "--config",
+         "cfg.json", "--out-dir", "run"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(
+        (tmp_path / "run" / "pretrain-manifest.json").read_text())
+    assert manifest["numerics"] == {"numpy": numpy.__version__,
+                                    "scipy": scipy.__version__,
+                                    "blas_threads": 1}
 
 
 def test_cli_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):

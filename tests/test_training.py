@@ -8,13 +8,19 @@ against plain fine-tuning.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from langlab.config import PRESETS, PipelineConfig
 from langlab.encoder import EncoderConfig, EncoderModel, forward_batch
-from langlab.heads import ce_loss_and_dlogits, head_logits, language_term_and_dlogits
+from langlab.heads import (
+    ClassifierHead,
+    ce_loss_and_dlogits,
+    head_logits,
+    language_term_and_dlogits,
+)
 from langlab.pipeline import prepare_data
 from langlab.rng import stream
 from langlab.training.batching import (
@@ -204,7 +210,6 @@ def fd_setup(tiny_vocab, tiny_task_corpus, tiny_lid_corpus):
     lang_to_id = {"aa": 0, "ab": 1, "ac": 2}
     batch = make_batch(task_examples, spec.label_to_id, lang_to_id, "token")
     lid_batch = make_batch(tiny_lid_corpus[:3], None, lang_to_id, "text")
-    from langlab.heads import ClassifierHead
     task_head = ClassifierHead.init(8, spec.n_classes, 0.1, seed=1, tag="t")
     lang_head = ClassifierHead.init(8, 3, 0.1, seed=2, tag="l")
     return enc, task_head, lang_head, batch, lid_batch
@@ -291,6 +296,33 @@ def test_composite_step_grad_reversal_matches_fd(fd_setup):
     _assert_fd(lambda: _lang_ce(enc, lang_head, lid_batch),
                [(lang_head.w, grads["lang/w"]),
                 (lang_head.b, grads["lang/b"])])
+
+
+def test_grad_reversal_step_frees_the_task_tape(tiny_data):
+    # the task batch's tape is consumed by its backward pass before the
+    # language batch's forward builds its own: a step that kept both
+    # alive peaked at 21.2 MiB traced here, one that frees the task tape
+    # as it goes at 14.3 MiB
+    enc = EncoderModel.init(EncoderConfig(vocab_size=len(tiny_data.vocab)),
+                            seed=0)
+    spec, lang_to_id = tiny_data.task_spec, tiny_data.lang_to_id
+    batch = make_batch(tiny_data.task_split.train[:32], spec.label_to_id,
+                       lang_to_id, spec.level)
+    lid_batch = make_batch(tiny_data.lid_split.train[:32], None, lang_to_id,
+                           "text")
+    task_head = ClassifierHead.init(64, spec.n_classes, 1e-2, seed=0,
+                                    tag="task")
+    lang_head = ClassifierHead.init(64, len(tiny_data.languages), 1e-2,
+                                    seed=0, tag="lang")
+    cfg = tiny_cfg("grad_reversal", grl_lambda=0.5)
+    tracemalloc.start()
+    try:
+        composite_step(enc, task_head, lang_head, batch, lid_batch, cfg,
+                       stream(0, "task"), stream(0, "lid"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
