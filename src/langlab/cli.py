@@ -4,21 +4,19 @@ Subcommands: gen-corpus, pretrain, train, probe-lid, analyze, hpsearch,
 export, compare.  The CLI only parses arguments and prints results: every
 command that touches the encoder runs through langlab.pipeline's stages.
 All configuration is explicit (flat JSON config file, presets, flag
-overrides); no environment variables.  main runs BLAS on one thread, so
-OPENBLAS_NUM_THREADS does not change what a command writes.  Exit code 0
-on success; failures print a stage-tagged diagnostic to stderr and exit
-nonzero.
+overrides); no environment variables.  The process regime (BLAS on one
+thread, the heap kept for reuse) is set when langlab is imported, the
+same for the command as for any library caller.  Exit code 0 on success;
+failures print a stage-tagged diagnostic to stderr and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from functools import partial
 from pathlib import Path
 
-from langlab.blas import pin_one_thread as _one_blas_thread
 from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
@@ -214,33 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters and the values main() gives them
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 256 << 20
-_TRIM_THRESHOLD_BYTES = 1 << 30
-
-
-def _keep_heap() -> None:
-    """Keep freed arrays in the heap for reuse instead of returning them.
-
-    By default glibc serves arrays above its (dynamic) mmap threshold
-    with fresh mmaps and trims the heap once the gradient tape is freed,
-    so every training step page-faults its working set in again.  Both
-    thresholds are set: setting either alone freezes the mmap threshold
-    at its 128 KiB start.  A libc without mallopt leaves the defaults.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def main(argv=None) -> int:
-    _keep_heap()
-    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

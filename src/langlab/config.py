@@ -13,11 +13,11 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 from langlab.analysis.sampling import DEFAULT_QUOTAS as SAMPLE_QUOTAS
 from langlab.data.synthetic import DEFAULT_N_CONCEPTS, DEFAULT_OVERLAP
 from langlab.encoder import EncoderConfig
+from langlab.files import read_json
 from langlab.heads import LANGUAGE_TERM_VARIANTS
 from langlab.training.batching import TASK_LEVELS
 from langlab.training.regimes import REGIMES
@@ -192,11 +192,7 @@ def load_config(path, preset: str | None = None,
     and overrides win, in that order.  The keys are merged before the
     config is built, so quota_task is derived from the final task only
     when no layer gives it."""
-    raw = {}
-    if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a flat JSON object")
+    raw = {} if path is None else read_json(path)
     if preset:
         raw = {**raw, **_preset_keys(preset)}
     return config_from_dict({**raw, **(overrides or {})})

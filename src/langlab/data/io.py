@@ -12,7 +12,8 @@ All loaders tokenize by whitespace, truncate to the first 128 tokens
 (pairs: combined 128 including the separator) and omit every example
 with a token outside the vocabulary.  The two TSV formats skip blank
 lines and fail by ``path:line`` on a wrong column count or an empty
-language column.
+language column; NLI rows also on an unknown label or a premise or
+hypothesis with no token.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ def load_nli_tsv(path, vocab: Vocabulary) -> list[LabeledExample]:
                 f"{path}:{lineno}: unknown label {label!r}, "
                 f"expected one of {NLI_LABELS}"
             )
-        p_ids = _encode(premise.split(), vocab)
-        h_ids = _encode(hypothesis.split(), vocab)
+        p_tokens, h_tokens = premise.split(), hypothesis.split()
+        if not p_tokens or not h_tokens:
+            side = "hypothesis" if p_tokens else "premise"
+            raise CorpusFormatError(f"{path}:{lineno}: empty {side}")
+        p_ids = _encode(p_tokens, vocab)
+        h_ids = _encode(h_tokens, vocab)
         if p_ids is None or h_ids is None:
             continue
         examples.append(LabeledExample(sequence=pair_sequence(p_ids, h_ids),

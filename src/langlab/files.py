@@ -2,9 +2,10 @@
 half of one.
 
 Every file langlab writes goes through write_file, which writes beside
-the target and renames over it; write_json is the one JSON writer.  This
-module imports nothing from langlab, so every module that writes files
-can import it.
+the target and renames over it; write_json is the one JSON writer and
+read_json the one JSON reader, which names the file it refuses.  This
+module imports nothing from langlab, so every module that reads or
+writes files can import it.
 """
 
 from __future__ import annotations
@@ -39,3 +40,16 @@ def write_json(path, obj) -> None:
     before anything is written."""
     write_file(path, (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
                       + "\n").encode("utf-8"))
+
+
+def read_json(path) -> dict:
+    """The JSON object path holds; a file that is not JSON, or holds
+    anything but an object, fails as a ValueError naming path."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return obj

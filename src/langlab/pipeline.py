@@ -3,11 +3,12 @@
 Every command that touches the encoder runs here as a sequence of named
 stages; the CLI only parses arguments and prints what these return:
 
-    train      run_experiment         corpus, pretrain, train, probe,
-                                      manifest, evaluate, analyze, bundle
-    pretrain   run_pretraining        corpus, pretrain, manifest
+    train      run_experiment         out_dir, corpus, pretrain, train,
+                                      probe, manifest, evaluate, analyze,
+                                      bundle
+    pretrain   run_pretraining        out_dir, corpus, pretrain, manifest
     probe-lid  run_language_probe     corpus, pretrain, probe
-    hpsearch   hyperparameter_search  corpus, pretrain, search
+    hpsearch   hyperparameter_search  out_dir, corpus, pretrain, search
     analyze    reanalyze              analyze, corpus, checkpoints,
                                       evaluate, analyze, bundle
 
@@ -26,17 +27,19 @@ is made only when the first of them is written: the pretrained
 checkpoint (train, pretrain) or hpsearch.json, so a corpus- or
 pretrain-stage failure leaves nothing on disk, and probe-lid writes
 nothing at all.  One directory holds one run: before the corpus stage,
-train, pretrain and hpsearch refuse an output directory whose
-manifest.json, pretrain-manifest.json or hpsearch.json holds another
-manifest id ([out_dir]).  analyze rebuilds the corpus from the
-manifest's config and loads the final encoder through the same
-load_encoder ([checkpoints]).  A run record holds each fact once: file
-names are fixed here, not recorded.  manifest.json and
-pretrain-manifest.json name the numerics the run computed with (the
-numpy and scipy versions and the BLAS thread count, blas.numerics);
-they are not part of the manifest id.  A bundle is the dict bundle.json
-holds: train and analyze return it, and compare and export read it back
-(load_bundle).  Every file is written whole (files.write_file).  Any
+train, pretrain and hpsearch refuse an output directory that is a file
+(or lies under one), or whose manifest.json, pretrain-manifest.json or
+hpsearch.json holds another manifest id ([out_dir]).  Run records are
+read back through files.read_json, which names a file that is not a
+JSON object.  analyze reads the manifest's config and manifest id
+([analyze]), rebuilds the corpus from that config and loads the final
+encoder through the same load_encoder ([checkpoints]).  A run record
+holds each fact once: file names are fixed here, not recorded.
+manifest.json and pretrain-manifest.json name the numerics the run
+computed with (the numpy and scipy versions and the BLAS thread count,
+process.numerics); they are not part of the manifest id.  A bundle is
+the dict bundle.json holds: train and analyze return it, and compare
+and export read it back (load_bundle).  Every file is written whole (files.write_file).  Any
 stage failure raises StageError carrying the stage name; artifacts
 written before the failure stay on disk for inspection.
 
@@ -48,7 +51,6 @@ only at presentation time (format_delta_table).
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -62,7 +64,6 @@ from langlab.analysis.reports import (
 )
 from langlab.analysis.sampling import plot_sample
 from langlab.analysis.tsne import tsne
-from langlab.blas import numerics
 from langlab.checkpoint import load_checkpoint, load_encoder, save_checkpoint, save_encoder
 from langlab.config import PipelineConfig, config_from_dict, manifest_id
 from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
@@ -70,8 +71,9 @@ from langlab.data.split import filter_language, stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
-from langlab.files import write_file, write_json
+from langlab.files import read_json, write_file, write_json
 from langlab.heads import ClassifierHead
+from langlab.process import numerics
 from langlab.training.batching import TaskSpec, task_spec_for
 from langlab.training.evaluate import evaluate_task, head_f1, per_language_task_f1
 from langlab.training.network import embed_examples
@@ -105,17 +107,23 @@ def _stage(name: str):
 
 
 def _claim_out_dir(cfg: PipelineConfig) -> str:
-    """The run's manifest id, once cfg.out_dir is known to hold no other
-    run: each run record there must carry the same id (a rerun of the
-    same config).  Reads only, before the corpus stage."""
+    """The run's manifest id, once cfg.out_dir is known to be a directory
+    (or to be one that can be made) holding no other run: each run record
+    there must carry the same id (a rerun of the same config).  Reads
+    only, before the corpus stage."""
     mid = manifest_id(cfg.to_dict())
-    for name in ("manifest.json", "pretrain-manifest.json", "hpsearch.json"):
-        path = Path(cfg.out_dir) / name
-        if path.exists():
-            other = json.loads(path.read_text(encoding="utf-8")).get("manifest_id")
-            if other != mid:
-                raise StageError("out_dir", f"{cfg.out_dir} holds another run: "
-                                            f"its {name} has manifest_id {other}")
+    out = Path(cfg.out_dir)
+    with _stage("out_dir"):
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"{nearest} is not a directory")
+        for name in ("manifest.json", "pretrain-manifest.json", "hpsearch.json"):
+            path = out / name
+            if path.exists():
+                other = read_json(path).get("manifest_id")
+                if other != mid:
+                    raise ValueError(f"{cfg.out_dir} holds another run: its "
+                                     f"{name} has manifest_id {other}")
     return mid
 
 
@@ -124,7 +132,7 @@ def load_bundle(run_dir) -> dict:
     path = Path(run_dir) / "bundle.json"
     if not path.exists():
         raise FileNotFoundError(f"no bundle.json under {Path(run_dir)}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return read_json(path)
 
 
 def bundle_metric(bundle: dict, path: str):
@@ -388,8 +396,12 @@ def reanalyze(run_dir) -> dict:
         manifest_path = root / "manifest.json"
         if not manifest_path.exists():
             raise FileNotFoundError(f"no manifest.json under {root}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg = config_from_dict(manifest["config"])
+        manifest = read_json(manifest_path)
+        if not isinstance(manifest.get("config"), dict) or "manifest_id" not in manifest:
+            raise ValueError(f"{manifest_path} does not hold a config object "
+                             f"and a manifest_id")
+        cfg = config_from_dict(manifest["config"])
+        mid = manifest["manifest_id"]
     with _stage("corpus"):
         data = prepare_data(cfg)
     with _stage("checkpoints"):
@@ -398,8 +410,7 @@ def reanalyze(run_dir) -> dict:
         arrays, _ = load_checkpoint(root / "heads.ckpt")
         heads = {name: ClassifierHead(w=arrays[f"{name}/w"], b=arrays[f"{name}/b"])
                  for name in ("task", "probe")}
-    return _measure_and_analyze(cfg, root, manifest["manifest_id"],
-                                encoder, heads, data)
+    return _measure_and_analyze(cfg, root, mid, encoder, heads, data)
 
 
 METRIC_PATHS = (

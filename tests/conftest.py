@@ -1,16 +1,16 @@
 """Shared small fixtures: a 3-language synthetic world and tiny encoders.
 
 Session scope keeps the suite fast; tests must not mutate fixture state
-(training code copies models before updating them).  BLAS runs on one
-thread from the first test on, as under the CLI, so no figure a test
-computes depends on which test first called cli.main.
+(training code copies models before updating them).  Importing langlab
+puts the session under the command's process regime (BLAS on one
+thread, the heap kept for reuse) before any test runs, so no figure a
+test computes depends on test order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from langlab import cli
 from langlab.config import PipelineConfig
 from langlab.data.synthetic import generate_corpus, make_language_specs
 from langlab.encoder import EncoderConfig, EncoderModel, mlm_pretrain
@@ -18,10 +18,6 @@ from langlab.pipeline import prepare_data
 
 N_LANGS = 3
 N_CONCEPTS = 30
-
-
-def pytest_sessionstart(session):
-    cli._one_blas_thread()
 
 
 @pytest.fixture(scope="session")

@@ -361,6 +361,15 @@ def test_nli_malformed_lines(tmp_path, tiny_vocab):
     path.write_text("aa_0\taa_2\tmaybe\taa\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="label"):
         load_nli_tsv(path, tiny_vocab)
+    # a side with no token after the whitespace split fails by path:line,
+    # not as the pair's bad separator position
+    for row, side in (("\taa_4\tentailment\taa", "premise"),
+                      ("aa_3\t  \tneutral\taa", "hypothesis")):
+        path.write_text(f"aa_3\taa_4\tentailment\taa\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(path))}:2: empty {side}$"):
+            load_nli_tsv(path, tiny_vocab)
 
 
 def test_lid_malformed_and_short_lines(tmp_path, tiny_vocab):

@@ -17,7 +17,8 @@ position, or through * or ** unpacking; calls are matched by name alone,
 so a method that shares its name with another hides the other's unset
 options.  An unset one fails unless KEPT_UNSET names it.  No module
 imports an underscore name from another langlab module: what two modules
-share is public.
+share is public.  Only langlab/process.py imports ctypes: the state a
+process runs under is set in one place.
 """
 
 from __future__ import annotations
@@ -107,6 +108,35 @@ def test_no_private_imports_across_src_modules():
     found = {name: private_imports(source)
              for name, source in src_sources().items()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imports_ctypes(source: str) -> bool:
+    """Whether source imports ctypes or one of its submodules, in any
+    form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.partition(".")[0] == "ctypes" for m in modules):
+            return True
+    return False
+
+
+def test_ctypes_checker_sees_every_import_form():
+    for line in ("import ctypes", "import os, ctypes.util as cu",
+                 "from ctypes import CDLL", "def f():\n    import ctypes"):
+        assert imports_ctypes(line + "\n"), line
+    assert not imports_ctypes("import ctypeslib\nfrom .ctypes import x\n")
+
+
+def test_only_the_process_module_reaches_c_libraries():
+    # the process regime (BLAS threads, heap policy) is state of the whole
+    # process: one module sets it, when langlab is imported
+    assert [name for name, source in src_sources().items()
+            if imports_ctypes(source)] == ["langlab/process.py"]
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

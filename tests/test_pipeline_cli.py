@@ -11,6 +11,7 @@ import copy
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -24,7 +25,8 @@ import numpy
 import pytest
 import scipy
 
-from langlab import blas, cli, pipeline
+import langlab
+from langlab import cli, pipeline, process
 from langlab.checkpoint import load_checkpoint, save_checkpoint, save_encoder
 from langlab.cli import main
 from langlab.config import (
@@ -208,7 +210,8 @@ def test_load_config_precedence(tmp_path):
     assert cfg.head_lr == 0.25
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
-    with pytest.raises(ValueError, match="flat JSON object"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(bad))} does not hold a JSON object$"):
         load_config(bad)
 
 
@@ -341,7 +344,7 @@ def test_run_record_keys(frozen_bundle):
     root = Path(cfg.out_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
-    assert manifest["numerics"] == blas.numerics()
+    assert manifest["numerics"] == process.numerics()
     assert set(bundle) == BUNDLE_KEYS
     # the head arrays' shapes are the only record of d_model they need
     _, meta = load_checkpoint(root / "heads.ckpt")
@@ -821,12 +824,12 @@ def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
         stages[name] = list(entered)
     head = ["corpus", "pretrain"]
     assert stages == {
-        "train": head + ["train", "probe", "manifest", "evaluate", "analyze",
-                         "bundle"],
+        "train": ["out_dir", *head, "train", "probe", "manifest", "evaluate",
+                  "analyze", "bundle"],
         "analyze": ["analyze", "corpus", "checkpoints", "evaluate", "analyze",
                     "bundle"],
-        "hpsearch": head + ["search"],
-        "pretrain": head + ["manifest"],
+        "hpsearch": ["out_dir", *head, "search"],
+        "pretrain": ["out_dir", *head, "manifest"],
         "probe-lid": head + ["probe"],
     }
 
@@ -988,6 +991,65 @@ def test_cli_out_dir_of_another_run_is_refused_before_the_corpus_stage(
     assert dir_bytes(cfg.out_dir) == before
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", list(RUN_RECORD))
+def test_cli_out_dir_that_is_a_file_is_refused_before_the_corpus_stage(
+        cli_cfg_path, monkeypatch, capsys, command, under):
+    # it used to fail only when the first artifact was written: after
+    # pretraining (train, pretrain) or after the whole search (hpsearch)
+    path, cfg = cli_cfg_path
+    blocker = Path(cfg.out_dir)
+    blocker.write_text("not a run\n")
+    out_dir = blocker / "run" if under else blocker
+    before = dir_bytes(path.parent)
+    monkeypatch.setattr(pipeline, "prepare_data",
+                        lambda cfg: pytest.fail("the corpus stage ran"))
+    samples = ["--samples", "1"] if command == "hpsearch" else []
+    assert main([command, "--config", str(path), *samples,
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [out_dir] {blocker} is not a directory\n")
+    assert dir_bytes(path.parent) == before
+
+
+# (command, the run record it reads, what that record holds, the stage
+# its error names)
+BAD_RECORDS = {
+    "train-manifest-list": ("train", "manifest.json", "[]", "out_dir"),
+    "train-manifest-not-json": ("train", "manifest.json", '{"manifest_id": 1,}',
+                                "out_dir"),
+    "analyze-manifest-list": ("analyze", "manifest.json", "[]", "analyze"),
+    "analyze-manifest-without-config": ("analyze", "manifest.json",
+                                        '{"manifest_id": "x"}', "analyze"),
+    "compare-bundle-list": ("compare", "bundle.json", "[]", "cli"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_cli_bad_run_records_fail_by_file_name(cli_cfg_path, capsys, case):
+    # each used to end in a traceback (exit 1) or in a message naming no
+    # file: an AttributeError or TypeError on a list, a bare
+    # "Expecting property name", or "error [cli] 'config'"
+    command, name, text, stage = BAD_RECORDS[case]
+    path, cfg = cli_cfg_path
+    run = Path(cfg.out_dir)
+    run.mkdir()
+    record = run / name
+    record.write_text(text)
+    argv = {
+        "train": ["train", "--config", str(path)],
+        "analyze": ["analyze", "--run", str(run)],
+        "compare": ["compare", "--runs", str(run), str(run), "--out",
+                    str(path.parent / "table.json")],
+    }[command]
+    before = dir_bytes(path.parent)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{stage}] {record} "), err
+    assert err.count("\n") == 1
+    assert dir_bytes(path.parent) == before
+
+
 @pytest.mark.parametrize("ours, theirs", [
     ({}, {"corpus_seed": 1}), ({"n_layers": 2}, {"n_layers": 1})],
     ids=["other-corpus", "other-shape"])
@@ -1035,7 +1097,7 @@ def test_pretrain_manifest_keys(cli_cfg_path, capsys):
                              "mlm_final_loss", "numerics"}
     assert manifest["numerics"] == {"numpy": numpy.__version__,
                                     "scipy": scipy.__version__,
-                                    "blas_threads": blas.thread_count()}
+                                    "blas_threads": process.thread_count()}
     assert manifest["manifest_id"] == manifest_id(cfg.to_dict())
     assert manifest["config"] == cfg.to_dict()
     assert manifest["mlm_steps"] == cfg.mlm_steps
@@ -1047,15 +1109,17 @@ def test_pretrain_manifest_keys(cli_cfg_path, capsys):
 def test_keep_heap_sets_both_thresholds(monkeypatch):
     calls = []
 
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-    cli._keep_heap()
-    assert dict(calls) == {cli._M_MMAP_THRESHOLD: cli._MMAP_THRESHOLD_BYTES,
-                           cli._M_TRIM_THRESHOLD: cli._TRIM_THRESHOLD_BYTES}
+    monkeypatch.setattr(process.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    process.keep_heap()
+    assert dict(calls) == {
+        process._M_MMAP_THRESHOLD: process._MMAP_THRESHOLD_BYTES,
+        process._M_TRIM_THRESHOLD: process._TRIM_THRESHOLD_BYTES}
+    assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
 
 
 @pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
@@ -1066,8 +1130,9 @@ def test_keep_heap_is_silent_without_mallopt(libc, monkeypatch, tmp_path,
             raise OSError("no C library")
         return object()
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    assert cli._keep_heap() is None
+    monkeypatch.setattr(process.ctypes, "CDLL", cdll)
+    assert process.keep_heap() is None
+    importlib.reload(langlab)
     assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
                  "--per-language", "4", "--concepts", "30"]) == 0
     assert capsys.readouterr().err == ""
@@ -1084,8 +1149,8 @@ def test_one_blas_thread_sets_numpys_blas_to_one_thread(monkeypatch):
         return types.SimpleNamespace(
             scipy_openblas_set_num_threads64_=set_threads)
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    cli._one_blas_thread()
+    monkeypatch.setattr(process.ctypes, "CDLL", cdll)
+    process.pin_one_thread()
     assert loaded == [numpy._core._multiarray_umath.__file__]
     assert calls == [1]
     assert set_threads.argtypes == [ctypes.c_int]
@@ -1099,49 +1164,44 @@ def test_one_blas_thread_is_silent_without_the_setter(umath, monkeypatch,
             raise OSError("cannot load")
         return object()
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    assert cli._one_blas_thread() is None
+    monkeypatch.setattr(process.ctypes, "CDLL", cdll)
+    assert process.pin_one_thread() is None
+    importlib.reload(langlab)
     assert main(["gen-corpus", "--out", str(tmp_path), "--languages", "2",
                  "--per-language", "4", "--concepts", "30"]) == 0
     assert capsys.readouterr().err == ""
 
 
-def _blas_thread_getter():
-    """numpy's OpenBLAS thread-count getter, or None."""
-    try:
-        umath = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
-        get_threads = umath.scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads
-
-
 def test_suite_runs_blas_on_one_thread():
-    # conftest pins BLAS at session start, so this holds even when no
-    # earlier test has called cli.main
-    get_threads = _blas_thread_getter()
-    if get_threads is None:
+    # importing langlab pins BLAS, so this holds before any test calls
+    # cli.main
+    if process.thread_count() is None:
         pytest.skip("numpy's BLAS has no thread-count getter")
-    assert get_threads() == 1
+    assert process.thread_count() == 1
+
+
+def _subprocess_env(threads: str) -> dict:
+    """The environment of a child process at the given BLAS thread count
+    that imports langlab from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return os.environ | {
+        "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_cli_run_records_one_blas_thread(tmp_path):
-    # a fresh process started at 2 threads: main's own pin makes it 1
-    if _blas_thread_getter() is None:
+    # a fresh process started at 2 threads: importing langlab makes it 1
+    if process.thread_count() is None:
         pytest.skip("numpy's BLAS has no thread-count getter")
     (tmp_path / "cfg.json").write_text(json.dumps({
         "n_languages": 2, "task_examples_per_language": 10,
         "lid_examples_per_language": 10, "mlm_steps": 2}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = os.environ | {
-        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
-        "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-m", "langlab.cli", "pretrain", "--config",
          "cfg.json", "--out-dir", "run"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, env=_subprocess_env("2"), capture_output=True,
+        text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads(
         (tmp_path / "run" / "pretrain-manifest.json").read_text())
@@ -1150,35 +1210,58 @@ def test_cli_run_records_one_blas_thread(tmp_path):
                                     "blas_threads": 1}
 
 
-def test_cli_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+# A gradient-reversal run at the default encoder shape, once through the
+# command and once through the library; the same relative out_dir, so
+# every run has one manifest id.
+THREADS_CONFIG = {"mlm_steps": 10, "task_examples_per_language": 80,
+                  "lid_examples_per_language": 40, "epochs": 1,
+                  "tsne_iterations": 50}
+THREADS_ENTRY = {
+    "cli": [sys.executable, "-m", "langlab.cli", "train", "--config",
+            "cfg.json", "--preset", "udpos-gradrev", "--encoder-lr", "7e-3",
+            "--out-dir", "run"],
+    "library": [sys.executable, "-c",
+                "from langlab.config import load_config\n"
+                "from langlab.pipeline import run_experiment\n"
+                "run_experiment(load_config('cfg.json', preset='udpos-gradrev',"
+                " overrides={'encoder_lr': 7e-3, 'out_dir': 'run'}))\n"],
+}
+
+
+def _thread_run_digests(cwd: Path, entry: str, threads: str) -> dict:
+    """sha256 of each file a gradient-reversal run writes through the
+    entry point at the given BLAS thread count."""
+    cwd.mkdir()
+    (cwd / "cfg.json").write_text(json.dumps(THREADS_CONFIG))
+    proc = subprocess.run(THREADS_ENTRY[entry], cwd=cwd,
+                          env=_subprocess_env(threads), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in dir_bytes(cwd / "run").items()}
+
+
+@pytest.fixture(scope="module")
+def cli_run_at_one_thread(tmp_path_factory):
+    digests = _thread_run_digests(tmp_path_factory.mktemp("threads") / "cli",
+                                  "cli", "1")
+    assert len(digests) == 9
+    return digests
+
+
+@pytest.mark.parametrize("entry, threads",
+                         [("cli", "2"), ("library", "1"), ("library", "2")],
+                         ids=["cli-2", "library-1", "library-2"])
+def test_run_files_do_not_depend_on_the_blas_thread_count(
+        cli_run_at_one_thread, tmp_path, entry, threads):
     # threaded BLAS can sum a product in another order: at the default
     # encoder shape a gradient-reversal run at 2 threads wrote both
     # checkpoints, heads.ckpt, the dumps and the projections differently
-    # from one at 1 thread
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "mlm_steps": 10, "task_examples_per_language": 80,
-        "lid_examples_per_language": 40, "epochs": 1, "tsne_iterations": 50}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = {}
-    for threads in ("1", "2"):
-        cwd = tmp_path / f"threads-{threads}"
-        cwd.mkdir()
-        env = os.environ | {
-            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(
-                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        # the same relative out_dir, so both runs have one manifest id
-        proc = subprocess.run(
-            [sys.executable, "-m", "langlab.cli", "train", "--config",
-             str(cfg), "--preset", "udpos-gradrev", "--encoder-lr", "7e-3",
-             "--out-dir", "run"],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests[threads] = {name: hashlib.sha256(data).hexdigest()
-                            for name, data in dir_bytes(cwd / "run").items()}
-    assert len(digests["1"]) == 9
-    assert digests["1"] == digests["2"]
+    # from one at 1 thread.  A library caller runs under the command's
+    # regime too: while only cli.main set it, a run_experiment at 2
+    # threads wrote 8 of 9 files differently from the command's.
+    assert (_thread_run_digests(tmp_path / "run-dir", entry, threads)
+            == cli_run_at_one_thread)
 
 
 def test_cli_error_paths(tmp_path, capsys):
