@@ -3,13 +3,12 @@
 Embedding dump: header ``dim=<d>``, then one line per point with d
 space-separated floats, a tab, the task label, a tab, and the language.
 Projection output: CSV with x, y, label, language columns.  Floats are
-written with repr so loads round-trip exactly.
+written with repr, the shortest text that reads back to the same float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,27 +73,6 @@ def write_embedding_dump(path, sample: EmbeddingSample) -> None:
     write_file(path, line_bytes(lines))
 
 
-def load_embedding_dump(path) -> EmbeddingSample:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("dim="):
-        raise ValueError(f"{path}: embedding dump must start with a dim= header")
-    d = int(text[0][4:])
-    vectors, labels, languages = [], [], []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected vector\\tlabel\\tlanguage")
-        vec = [float(v) for v in parts[0].split()]
-        if len(vec) != d:
-            raise ValueError(f"{path}:{lineno}: expected {d} floats, got {len(vec)}")
-        vectors.append(vec)
-        labels.append(parts[1])
-        languages.append(parts[2])
-    return EmbeddingSample(np.array(vectors), languages, labels)
-
-
 def write_projection_csv(path, sample: EmbeddingSample) -> None:
     """One CSV row per point of a sample whose vectors are 2-d coordinates."""
     lines = ["x,y,label,language"]
@@ -102,18 +80,3 @@ def write_projection_csv(path, sample: EmbeddingSample) -> None:
                                    sample.languages, strict=True):
         lines.append(f"{x!r},{y!r},{label},{lang}")
     write_file(path, line_bytes(lines))
-
-
-def load_projection_csv(path) -> EmbeddingSample:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "x,y,label,language":
-        raise ValueError(f"{path}: expected an x,y,label,language header")
-    coords, labels, languages = [], [], []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        x, y, label, lang = line.split(",")
-        coords.append((float(x), float(y)))
-        labels.append(label)
-        languages.append(lang)
-    return EmbeddingSample(np.array(coords), languages, labels)

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: gen-corpus, pretrain, train, probe-lid, analyze, hpsearch,
-export, compare.  The CLI only parses arguments and prints results: every
-command that touches the encoder runs through langlab.pipeline's stages.
+Subcommands: gen-corpus, pretrain, train, analyze, hpsearch, compare.
+The CLI only parses arguments and prints results: every command that
+touches the encoder runs through langlab.pipeline's stages.
 All configuration is explicit (flat JSON config file, presets, flag
 overrides); no environment variables.  The process regime (BLAS on one
 thread, the heap kept for reuse) is set when langlab is imported, the
@@ -22,17 +22,14 @@ from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.files import write_json
 from langlab.pipeline import (
-    EXPORT_KINDS,
     StageError,
     bundle_metric,
     compare_runs,
-    export_plot_data,
     format_delta_table,
     hyperparameter_search,
     load_bundle,
     reanalyze,
     run_experiment,
-    run_language_probe,
     run_pretraining,
 )
 
@@ -81,17 +78,16 @@ def _cmd_gen_corpus(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
-    written = {"vocab": "vocab.txt"}
+    written = ["vocab.txt"]
     for task in CORPUS_FILES if args.task == "all" else [args.task]:
         write, name = CORPUS_FILES[task]
         write(generate_corpus(specs, args.per_language, task, seed=args.seed,
                               vocab=vocab), vocab, out / name)
-        written[task] = name
-    settings = {"languages": args.languages, "per_language": args.per_language,
-                "concepts": args.concepts, "overlap": args.overlap,
-                "seed": args.seed, "files": written}
-    write_json(out / "corpus-manifest.json", settings)
-    print(f"wrote {', '.join(sorted(written.values()))} to {out}")
+        written.append(name)
+    write_json(out / "corpus-manifest.json", {
+        "languages": args.languages, "per_language": args.per_language,
+        "concepts": args.concepts, "overlap": args.overlap, "seed": args.seed})
+    print(f"wrote {', '.join(sorted(written))} to {out}")
     return 0
 
 
@@ -116,16 +112,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_probe_lid(args) -> int:
-    probe, languages = run_language_probe(_resolve_config(args))
-    best = probe.epoch_val_f1[probe.selected_epoch]
-    print(f"language probe val F1 per epoch: "
-          f"{' '.join(f'{s:.4f}' for s in probe.epoch_val_f1)}")
-    print(f"selected epoch {probe.selected_epoch} (F1 {best:.4f}) over "
-          f"{len(languages)} languages")
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     bundle = reanalyze(args.run)
     print(f"recomputed bundle {bundle['manifest'][:12]} under {Path(args.run)}")
@@ -139,12 +125,6 @@ def _cmd_hpsearch(args) -> int:
     for entry in report["ranking"]:
         pairs = " ".join(f"{k}={v}" for k, v in sorted(entry["config"].items()))
         print(f"{entry['rank']:>4d} {entry['dev_task_f1']:8.4f}  {pairs}")
-    return 0
-
-
-def _cmd_export(args) -> int:
-    dest = export_plot_data(args.run, args.which, args.out)
-    print(f"wrote {dest}")
     return 0
 
 
@@ -183,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("probe-lid", help="retrain the language probe "
-                                         "against a frozen checkpoint")
-    _add_config_args(p)
-    p.set_defaults(func=_cmd_probe_lid)
-
     p = sub.add_parser("analyze", help="recompute analysis outputs for a "
                                        "finished run directory")
     p.add_argument("--run", required=True)
@@ -197,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=_cmd_hpsearch)
-
-    p = sub.add_parser("export", help="export plot data from a bundle")
-    p.add_argument("--run", required=True)
-    p.add_argument("--which", required=True, choices=list(EXPORT_KINDS))
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("compare", help="delta table across run bundles")
     p.add_argument("--runs", nargs="+", required=True)

@@ -7,7 +7,6 @@ stages; the CLI only parses arguments and prints what these return:
                                       probe, manifest, evaluate, analyze,
                                       bundle
     pretrain   run_pretraining        out_dir, corpus, pretrain, manifest
-    probe-lid  run_language_probe     corpus, pretrain, probe
     hpsearch   hyperparameter_search  out_dir, corpus, pretrain, search
     analyze    reanalyze              analyze, corpus, checkpoints,
                                       evaluate, analyze, bundle
@@ -25,21 +24,22 @@ checkpoint.load_encoder, which refuses one of another config or
 vocabulary.  Artifacts go under the configured output directory, which
 is made only when the first of them is written: the pretrained
 checkpoint (train, pretrain) or hpsearch.json, so a corpus- or
-pretrain-stage failure leaves nothing on disk, and probe-lid writes
-nothing at all.  One directory holds one run: before the corpus stage,
-train, pretrain and hpsearch refuse an output directory that is a file
-(or lies under one), or whose manifest.json, pretrain-manifest.json or
-hpsearch.json holds another manifest id ([out_dir]).  Run records are
-read back through files.read_json, which names a file that is not a
-JSON object.  analyze reads the manifest's config and manifest id
-([analyze]), rebuilds the corpus from that config and loads the final
-encoder through the same load_encoder ([checkpoints]).  A run record
-holds each fact once: file names are fixed here, not recorded.
-manifest.json and pretrain-manifest.json name the numerics the run
-computed with (the numpy and scipy versions and the BLAS thread count,
-process.numerics); they are not part of the manifest id.  A bundle is
-the dict bundle.json holds: train and analyze return it, and compare
-and export read it back (load_bundle).  Every file is written whole (files.write_file).  Any
+pretrain-stage failure leaves nothing on disk.  One directory holds one
+run: before the corpus stage, train, pretrain and hpsearch refuse an
+output directory that is a file (or lies under one), or whose
+manifest.json, pretrain-manifest.json or hpsearch.json holds another
+manifest id ([out_dir]).  Run records are read back through
+files.read_json, which names a file that is not a JSON object.  analyze
+reads the manifest's config and manifest id ([analyze]), rebuilds the
+corpus from that config and loads the final encoder through the same
+load_encoder ([checkpoints]).  A run record holds each fact once: file
+names are fixed here, not recorded.  manifest.json and
+pretrain-manifest.json name the numerics the run computed with (the
+numpy and scipy versions and the BLAS thread count, process.numerics);
+they are not part of the manifest id.  A bundle is the dict bundle.json
+holds: train and analyze return it, and compare reads it back through
+load_bundle, which names a bundle.json whose metrics tree is not made
+of JSON objects.  Every file is written whole (files.write_file).  Any
 stage failure raises StageError carrying the stage name; artifacts
 written before the failure stay on disk for inspection.
 
@@ -71,20 +71,19 @@ from langlab.data.split import filter_language, stratified_split
 from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
 from langlab.data.types import CorpusSplit
 from langlab.encoder import EncoderModel, mlm_pretrain
-from langlab.files import read_json, write_file, write_json
+from langlab.files import read_json, write_json
 from langlab.heads import ClassifierHead
 from langlab.process import numerics
 from langlab.training.batching import TaskSpec, task_spec_for
 from langlab.training.evaluate import evaluate_task, head_f1, per_language_task_f1
 from langlab.training.network import embed_examples
-from langlab.training.regimes import TrainingRun, retrain_language_probe, run_regime
+from langlab.training.regimes import retrain_language_probe, run_regime
 from langlab.training.search import grids_for_regime, random_search
 from langlab.vocab import Vocabulary
 
 BUNDLE_SCHEMA_VERSION = 1
 PROJECTION_FILES = {"task": "projection-task.csv", "lid": "projection-lid.csv"}
 EMBEDDING_FILES = {"task": "embeddings-task.tsv", "lid": "embeddings-lid.tsv"}
-EXPORT_KINDS = ("labels-task", "labels-lid", "languages-task", "languages-lid")
 PRETRAINED_CHECKPOINT = "encoder-pretrained.ckpt"
 
 
@@ -128,11 +127,18 @@ def _claim_out_dir(cfg: PipelineConfig) -> str:
 
 
 def load_bundle(run_dir) -> dict:
-    """The bundle a finished run wrote: the dict its bundle.json holds."""
+    """The bundle a finished run wrote: the dict its bundle.json holds.
+    Its metrics, metrics.task_f1 and metrics.task_f1.per_language must
+    each be a JSON object; a ValueError names the file otherwise."""
     path = Path(run_dir) / "bundle.json"
     if not path.exists():
         raise FileNotFoundError(f"no bundle.json under {Path(run_dir)}")
-    return read_json(path)
+    bundle = node = read_json(path)
+    for key in ("metrics", "metrics.task_f1", "metrics.task_f1.per_language"):
+        node = node.get(key.rpartition(".")[2])
+        if not isinstance(node, dict):
+            raise ValueError(f"{path} does not hold a JSON object at {key}")
+    return bundle
 
 
 def bundle_metric(bundle: dict, path: str):
@@ -230,7 +236,7 @@ def _cell(value: float, mid: str) -> dict:
 
 
 def _corpus_and_encoder(cfg: PipelineConfig, save_to: Path | None = None):
-    """The first stages of train, pretrain, probe-lid and hpsearch: the
+    """The first stages of train, pretrain and hpsearch: the
     corpus stage, then the pretrain stage.  When save_to is given, it is
     made once the encoder is ready and the encoder is saved there as
     PRETRAINED_CHECKPOINT."""
@@ -259,18 +265,6 @@ def run_pretraining(cfg: PipelineConfig) -> tuple[Path, list]:
             "numerics": numerics(),
         })
     return out / PRETRAINED_CHECKPOINT, losses
-
-
-def run_language_probe(cfg: PipelineConfig) -> tuple[TrainingRun, tuple]:
-    """Retrain the language probe against cfg.encoder_checkpoint; writes
-    nothing.  Returns the probe's TrainingRun and the corpus languages."""
-    if not cfg.encoder_checkpoint:
-        raise StageError("probe", "probe-lid needs --encoder-checkpoint "
-                                  "(or encoder_checkpoint in the config)")
-    data, encoder, _ = _corpus_and_encoder(cfg)
-    with _stage("probe"):
-        probe = retrain_language_probe(encoder, data, cfg)
-    return probe, data.languages
 
 
 def run_experiment(cfg: PipelineConfig) -> dict:
@@ -475,27 +469,6 @@ def format_delta_table(table: dict) -> str:
         cells = " ".join(fmt(d) for d in row["deltas"])
         lines.append(f"{row['metric']:34s} {fmt(row['values'][0]):>8s} {cells}")
     return "\n".join(lines)
-
-
-def export_plot_data(run_dir, which: str, out_path=None) -> Path:
-    """Copy a finished run's projection CSV for an annotation-dataset pair.
-
-    which is one of labels-task, labels-lid, languages-task,
-    languages-lid; the two annotations share one projection per dataset
-    (same sampled points, different plot coloring downstream).  A
-    directory without bundle.json holds no finished run and is refused.
-    """
-    if which not in EXPORT_KINDS:
-        raise StageError("export", f"unknown plot kind {which!r}; "
-                                   f"expected one of {', '.join(EXPORT_KINDS)}")
-    root = Path(run_dir)
-    load_bundle(root)
-    src = root / PROJECTION_FILES[which.split("-")[1]]
-    if not src.exists():
-        raise StageError("export", f"projection file missing: {src}")
-    dest = Path(out_path) if out_path else root / f"plot-{which}.csv"
-    write_file(dest, src.read_bytes())
-    return dest
 
 
 def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:

@@ -123,9 +123,6 @@ class EmbeddedData:
     task_y: np.ndarray | None      # (M,)
     lang_y: np.ndarray             # (M,)
 
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
 
 def embed_examples(encoder: EncoderModel, examples, level: str,
                    lang_to_id: dict, label_to_id: dict | None = None) -> EmbeddedData:

@@ -50,9 +50,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def id(self, token: str) -> int:
         """Map a surface form to its id, or UNK_ID if unknown."""
         return self._token_to_id.get(token, UNK_ID)

@@ -27,8 +27,6 @@ from langlab.analysis.metrics import macro_f1, v_measure
 from langlab.analysis.reports import (
     EmbeddingSample,
     clustering_report,
-    load_embedding_dump,
-    load_projection_csv,
     write_embedding_dump,
     write_projection_csv,
 )
@@ -752,42 +750,6 @@ def test_default_quotas_cover_all_tasks():
 # interop formats
 
 
-def test_embedding_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    sample = EmbeddingSample(rng.normal(size=(6, 4)) * 1e-7,
-                             ["aa", "ab"] * 3, ["X", "Y"] * 3)
-    path = tmp_path / "dump.txt"
-    write_embedding_dump(path, sample)
-    loaded = load_embedding_dump(path)
-    assert np.array_equal(loaded.vectors, sample.vectors)   # repr round trip
-    assert loaded.languages == sample.languages
-    assert loaded.labels == sample.labels
-
-
-def test_embedding_dump_malformed(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.0 2.0\tX\taa\n")
-    with pytest.raises(ValueError, match="dim="):
-        load_embedding_dump(bad)
-    bad.write_text("dim=3\n1.0 2.0\tX\taa\n")
-    with pytest.raises(ValueError, match="expected 3 floats"):
-        load_embedding_dump(bad)
-    bad.write_text("dim=2\n1.0 2.0\tX\n")
-    with pytest.raises(ValueError, match="label"):
-        load_embedding_dump(bad)
-
-
-def test_projection_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    proj = EmbeddingSample(rng.normal(size=(5, 2)), ["aa"] * 5, ["X"] * 5)
-    path = tmp_path / "proj.csv"
-    write_projection_csv(path, proj)
-    loaded = load_projection_csv(path)
-    assert np.array_equal(loaded.vectors, proj.vectors)
-    assert loaded.languages == proj.languages
-    assert loaded.labels == proj.labels
-
-
 def test_writers_match_per_value_repr(tmp_path):
     values = np.array([[0.1, -0.0, 1e-7, 3.0], [1e300, -2.5e-310, 7.0, 1 / 3]])
     sample = EmbeddingSample(values, ["aa", "ab"], ["X", "Y"])
@@ -802,10 +764,3 @@ def test_writers_match_per_value_repr(tmp_path):
         f"{float(x)!r},{float(y)!r},{label},{lang}\n"
         for (x, y), label, lang in zip(values[:, :2], ["X", "Y"], ["aa", "ab"]))
     assert (tmp_path / "proj.csv").read_text() == want
-
-
-def test_projection_csv_malformed(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n0.0,0.0\n")
-    with pytest.raises(ValueError, match="header"):
-        load_projection_csv(bad)

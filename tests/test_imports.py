@@ -36,10 +36,6 @@ KEPT_UNREFERENCED = {
     # LID F1 of a head on raw examples: the criteria 07/08 protocol scores
     # with it, and benchmark/tracing.py spans it
     "evaluate_lid",
-    # reads back the embedding dump the analyze stage writes
-    "load_embedding_dump",
-    # reads back the projection CSV the analyze stage writes
-    "load_projection_csv",
 }
 
 

@@ -7,6 +7,7 @@ the comparison/export paths the CLI exposes.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import ctypes
 import dataclasses
@@ -42,12 +43,10 @@ from langlab.data.io import load_conllu, load_lid_paragraphs, load_nli_tsv
 from langlab.encoder import EncoderConfig, EncoderModel
 from langlab.files import write_json
 from langlab.pipeline import (
-    EXPORT_KINDS,
     METRIC_PATHS,
     StageError,
     bundle_metric,
     compare_runs,
-    export_plot_data,
     format_delta_table,
     hyperparameter_search,
     load_bundle,
@@ -549,31 +548,6 @@ def test_format_delta_table_scales_to_percent(frozen_bundle, finetune_bundle):
     assert any(base_pct in line for line in lines[1:])
 
 
-def test_export_plot_data(frozen_bundle, tmp_path):
-    cfg, _ = frozen_bundle
-    root = Path(cfg.out_dir)
-    for which in EXPORT_KINDS:
-        dest = export_plot_data(root, which)
-        assert dest == root / f"plot-{which}.csv"
-        dataset = which.split("-")[1]
-        src = root / f"projection-{dataset}.csv"
-        assert dest.read_bytes() == src.read_bytes()
-    custom = tmp_path / "custom.csv"
-    assert export_plot_data(cfg.out_dir, "labels-task", custom) == custom
-    assert custom.exists()
-    with pytest.raises(StageError, match="\\[export\\] unknown plot kind"):
-        export_plot_data(root, "labels-parsing")
-    # the projection is named by the code, not the bundle: a directory
-    # without bundle.json holds no run, and a missing file fails by path
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(FileNotFoundError, match="no bundle.json under"):
-        export_plot_data(empty, "labels-lid")
-    shutil.copyfile(root / "bundle.json", empty / "bundle.json")
-    with pytest.raises(StageError, match="\\[export\\] projection file missing"):
-        export_plot_data(empty, "labels-lid")
-
-
 # ---------------------------------------------------------------------------
 # hyperparameter search
 
@@ -602,6 +576,19 @@ def test_hyperparameter_search_report(pipe_dir):
 # command line
 
 
+def test_cli_offers_exactly_the_kept_commands(capsys):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["gen-corpus", "pretrain", "train", "analyze",
+                                 "hpsearch", "compare"]
+    for argv in (["export", "--run", "r", "--which", "labels-task"],
+                 ["probe-lid", "--encoder-checkpoint", "k.ckpt"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_gen_corpus_round_trips(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert main(["gen-corpus", "--out", str(out), "--languages", "3",
@@ -611,10 +598,13 @@ def test_cli_gen_corpus_round_trips(tmp_path, capsys):
     assert len(load_conllu(out / "token_tag.conllu", vocab)) == 18
     assert len(load_nli_tsv(out / "pair_inference.tsv", vocab)) == 18
     assert len(load_lid_paragraphs(out / "lid.tsv", vocab)) == 18
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corpus-manifest.json", "lid.tsv", "pair_inference.tsv",
+        "token_tag.conllu", "vocab.txt"]
+    # the file names are fixed by the command, so the record leaves them out
     manifest = json.loads((out / "corpus-manifest.json").read_text())
-    assert manifest["languages"] == 3
-    assert set(manifest["files"]) == {"vocab", "token_tag", "pair_inference",
-                                      "lid"}
+    assert manifest == {"languages": 3, "per_language": 6, "concepts": 30,
+                        "overlap": 0.25, "seed": 0}
 
 
 @pytest.mark.parametrize("command, tag", [("gen-corpus", "cli"),
@@ -644,7 +634,7 @@ def cli_cfg_path(tmp_path):
     return path, cfg
 
 
-def test_cli_train_analyze_export_compare(cli_cfg_path, tmp_path, capsys):
+def test_cli_train_analyze_compare(cli_cfg_path, tmp_path, capsys):
     path, cfg = cli_cfg_path
     assert main(["train", "--config", str(path)]) == 0
     out = capsys.readouterr().out
@@ -653,10 +643,6 @@ def test_cli_train_analyze_export_compare(cli_cfg_path, tmp_path, capsys):
 
     assert main(["analyze", "--run", cfg.out_dir]) == 0
     assert "recomputed bundle" in capsys.readouterr().out
-
-    assert main(["export", "--run", cfg.out_dir, "--which",
-                 "languages-lid"]) == 0
-    assert (Path(cfg.out_dir) / "plot-languages-lid.csv").exists()
 
     second = tmp_path / "run2"
     assert main(["train", "--config", str(path), "--regime", "finetune",
@@ -668,21 +654,6 @@ def test_cli_train_analyze_export_compare(cli_cfg_path, tmp_path, capsys):
     assert "metric" in capsys.readouterr().out
     table = json.loads(table_out.read_text())
     assert table["columns"] == ["initial", "finetune"]
-
-
-def test_cli_probe_lid(cli_cfg_path, capsys):
-    path, cfg = cli_cfg_path
-    # no checkpoint: stage-tagged failure, exit 2
-    assert main(["probe-lid", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error [probe]")
-
-    assert main(["pretrain", "--config", str(path)]) == 0
-    capsys.readouterr()
-    ckpt = Path(cfg.out_dir) / "encoder-pretrained.ckpt"
-    assert ckpt.exists()
-    assert main(["probe-lid", "--config", str(path),
-                 "--encoder-checkpoint", str(ckpt)]) == 0
-    assert "language probe val F1" in capsys.readouterr().out
 
 
 def test_cli_hpsearch(cli_cfg_path, capsys):
@@ -719,8 +690,7 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
     assert not Path(cfg.out_dir).exists()
 
 
-@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
-                                     "probe-lid"])
+@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain"])
 # PipelineConfig's own checks, the encoder shape included, fail at load
 @pytest.mark.parametrize("bad, tag, message", [
     ({"regime": "bogus"}, "cli", "unknown regime 'bogus'"),
@@ -807,14 +777,11 @@ def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
         return real_stage(name)
 
     monkeypatch.setattr(pipeline, "_stage", recording_stage)
-    ckpt = str(Path(cfg.out_dir) / "encoder-pretrained.ckpt")
     commands = {
         "train": ["train", "--config", str(path)],
         "analyze": ["analyze", "--run", cfg.out_dir],
         "hpsearch": ["hpsearch", "--config", str(path), "--samples", "1"],
         "pretrain": ["pretrain", "--config", str(path)],
-        "probe-lid": ["probe-lid", "--config", str(path),
-                      "--encoder-checkpoint", ckpt],
     }
     stages = {}
     for name, argv in commands.items():
@@ -830,7 +797,6 @@ def test_cli_commands_enter_the_same_stages(cli_cfg_path, monkeypatch, capsys):
                     "bundle"],
         "hpsearch": ["out_dir", *head, "search"],
         "pretrain": ["out_dir", *head, "manifest"],
-        "probe-lid": head + ["probe"],
     }
 
 
@@ -845,8 +811,7 @@ def foreign_checkpoint(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain",
-                                     "probe-lid"])
+@pytest.mark.parametrize("command", ["train", "hpsearch", "pretrain"])
 @pytest.mark.parametrize("fault, tag", [
     ("missing-corpus-file", "error [corpus] "),
     ("checkpoint-vocab", "error [pretrain] checkpoint encoder config does "
@@ -1022,14 +987,21 @@ BAD_RECORDS = {
     "analyze-manifest-without-config": ("analyze", "manifest.json",
                                         '{"manifest_id": "x"}', "analyze"),
     "compare-bundle-list": ("compare", "bundle.json", "[]", "cli"),
+    "compare-metrics-list": ("compare", "bundle.json", '{"metrics": []}', "cli"),
+    "compare-task-f1-list": ("compare", "bundle.json",
+                             '{"metrics": {"task_f1": []}}', "cli"),
+    "compare-per-language-list": (
+        "compare", "bundle.json",
+        '{"metrics": {"task_f1": {"per_language": []}}}', "cli"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_RECORDS))
 def test_cli_bad_run_records_fail_by_file_name(cli_cfg_path, capsys, case):
-    # each used to end in a traceback (exit 1) or in a message naming no
-    # file: an AttributeError or TypeError on a list, a bare
-    # "Expecting property name", or "error [cli] 'config'"
+    # each used to end in a traceback (exit 1), in a message naming no
+    # file or in no error at all: an AttributeError or TypeError on a
+    # list, a bare "Expecting property name", "error [cli] 'config'", or
+    # a compare table over a per_language list
     command, name, text, stage = BAD_RECORDS[case]
     path, cfg = cli_cfg_path
     run = Path(cfg.out_dir)
@@ -1269,8 +1241,3 @@ def test_cli_error_paths(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error [cli]")
     assert main(["analyze", "--run", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error [analyze]")
-    assert main(["export", "--run", str(tmp_path), "--which",
-                 "labels-task"]) == 2
-    assert capsys.readouterr().err.startswith("error [cli]")
-    with pytest.raises(SystemExit):
-        main(["export", "--run", str(tmp_path), "--which", "labels-parsing"])

@@ -402,7 +402,6 @@ def test_embed_examples_token_level(small_pretrained, tiny_data):
     n_tokens = sum(len(ex.sequence) for ex in examples)
     assert emb.X.shape == (n_tokens, encoder.config.d_model)
     assert emb.task_y.shape == emb.lang_y.shape == (n_tokens,)
-    assert len(emb) == n_tokens
     assert_rows_match_lone_embeds(emb, encoder, examples, "token", *maps)
 
 
