@@ -13,13 +13,20 @@ failures print a stage-tagged diagnostic to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from functools import partial
 from pathlib import Path
 
 from langlab.config import PRESETS, PipelineConfig, load_config
 from langlab.data.io import write_conllu, write_lid_tsv, write_nli_tsv
-from langlab.data.synthetic import build_vocabulary, generate_corpus, make_language_specs
+from langlab.data.synthetic import (
+    DEFAULT_N_CONCEPTS,
+    DEFAULT_OVERLAP,
+    build_vocabulary,
+    generate_corpus,
+    make_language_specs,
+)
 from langlab.files import write_json
 from langlab.pipeline import (
     StageError,
@@ -34,32 +41,27 @@ from langlab.pipeline import (
 )
 
 # PipelineConfig fields exposed as flag overrides on config-driven
-# subcommands: the regime settings plus out_dir and encoder_checkpoint;
-# flags mirror config field names.
-_OVERRIDE_FLAGS = (
-    ("regime", str), ("task", str), ("pivot-language", str),
-    ("init-std", float), ("batch-size", int), ("head-lr", float),
-    ("encoder-lr", float), ("grl-lambda", float), ("w", float),
-    ("language-term-variant", str), ("epochs", int), ("seed", int),
-    ("out-dir", str), ("encoder-checkpoint", str),
-)
+# subcommands: the regime settings plus out_dir and encoder_checkpoint.
+# A flag is its field's name with dashes; "float | None" parses as float.
+_OVERRIDE_FLAGS = ("regime", "task", "pivot_language", "init_std",
+                   "batch_size", "head_lr", "encoder_lr", "grl_lambda", "w",
+                   "epochs", "seed", "out_dir", "encoder_checkpoint")
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[
+    f.type.partition(" | ")[0]] for f in dataclasses.fields(PipelineConfig)}
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON config file")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named hyperparameter preset applied over the config")
-    for flag, typ in _OVERRIDE_FLAGS:
-        p.add_argument(f"--{flag}", type=typ, default=None,
-                       help=argparse.SUPPRESS)
+    for name in _OVERRIDE_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=_FIELD_TYPES[name],
+                       default=None, help=argparse.SUPPRESS)
 
 
 def _resolve_config(args) -> PipelineConfig:
-    overrides = {}
-    for flag, _ in _OVERRIDE_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            overrides[flag.replace("-", "_")] = value
+    overrides = {name: getattr(args, name) for name in _OVERRIDE_FLAGS
+                 if getattr(args, name) is not None}
     return load_config(args.config, preset=args.preset, overrides=overrides)
 
 
@@ -149,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="all", choices=["all", *CORPUS_FILES])
     p.add_argument("--languages", type=int, default=8)
     p.add_argument("--per-language", type=int, default=240)
-    p.add_argument("--concepts", type=int, default=60)
-    p.add_argument("--overlap", type=float, default=0.25)
+    p.add_argument("--concepts", type=int, default=DEFAULT_N_CONCEPTS)
+    p.add_argument("--overlap", type=float, default=DEFAULT_OVERLAP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_corpus)
 

@@ -4,6 +4,8 @@ One flat JSON object configures the whole pipeline; defaults are filled
 in at load time and the fully resolved config is echoed into the run
 manifest, so every run is self-describing.  The manifest id is the
 sha256 of the canonical JSON form of that resolved config.
+Layers go file < preset < overrides; one that changes the regime drops
+the weight (REGIME_WEIGHTS) of the regime it leaves unless it sets it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from langlab.analysis.sampling import DEFAULT_QUOTAS as SAMPLE_QUOTAS
 from langlab.data.synthetic import DEFAULT_N_CONCEPTS, DEFAULT_OVERLAP
 from langlab.encoder import EncoderConfig
 from langlab.files import read_json
-from langlab.heads import LANGUAGE_TERM_VARIANTS
 from langlab.training.batching import TASK_LEVELS
 from langlab.training.regimes import REGIMES
 
@@ -31,8 +32,10 @@ _MINIMUMS = {"epochs": 1, "batch_size": 1, "mlm_steps": 0, "quota_task": 1,
 # trains by gradient ascent, and a negative init_std fails mid-run
 _POSITIVE = ("init_std", "head_lr", "encoder_lr", "mlm_lr")
 # the accepted values of each named-choice field
-_CHOICES = {"regime": REGIMES, "task": TASK_LEVELS,
-            "language_term_variant": LANGUAGE_TERM_VARIANTS}
+_CHOICES = {"regime": REGIMES, "task": TASK_LEVELS}
+# the weight each regime owns: the gradient-reversal layer's lambda and
+# the entropy-max term's w
+REGIME_WEIGHTS = {"grad_reversal": "grl_lambda", "entropy_max": "w"}
 # what each declared field type accepts; bool is refused for both numbers,
 # and null only where the type says "| None"
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
@@ -50,7 +53,6 @@ class PipelineConfig:
     encoder_lr: float = 7e-3
     grl_lambda: float | None = None
     w: float | None = None
-    language_term_variant: str = "as_written"
     epochs: int = 5
     seed: int = 0
 
@@ -115,10 +117,9 @@ class PipelineConfig:
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name.replace('_', ' ')} "
                                  f"{getattr(self, name)!r}")
-        if (self.grl_lambda is not None) != (self.regime == "grad_reversal"):
-            raise ValueError("grl_lambda is set iff regime is grad_reversal")
-        if (self.w is not None) != (self.regime == "entropy_max"):
-            raise ValueError("w is set iff regime is entropy_max")
+        for regime, weight in REGIME_WEIGHTS.items():
+            if (getattr(self, weight) is not None) != (self.regime == regime):
+                raise ValueError(f"{weight} is set iff regime is {regime}")
         if self.w is not None and not 0.0 <= self.w <= 1.0:
             raise ValueError("w must be in [0,1]")
         paths = (self.task_corpus_path, self.lid_corpus_path, self.vocab_path)
@@ -175,8 +176,7 @@ def _preset_keys(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r} (known: {known})")
-    # a regime change invalidates the other regimes' weights
-    return {"grl_lambda": None, "w": None, **PRESETS[name]}
+    return PRESETS[name]
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -193,9 +193,12 @@ def load_config(path, preset: str | None = None,
     config is built, so quota_task is derived from the final task only
     when no layer gives it."""
     raw = {} if path is None else read_json(path)
-    if preset:
-        raw = {**raw, **_preset_keys(preset)}
-    return config_from_dict({**raw, **(overrides or {})})
+    for layer in (_preset_keys(preset) if preset else {}, overrides or {}):
+        for regime, weight in REGIME_WEIGHTS.items():
+            if raw.get("regime") == regime and layer.get("regime", regime) != regime:
+                raw.pop(weight, None)   # the layer may set it again
+        raw = {**raw, **layer}
+    return config_from_dict(raw)
 
 
 def canonical_json(obj) -> str:

@@ -8,10 +8,8 @@ language-confusion term).  composite_step combines them exactly as
 written in the source formulation: L = (1-w) * XE(y_a) + w * (-sum_k ln
 y_b[k]).  The language term sums negative log-probabilities over *all*
 classes, which is minimized (value K ln K) at the uniform distribution.
-A Shannon entropy variant (-H(y_b) as the term) is selected by the
-``language_term_variant`` config field (one of LANGUAGE_TERM_VARIANTS);
-both agree on the minimizer.  The reversal layer is the identity going
-forward, so only its backward, grad_reversal_backward, exists.
+The reversal layer is the identity going forward, so only its backward,
+grad_reversal_backward, exists.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from langlab.rng import stream
 
 LOG_EPS = 1e-12
-LANGUAGE_TERM_VARIANTS = ("as_written", "shannon")
 
 
 @dataclass
@@ -87,21 +84,12 @@ def ce_loss_and_dlogits(logits: np.ndarray, golds: np.ndarray):
     return loss, d / n
 
 
-def language_term_and_dlogits(logits: np.ndarray, variant: str = "as_written"):
-    """Mean language-confusion term and gradient w.r.t. logits (N, K)."""
+def language_term_and_dlogits(logits: np.ndarray):
+    """Mean language-confusion term -sum_k ln y[k] and its (N, K) gradient."""
     probs = softmax(logits)
     n, k = logits.shape
-    if variant == "as_written":
-        loss = float(-np.log(np.maximum(probs, LOG_EPS)).sum(axis=1).mean())
-        d = (k * probs - 1.0) / n
-    elif variant == "shannon":
-        logp = np.log(np.maximum(probs, LOG_EPS))
-        loss = float((probs * logp).sum(axis=1).mean())
-        ent = -(probs * logp).sum(axis=1, keepdims=True)
-        d = probs * (logp + ent) / n
-    else:
-        raise ValueError(f"unknown language term variant {variant!r}")
-    return loss, d
+    loss = float(-np.log(np.maximum(probs, LOG_EPS)).sum(axis=1).mean())
+    return loss, (k * probs - 1.0) / n
 
 
 def head_backward(head: ClassifierHead, x: np.ndarray, d_logits: np.ndarray):

@@ -39,7 +39,8 @@ numpy and scipy versions and the BLAS thread count, process.numerics);
 they are not part of the manifest id.  A bundle is the dict bundle.json
 holds: train and analyze return it, and compare reads it back through
 load_bundle, which names a bundle.json whose metrics tree is not made
-of JSON objects.  Every file is written whole (files.write_file).  Any
+of JSON objects; compare_runs checks the bundles it is given the same
+way.  Every file is written whole (files.write_file).  Any
 stage failure raises StageError carrying the stage name; artifacts
 written before the failure stay on disk for inspection.
 
@@ -126,18 +127,24 @@ def _claim_out_dir(cfg: PipelineConfig) -> str:
     return mid
 
 
-def load_bundle(run_dir) -> dict:
-    """The bundle a finished run wrote: the dict its bundle.json holds.
-    Its metrics, metrics.task_f1 and metrics.task_f1.per_language must
-    each be a JSON object; a ValueError names the file otherwise."""
-    path = Path(run_dir) / "bundle.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no bundle.json under {Path(run_dir)}")
-    bundle = node = read_json(path)
+def _check_metrics_tree(bundle: dict, name) -> None:
+    """A bundle's metrics, metrics.task_f1 and metrics.task_f1.per_language
+    must each be a JSON object; a ValueError names the bundle otherwise."""
+    node = bundle
     for key in ("metrics", "metrics.task_f1", "metrics.task_f1.per_language"):
         node = node.get(key.rpartition(".")[2])
         if not isinstance(node, dict):
-            raise ValueError(f"{path} does not hold a JSON object at {key}")
+            raise ValueError(f"{name} does not hold a JSON object at {key}")
+
+
+def load_bundle(run_dir) -> dict:
+    """The bundle a finished run wrote: the dict its bundle.json holds,
+    whose metrics tree is checked (a ValueError names the file)."""
+    path = Path(run_dir) / "bundle.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no bundle.json under {Path(run_dir)}")
+    bundle = read_json(path)
+    _check_metrics_tree(bundle, path)
     return bundle
 
 
@@ -421,11 +428,14 @@ METRIC_PATHS = (
 def compare_runs(bundles: list[dict]) -> dict:
     """Per-metric deltas against the first bundle, with provenance.
 
-    Metrics absent from a bundle yield null deltas (an explicit gap
-    marker), never zero.
+    Every bundle's metrics tree is checked as load_bundle checks it (a
+    ValueError names the bundle's position).  Metrics absent from a
+    bundle yield null deltas (an explicit gap marker), never zero.
     """
     if len(bundles) < 2:
         raise ValueError("need at least two bundles to compare")
+    for i, bundle in enumerate(bundles):
+        _check_metrics_tree(bundle, f"bundles[{i}]")
     first = bundles[0]
     for b in bundles[1:]:
         for key in ("task", "languages", "task_labels"):
@@ -434,8 +444,7 @@ def compare_runs(bundles: list[dict]) -> dict:
                     f"mismatched schemas: bundles disagree on {key!r}"
                 )
     paths = list(METRIC_PATHS)
-    per_lang = sorted(first.get("metrics", {})
-                      .get("task_f1", {}).get("per_language", {}))
+    per_lang = sorted(first["metrics"]["task_f1"]["per_language"])
     paths.extend(f"task_f1.per_language.{lang}" for lang in per_lang)
 
     rows = []
@@ -471,7 +480,7 @@ def format_delta_table(table: dict) -> str:
     return "\n".join(lines)
 
 
-def hyperparameter_search(cfg: PipelineConfig, n_samples: int = 20) -> dict:
+def hyperparameter_search(cfg: PipelineConfig, n_samples: int) -> dict:
     """Random search for cfg.regime; candidates ranked by dev-set task F1.
 
     Corpus and pretraining are shared across candidates; only the

@@ -62,10 +62,10 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     "lang_term", "lang").
 
     finetune: the task CE alone; lang_head, lid_batch and rng_lid are
-    unused.  entropy_max (the even phase): cfg.w weighs the confusion
-    term (cfg.language_term_variant), evaluated on the task batch
-    through the frozen lang_head, against the task CE.  grad_reversal:
-    the language CE on lid_batch, with dropout from rng_lid, trains
+    unused.  entropy_max (the even phase): (1-cfg.w) * task CE +
+    cfg.w * the confusion term -sum_k ln y_b[k], with y_b the frozen
+    lang_head's softmax over the task batch.  grad_reversal: the
+    language CE on lid_batch, with dropout from rng_lid, trains
     lang_head normally and reaches the encoder scaled by
     -cfg.grl_lambda.
     """
@@ -79,8 +79,7 @@ def composite_step(encoder: EncoderModel, task_head: ClassifierHead,
     if cfg.regime == "entropy_max":
         w = cfg.w
         losses["lang_term"], d_logits_l = language_term_and_dlogits(
-            head_logits(lang_head, Xd), cfg.language_term_variant
-        )
+            head_logits(lang_head, Xd))
         dXd = (1.0 - w) * dXd + w * (d_logits_l @ lang_head.w.T)
         dw_t = (1.0 - w) * dw_t
         db_t = (1.0 - w) * db_t

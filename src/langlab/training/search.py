@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from langlab.config import REGIME_WEIGHTS
 from langlab.rng import stream
 
 # every searched setting and its values
@@ -27,8 +28,8 @@ _HEAD = ("init_std", "batch_size", "head_lr")
 REGIME_SETTINGS = {
     "frozen_probe": _HEAD,
     "finetune": _HEAD + ("encoder_lr",),
-    "grad_reversal": _HEAD + ("encoder_lr", "grl_lambda"),
-    "entropy_max": _HEAD + ("encoder_lr", "w"),
+    **{regime: _HEAD + ("encoder_lr", weight)
+       for regime, weight in REGIME_WEIGHTS.items()},
 }
 
 

@@ -30,14 +30,10 @@ def _cross_entropy(probabilities: np.ndarray, gold: int) -> float:
     return float(-np.log(max(float(p[gold]), LOG_EPS)))
 
 
-def _language_term(lang_probs: np.ndarray, variant: str = "as_written") -> float:
+def _language_term(lang_probs: np.ndarray) -> float:
     """The language-confusion term for one probability vector."""
     p = np.maximum(np.asarray(lang_probs, dtype=float), LOG_EPS)
-    if variant == "as_written":
-        return float(-np.log(p).sum())
-    if variant == "shannon":
-        return float((p * np.log(p)).sum())
-    raise ValueError(f"unknown language term variant {variant!r}")
+    return float(-np.log(p).sum())
 
 
 def fd_logits_grad(fn, logits):
@@ -145,24 +141,17 @@ def test_grad_reversal_layer():
 def test_language_term_uniform_minimum():
     k = 33
     uniform = np.full(k, 1.0 / k)
-    assert _language_term(uniform, "as_written") == pytest.approx(
-        k * np.log(k), rel=1e-12)
-    assert _language_term(uniform, "shannon") == pytest.approx(
-        -np.log(k), rel=1e-12)
+    assert _language_term(uniform) == pytest.approx(k * np.log(k), rel=1e-12)
     # any non-uniform vector sits strictly above the minimum
     tilted = np.full(k, 1.0 / k)
     tilted[0] += 0.01
     tilted[1] -= 0.01
-    assert _language_term(tilted, "as_written") > k * np.log(k)
-    assert _language_term(tilted, "shannon") > -np.log(k)
+    assert _language_term(tilted) > k * np.log(k)
 
 
 def test_language_term_hand_values():
     p = np.array([0.5, 0.5])
-    assert _language_term(p, "as_written") == pytest.approx(2 * np.log(2))
-    assert _language_term(p, "shannon") == pytest.approx(-np.log(2))
-    with pytest.raises(ValueError, match="unknown"):
-        _language_term(p, "renyi")
+    assert _language_term(p) == pytest.approx(2 * np.log(2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +179,17 @@ def test_ce_dlogits_matches_fd():
 def test_language_term_is_mean_of_rows():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(6, 5))
-    for variant in ("as_written", "shannon"):
-        loss, _ = language_term_and_dlogits(logits, variant)
-        rows = [_language_term(softmax(logits[i]), variant) for i in range(6)]
-        assert loss == pytest.approx(np.mean(rows), rel=1e-12)
-    with pytest.raises(ValueError, match="unknown"):
-        language_term_and_dlogits(logits, "renyi")
+    loss, _ = language_term_and_dlogits(logits)
+    rows = [_language_term(softmax(logits[i])) for i in range(6)]
+    assert loss == pytest.approx(np.mean(rows), rel=1e-12)
 
 
 def test_language_term_dlogits_matches_fd():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(4, 5))
-    for variant in ("as_written", "shannon"):
-        _, d = language_term_and_dlogits(logits, variant)
-        fd = fd_logits_grad(
-            lambda z: language_term_and_dlogits(z, variant)[0], logits)
-        assert np.abs(fd - d).max() <= FD_TOL, variant
+    _, d = language_term_and_dlogits(logits)
+    fd = fd_logits_grad(lambda z: language_term_and_dlogits(z)[0], logits)
+    assert np.abs(fd - d).max() <= FD_TOL
 
 
 def test_gd_on_language_term_reaches_uniform():

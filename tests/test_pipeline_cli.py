@@ -55,6 +55,7 @@ from langlab.pipeline import (
     run_experiment,
 )
 from langlab.training import network, regimes
+from langlab.training.regimes import REGIMES
 from langlab.vocab import Vocabulary
 
 
@@ -233,6 +234,26 @@ def test_preset_resets_other_regime_weights_and_quota(tmp_path):
     # switching task re-derives the default quota
     xnli = load_config(None, preset="xnli-finetuned")
     assert xnli.quota_task == SAMPLE_QUOTAS["pair_inference"]
+
+
+def test_every_preset_takes_every_regime_flag():
+    # --regime drops the weight of the preset's regime when it leaves
+    # it; a regime that needs a weight gets it by its own flag
+    weights = {"grad_reversal": "grl_lambda", "entropy_max": "w"}
+    for name, preset in PRESETS.items():
+        for regime in REGIMES:
+            argv = ["train", "--preset", name, "--regime", regime]
+            want = {"grl_lambda": None, "w": None}
+            if regime == preset["regime"]:
+                want |= {k: preset[k] for k in want if k in preset}
+            elif regime in weights:
+                argv += [f"--{weights[regime].replace('_', '-')}", "0.3"]
+                want[weights[regime]] = 0.3
+            cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
+            got = {k: getattr(cfg, k) for k in want}
+            assert (cfg.regime, got) == (regime, want), name
+            assert all(getattr(cfg, k) == v for k, v in preset.items()
+                       if k not in ("regime", *want)), (name, regime)
 
 
 def test_task_override_rederives_default_quota(tmp_path):
@@ -424,6 +445,23 @@ def test_reanalyze_is_byte_identical(frozen_bundle):
         reanalyze(root / "nowhere")
 
 
+def test_cli_analyze_refuses_a_run_with_the_dropped_term_variant(
+        frozen_bundle, tmp_path, capsys):
+    # runs written while the language term had two variants record
+    # language_term_variant in their config
+    cfg, _ = frozen_bundle
+    old = tmp_path / "old"
+    shutil.copytree(cfg.out_dir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["config"]["language_term_variant"] = "as_written"
+    write_json(old / "manifest.json", manifest)
+    before = dir_bytes(old)
+    assert main(["analyze", "--run", str(old)]) == 2
+    assert capsys.readouterr().err == (
+        "error [analyze] unknown config keys: language_term_variant\n")
+    assert dir_bytes(old) == before
+
+
 def test_reanalyze_reads_a_run_of_the_old_record_format(frozen_bundle,
                                                          tmp_path):
     # runs written before the records lost their echoed fields carry a
@@ -520,6 +558,16 @@ def test_compare_runs_validation(frozen_bundle, finetune_bundle):
     doctored["task"] = "pair_inference"
     with pytest.raises(ValueError, match="disagree on 'task'"):
         compare_runs([frozen, doctored])
+    # the metrics tree is checked as load_bundle checks it, by position
+    for key, tree in (("metrics", []), ("metrics.task_f1", {"task_f1": []}),
+                      ("metrics.task_f1.per_language",
+                       {"task_f1": {"per_language": []}})):
+        for pos in (0, 1):
+            bundles = [frozen, finetuned]
+            bundles[pos] = copy.deepcopy(bundles[pos]) | {"metrics": tree}
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bundles[{pos}] does not hold a JSON object at {key}")):
+                compare_runs(bundles)
 
 
 def test_compare_runs_marks_missing_metrics_null(frozen_bundle,
@@ -587,6 +635,23 @@ def test_cli_offers_exactly_the_kept_commands(capsys):
             main(argv)
         assert stop.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_override_flags_are_config_fields_of_their_types():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fields = {"regime", "task", "pivot_language", "init_std", "batch_size",
+              "head_lr", "encoder_lr", "grl_lambda", "w", "epochs", "seed",
+              "out_dir", "encoder_checkpoint"}
+    for command, own in (("train", set()), ("pretrain", set()),
+                         ("hpsearch", {"samples"})):
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert dests == fields | own | {"config", "preset"}, command
+    assert fields <= {f.name for f in dataclasses.fields(PipelineConfig)}
+    args = cli.build_parser().parse_args(
+        ["train", "--grl-lambda", "0.3", "--seed", "2"])
+    assert type(args.grl_lambda) is float and args.grl_lambda == 0.3
+    assert type(args.seed) is int and args.seed == 2
 
 
 def test_cli_gen_corpus_round_trips(tmp_path, capsys):
@@ -697,8 +762,9 @@ def test_cli_rejects_mistyped_config_values_before_any_stage(
     ({"grl_lambda": 0.1}, "cli", "grl_lambda is set iff regime is grad_reversal"),
     ({"d_model": 60, "n_heads": 7}, "cli",
      "d_model 60 not divisible by n_heads 7"),
-    ({"language_term_variant": "renyi"}, "cli",
-     "unknown language term variant 'renyi'"),
+    # the dropped language-term switch is no config key any more
+    ({"language_term_variant": "as_written"}, "cli",
+     "unknown config keys: language_term_variant"),
     ({"head_lr": -0.5}, "cli", "head_lr must be > 0, got -0.5"),
     ({"init_std": -0.1}, "cli", "init_std must be > 0, got -0.1"),
     ({"mask_rate": 0.0}, "cli", "mask_rate must be in (0,1), got 0.0"),

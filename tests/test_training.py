@@ -354,8 +354,6 @@ def test_pipeline_config_regime_validation():
         PipelineConfig(regime="grad_reversal", grl_lambda=-0.1, **ok)
     with pytest.raises(ValueError, match="in \\[0,1\\]"):
         PipelineConfig(regime="entropy_max", w=1.5, **ok)
-    with pytest.raises(ValueError, match="unknown language term variant 'renyi'"):
-        PipelineConfig(regime="finetune", language_term_variant="renyi", **ok)
 
 
 def test_pivot_filtering(tiny_data):
